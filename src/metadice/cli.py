@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -222,7 +223,10 @@ def _load_family(args) -> DiceFamily:
         _check_depth(stack.depth, args.allow_large)
         return generate(stack, args.multiplicity)
     if args.family is not None:
-        doc = json.loads(Path(args.family).read_text())
+        try:
+            doc = json.loads(Path(args.family).read_text())
+        except RecursionError:
+            raise FamilyFormatError("family document nests too deeply") from None
         family = family_from_json(doc)
         if args.depth is not None and args.depth != family.depth:
             raise ValueError(
@@ -385,11 +389,16 @@ def cmd_prob(args) -> int:
     return 0
 
 
+#: One team member: a signed integer in ASCII digits (int() alone would
+#: also read other scripts' digits and underscores).
+_TEAM_MEMBER = re.compile(r"\s*[+-]?[0-9]+\s*\Z")
+
+
 def _parse_team(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
+    tokens = text.split(",")
+    if not all(_TEAM_MEMBER.match(tok) for tok in tokens):
         raise ValueError(f"bad team {text!r}: expected comma-separated integers")
+    return [int(tok) for tok in tokens]
 
 
 def cmd_roundrobin(args) -> int:

@@ -18,7 +18,11 @@ Face = tuple[int, ...]
 #: return values of :func:`compare_faces`
 LESS, EQUAL, GREATER = -1, 0, 1
 
-_FACE_TOKEN = re.compile(r"(\d+)(?:x(\d+))?\Z")
+#: Digits are ASCII only: ``str.isdigit()``, ``\d`` and ``int()`` also take
+#: other scripts' digits (Arabic-Indic two reads as 2), so every parser
+#: matches ``[0-9]`` instead.
+_DIGIT_STRING = re.compile(r"[0-9]+\Z")
+_FACE_TOKEN = re.compile(r"([0-9]+)(?:x([0-9]+))?\Z")
 
 
 class LengthMismatchError(ValueError):
@@ -51,6 +55,11 @@ def make_face(digits: Iterable[int], *, allow_zero: bool = False) -> Face:
         if not low <= d <= 9:
             raise ValueError(f"digit {d} outside {low}..9")
     return face
+
+
+def is_digit_string(text: object) -> bool:
+    """True for a non-empty string of ASCII digits only."""
+    return isinstance(text, str) and _DIGIT_STRING.match(text) is not None
 
 
 def face_text(face: Face) -> str:

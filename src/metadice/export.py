@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from metadice.dice import Face, compare_faces, duel, face_text
+from metadice.dice import Face, duel, face_text
 from metadice.hierarchy import DiceFamily, Word, die_number
+from metadice.sweep import pack_face
 
 Prefix = tuple[int, ...]
 
@@ -152,10 +152,9 @@ def normalized_values(family: DiceFamily) -> tuple[NormalizedPoint, ...]:
     points = []
     for word, faces in zip(family.words, family.rank_faces):
         for rank, face in enumerate(faces):
-            code = 0
-            for d in face:
-                code = code * 10 + d
-            points.append(NormalizedPoint(word, rank, face, Fraction(code, scale)))
+            points.append(
+                NormalizedPoint(word, rank, face, Fraction(pack_face(face), scale))
+            )
     return tuple(points)
 
 
@@ -191,7 +190,3 @@ def points_to_json(points: tuple[NormalizedPoint, ...]) -> list[dict]:
         }
         for p in points
     ]
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"

@@ -18,7 +18,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from metadice.dice import (
@@ -28,9 +27,10 @@ from metadice.dice import (
     LengthMismatchError,
     duel,
     face_text,
+    is_digit_string,
 )
-from metadice.loshu import AssignmentStack, parse_stack
-from metadice.sweep import resolve_backend, sweep_pairs
+from metadice.loshu import AssignmentStack, StackValidationError, parse_stack
+from metadice.sweep import BACKEND, sweep_pairs
 
 Word = tuple[int, ...]
 
@@ -85,10 +85,7 @@ def face_value(word: Word, rank: int, stack: AssignmentStack) -> Face:
         )
     if rank not in (0, 1, 2):
         raise ValueError(f"rank must be 0, 1 or 2, got {rank}")
-    return tuple(
-        stack.assignment_at(j, word[: j - 1])[word[j - 1]][rank]
-        for j in range(1, stack.depth + 1)
-    )
+    return _stack_faces(stack, (word,))[0][rank]
 
 
 @dataclass(frozen=True)
@@ -113,10 +110,15 @@ class DiceFamily:
             raise FamilyFormatError("depth must be at least 1")
         if self.multiplicity < 1:
             raise FamilyFormatError("face multiplicity must be positive")
-        size = 3 ** self.depth
-        if len(self.words) != size or len(self.rank_faces) != size:
+        size = len(self.words)
+        # a depth above the entry count cannot match, so 3^depth is not built
+        if (
+            self.depth > size
+            or 3 ** self.depth != size
+            or len(self.rank_faces) != size
+        ):
             raise FamilyFormatError(
-                f"a depth-{self.depth} family needs exactly {size} dice"
+                f"a depth-{self.depth} family needs exactly 3^{self.depth} dice"
             )
         for idx, word in enumerate(self.words):
             if word != word_of(idx + 1, self.depth):
@@ -159,17 +161,11 @@ def face_word_label(word: Word) -> str:
     return f"D{die_number(word)} ({''.join(str(t) for t in word)})"
 
 
-def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
-    """Fill the whole depth-``stack.depth`` family from an assignment stack.
-
-    Stack validity is established at stack construction; this walk only
-    reads tables. Dice come out pairwise distinct because the level-1
-    digits already separate the three subsets (asserted as a sanity net).
-    """
-    if multiplicity < 1:
-        raise ValueError("face multiplicity must be positive")
+def _stack_faces(
+    stack: AssignmentStack, words: Sequence[Word]
+) -> tuple[tuple[Face, Face, Face], ...]:
+    """Rank faces of the die at each word, read off the stack's tables."""
     k = stack.depth
-    words = tuple(itertools.product((0, 1, 2), repeat=k))
     rank_faces = []
     for w in words:
         tables = [stack.assignment_at(j, w[: j - 1]) for j in range(1, k + 1)]
@@ -179,8 +175,25 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
                 for rank in range(3)
             )
         )
-    family = DiceFamily(k, multiplicity, words, tuple(rank_faces), stack)
-    assert len(set(family.dice)) == len(family.dice), "generated dice collide"
+    return tuple(rank_faces)
+
+
+def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
+    """Fill the whole depth-``stack.depth`` family from an assignment stack.
+
+    Stack validity is established at stack construction; this walk only
+    reads tables. Dice come out pairwise distinct because the level-1
+    digits already separate the three subsets; a collision is still raised
+    as a :class:`StackValidationError` rather than returned.
+    """
+    if multiplicity < 1:
+        raise ValueError("face multiplicity must be positive")
+    words = tuple(itertools.product((0, 1, 2), repeat=stack.depth))
+    family = DiceFamily(
+        stack.depth, multiplicity, words, _stack_faces(stack, words), stack
+    )
+    if len(set(family.dice)) != family.size:
+        raise StackValidationError("the stack generates colliding dice")
     return family
 
 
@@ -231,16 +244,7 @@ class VerificationReport:
         return not self.failures
 
 
-def _pack(face: Face) -> int:
-    code = 0
-    for d in face:
-        code = code * 10 + d
-    return code
-
-
-def verify_family(
-    family: DiceFamily, *, backend: str | None = None
-) -> VerificationReport:
+def verify_family(family: DiceFamily) -> VerificationReport:
     """Exhaustively check that every pair duels at exactly (5/9, 0, 4/9)
     in favor of :func:`predicted_winner`.
 
@@ -249,13 +253,7 @@ def verify_family(
     regardless of how the independent pair checks are scheduled.
     """
     start = time.perf_counter()
-    chosen = resolve_backend(family.depth, backend)
-    codes = [
-        (_pack(f0), _pack(f1), _pack(f2)) for f0, f1, f2 in family.rank_faces
-    ]
-    checked, raw_failures = sweep_pairs(codes, family.words, backend=chosen)
-    pairs_checked = sum(checked)
-    assert pairs_checked == family.size * (family.size - 1) // 2
+    checked, raw_failures = sweep_pairs(family.rank_faces, family.depth)
 
     failures = []
     fail_levels: Counter[int] = Counter()
@@ -274,11 +272,11 @@ def verify_family(
         depth=family.depth,
         dice_count=family.size,
         multiplicity=family.multiplicity,
-        pairs_checked=pairs_checked,
+        pairs_checked=sum(checked),
         failures=tuple(failures),
         per_level=per_level,
         elapsed=time.perf_counter() - start,
-        backend=chosen,
+        backend=BACKEND,
     )
 
 
@@ -322,22 +320,25 @@ def family_to_json(family: DiceFamily) -> dict:
 def family_from_json(doc: dict) -> DiceFamily:
     """Rebuild a family from its document form, validating the schema.
 
-    The stack echo, when present, is re-parsed and re-validated; dice are
-    checked for completeness and consistent numbering either way, so
-    third-party families can be verified without a construction.
+    The stack echo, when present, is re-parsed, re-validated and must
+    generate exactly the listed dice; dice are checked for completeness and
+    consistent numbering either way, so third-party families can be
+    verified without a construction. Every schema fault raises
+    :class:`FamilyFormatError`.
     """
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
-    try:
-        depth = int(doc["depth"])
-        entries = doc["dice"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FamilyFormatError(f"missing or bad family field: {exc}") from None
-    multiplicity = int(doc.get("multiplicity", 2))
+    if "depth" not in doc or "dice" not in doc:
+        raise FamilyFormatError("missing family field: need depth and dice")
+    depth = _int_field(doc["depth"], "depth")
+    entries = doc["dice"]
+    multiplicity = _int_field(doc.get("multiplicity", 2), "multiplicity")
     stack = None
     if doc.get("stack") is not None:
         stack_lines = doc["stack"]
-        if not isinstance(stack_lines, list):
+        if not isinstance(stack_lines, list) or not all(
+            isinstance(line, str) for line in stack_lines
+        ):
             raise FamilyFormatError("stack must be a list of level descriptors")
         stack = parse_stack("\n".join(stack_lines), allow_zero=True)
         if stack.depth != depth:
@@ -349,29 +350,56 @@ def family_from_json(doc: dict) -> DiceFamily:
     words = []
     rank_faces = []
     for pos, entry in enumerate(entries):
-        try:
-            word = tuple(int(t) for t in entry["word"])
-            face_strings = entry["faces"]
-        except (KeyError, TypeError, ValueError):
-            raise FamilyFormatError(f"dice entry {pos} is malformed") from None
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("word"), list)
+            and isinstance(entry.get("faces"), list)
+        ):
+            raise FamilyFormatError(
+                f"dice entry {pos} is malformed: need an object with"
+                " word and faces lists"
+            )
+        word = tuple(_int_field(t, "a trit", pos) for t in entry["word"])
         if any(t not in (0, 1, 2) for t in word):
             raise FamilyFormatError(f"dice entry {pos} has a bad trit")
         number = entry.get("paper_number")
-        if number is not None and int(number) != die_number(word):
+        if number is not None and _int_field(
+            number, "paper_number", pos
+        ) != die_number(word):
             raise FamilyFormatError(
                 f"dice entry {pos}: paper_number {number} does not match"
                 f" word {list(word)}"
             )
         faces = []
-        for s in face_strings:
-            if not isinstance(s, str) or not s.isdigit():
+        for s in entry["faces"]:
+            if not is_digit_string(s):
                 raise FamilyFormatError(
                     f"dice entry {pos}: faces must be digit strings"
                 )
             faces.append(tuple(int(c) for c in s))
         words.append(word)
         rank_faces.append(tuple(faces))
-    return DiceFamily(depth, multiplicity, tuple(words), tuple(rank_faces), stack)
+    family = DiceFamily(depth, multiplicity, tuple(words), tuple(rank_faces), stack)
+    if stack is not None:
+        built = _stack_faces(stack, family.words)
+        for word, faces, echo in zip(family.words, family.rank_faces, built):
+            if faces != echo:
+                raise FamilyFormatError(
+                    f"die {face_word_label(word)} has faces"
+                    f" {' '.join(map(face_text, faces))} but the stack echo"
+                    f" generates {' '.join(map(face_text, echo))}"
+                )
+    return family
+
+
+def _int_field(value: object, name: str, pos: int | None = None) -> int:
+    """An integer document field: a JSON integer or a string of ASCII digits."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or is_digit_string(value)
+    ):
+        where = "" if pos is None else f"dice entry {pos}: "
+        raise FamilyFormatError(f"{where}{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def family_from_rows(
@@ -387,7 +415,7 @@ def family_from_rows(
     for pos, row in enumerate(face_rows):
         if len(row) != 3:
             raise FamilyFormatError(f"row {pos + 1}: expected 3 faces")
-        if not all(isinstance(s, str) and s.isdigit() for s in row):
+        if not all(map(is_digit_string, row)):
             raise FamilyFormatError(f"row {pos + 1}: faces must be digit strings")
         if depth is None:
             depth = len(row[0])
@@ -404,6 +432,3 @@ def family_from_rows(
         )
     words = tuple(word_of(n, depth) for n in range(1, size + 1))
     return DiceFamily(depth, multiplicity, words, tuple(rank_faces), None)
-
-
-FIVE_NINTHS = Fraction(5, 9)

@@ -24,13 +24,15 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from metadice.dice import is_digit_string
+
 Triple = tuple[int, int, int]
 
 #: The 3x3 magic square, rows top to bottom.
 SQUARE: tuple[Triple, Triple, Triple] = ((4, 9, 2), (3, 5, 7), (8, 1, 6))
 
 _LEVEL_LINE = re.compile(
-    r"(?P<table>[\d,;\s]+?)(?:\s+rot=w(?P<rot>\d+))?\s*\Z"
+    r"(?P<table>[0-9,;\s]+?)(?:\s+rot=w(?P<rot>[0-9]+))?\s*\Z"
 )
 
 
@@ -269,7 +271,7 @@ def parse_assignment(text: str, *, allow_zero: bool = False) -> DigitAssignment:
     subsets = []
     for part in text.split(";"):
         digits = [p.strip() for p in part.split(",")]
-        if len(digits) != 3 or not all(d.isdigit() for d in digits):
+        if len(digits) != 3 or not all(map(is_digit_string, digits)):
             raise StackValidationError(
                 f"bad assignment syntax {text!r}: expected three"
                 " comma-separated digit triples joined by semicolons"

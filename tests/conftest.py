@@ -18,7 +18,6 @@ from hypothesis import settings, strategies as st
 from metadice.cli import main
 from metadice.dice import Die
 from metadice.loshu import AssignmentStack, DigitAssignment, LevelRule
-from metadice.sweep import available_backends
 
 settings.register_profile("metadice", deadline=None)
 settings.load_profile("metadice")
@@ -111,11 +110,6 @@ def valid_stacks(draw, max_depth=3):
         else:
             levels.append(LevelRule(base))
     return AssignmentStack(tuple(levels))
-
-
-@pytest.fixture(params=available_backends())
-def backend(request):
-    return request.param
 
 
 def run_cli_main(argv, stdin_text=None):

@@ -186,6 +186,11 @@ class TestDieParsing:
         with pytest.raises(DieParseError):
             parse_die("102,345,678")
 
+    @pytest.mark.parametrize("text", ["\u0662,4,9", "2x\u0662,4,9"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(DieParseError):
+            parse_die(text)
+
     def test_zero_digit_allowed_with_flag(self):
         die = parse_die("102,345,678", allow_zero=True)
         assert die.digit_length == 3

@@ -24,6 +24,7 @@ from metadice.hierarchy import (
     word_of,
 )
 from metadice.loshu import preset_stack
+from metadice.sweep import sweep_pairs
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)
@@ -168,8 +169,8 @@ class TestFamilyInvariants:
 
 
 class TestVerify:
-    def test_depth_2_counts(self, backend):
-        report = verify_family(generate(preset_stack("paper-2")), backend=backend)
+    def test_depth_2_counts(self):
+        report = verify_family(generate(preset_stack("paper-2")))
         assert report.passed
         assert report.pairs_checked == 36
         assert [(s.level, s.pairs, s.failures) for s in report.per_level] == [
@@ -177,8 +178,8 @@ class TestVerify:
             (2, 9, 0),
         ]
 
-    def test_depth_3_counts(self, backend):
-        report = verify_family(PAPER3, backend=backend)
+    def test_depth_3_counts(self):
+        report = verify_family(PAPER3)
         assert report.passed
         assert report.pairs_checked == 351
         assert [(s.level, s.pairs, s.failures) for s in report.per_level] == [
@@ -187,18 +188,20 @@ class TestVerify:
             (3, 27, 0),
         ]
 
-    def test_uniform_4(self, backend):
-        report = verify_family(generate(preset_stack("uniform", 4), 1), backend=backend)
+    def test_uniform_4(self):
+        report = verify_family(generate(preset_stack("uniform", 4), 1))
         assert report.passed and report.pairs_checked == 3240
 
-    def test_multiplicity_never_matters(self, backend):
+    def test_multiplicity_never_matters(self):
         for multiplicity in (1, 2, 5):
             family = generate(preset_stack("paper-2"), multiplicity)
-            assert verify_family(family, backend=backend).passed
+            assert verify_family(family).passed
 
-    def test_backends_agree_on_random_garbage(self):
-        rng = random.Random(987)
-        for depth in (1, 2):
+    def test_sweep_matches_duel_oracle_on_random_garbage(self):
+        """Every level offset of the block walk against duel(): failure
+        set and order, raw win and tie counts, and per-level tallies."""
+        for depth in (1, 2, 3, 4):
+            rng = random.Random(987 + depth)
             size = 3 ** depth
             words = tuple(word_of(n, depth) for n in range(1, size + 1))
             rank_faces = []
@@ -208,26 +211,35 @@ class TestVerify:
                     faces.add(tuple(rng.randint(1, 9) for _ in range(depth)))
                 rank_faces.append(tuple(sorted(faces)))
             family = DiceFamily(depth, 2, words, tuple(rank_faces))
-            reports = {
-                name: verify_family(family, backend=name)
-                for name in ("pure",) + (("compiled",) if _have_compiled() else ())
-            }
-            expected = brute_failure_pairs(family)
-            for report in reports.values():
-                observed = {(f.word_a, f.word_b) for f in report.failures}
-                assert observed == expected
-            summaries = {
-                tuple((s.level, s.pairs, s.failures) for s in r.per_level)
-                for r in reports.values()
-            }
-            assert len(summaries) == 1
 
-    def test_tampering_detected(self, backend):
+            checked, raw = sweep_pairs(family.rank_faces, depth)
+            order = [(i, j) for i, j, _, _ in raw]
+            assert order == sorted(order)
+            for i, j, wins, ties in raw:
+                r = duel(family.dice[i], family.dice[j])
+                assert (Fraction(wins, 9), Fraction(ties, 9)) == (r.win, r.tie)
+
+            expected = brute_failure_pairs(family)
+            assert {(words[i], words[j]) for i, j, _, _ in raw} == expected
+            pairs, fails = [0] * depth, [0] * depth
+            for w, v in combinations(words, 2):
+                p = TestDecomposition.decision_depth(w, v)
+                pairs[p] += 1
+                fails[p] += (w, v) in expected
+            assert checked == pairs
+            report = verify_family(family)
+            assert {(f.word_a, f.word_b) for f in report.failures} == expected
+            assert [(s.level, s.pairs, s.failures) for s in report.per_level] == [
+                (p + 1, pairs[p], fails[p]) for p in range(depth)
+            ]
+
+    def test_tampering_detected(self):
         doc = family_to_json(PAPER3)
+        del doc["stack"]  # a stack echo would reject the tampering on load
         assert doc["dice"][0]["faces"][2] == "954"
         doc["dice"][0]["faces"][2] = "914"
         tampered = family_from_json(doc)
-        report = verify_family(tampered, backend=backend)
+        report = verify_family(tampered)
         assert not report.passed
         flagged = {(f.word_a, f.word_b) for f in report.failures}
         assert ((0, 0, 0), (0, 1, 0)) in flagged
@@ -248,13 +260,7 @@ class TestVerify:
     def test_elapsed_and_backend_present(self):
         report = verify_family(generate(preset_stack("paper-1")))
         assert report.elapsed >= 0
-        assert report.backend in ("pure", "compiled")
-
-
-def _have_compiled():
-    from metadice.sweep import COMPILED_AVAILABLE
-
-    return COMPILED_AVAILABLE
+        assert report.backend == "pure"
 
 
 class TestDecomposition:
@@ -371,6 +377,21 @@ class TestFamilyJson:
         with pytest.raises(FamilyFormatError):
             family_from_json(doc)
 
+    @pytest.mark.parametrize("face", ["\u0662", "\u00b2"])
+    def test_non_ascii_digit_faces_rejected(self, face):
+        doc = family_to_json(generate(preset_stack("paper-1")))
+        del doc["stack"]
+        doc["dice"][0]["faces"] = [face, "4", "9"]
+        with pytest.raises(FamilyFormatError):
+            family_from_json(doc)
+
+    def test_stack_echo_must_match_dice(self):
+        doc = family_to_json(PAPER3)
+        doc["dice"][0]["faces"][2] = "914"
+        names_die = r"D1 \(000\) has faces 222 489 914 .* generates 222 489 954"
+        with pytest.raises(FamilyFormatError, match=names_die):
+            family_from_json(doc)
+
     def test_stack_depth_mismatch_rejected(self):
         doc = family_to_json(PAPER3)
         doc["depth"] = 3
@@ -388,6 +409,10 @@ class TestFamilyFromRows:
     def test_incomplete_listing_rejected(self):
         with pytest.raises(FamilyFormatError):
             family_from_rows([["2", "4", "9"], ["1", "6", "8"]])
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(FamilyFormatError):
+            family_from_rows([["\u0662", "4", "9"], ["1", "6", "8"], ["3", "5", "7"]])
 
     def test_depth_size_mismatch_rejected(self):
         rows = [["2", "4", "9"]] * 9  # 9 dice but 1-digit faces

@@ -228,6 +228,21 @@ class TestStackFiles:
         with pytest.raises(StackValidationError):
             parse_stack("# only a comment\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u0662,4,9;1,6,8;3,5,7\n",
+            "2,4,9;1,6,8;3,5,7\n2,9,4;1,8,6;3,7,5 rot=w\u0661\n",
+        ],
+    )
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(StackValidationError):
+            parse_stack(text)
+
+    def test_non_ascii_assignment_digit_rejected(self):
+        with pytest.raises(StackValidationError):
+            parse_assignment("\u0662,4,9;1,6,8;3,5,7")
+
     def test_zero_digit_needs_flag(self):
         with pytest.raises(StackValidationError):
             parse_assignment("0,4,9;1,6,8;3,5,7")
