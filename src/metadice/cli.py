@@ -43,7 +43,12 @@ from metadice.hierarchy import (
     monte_carlo,
     verify_family,
 )
-from metadice.loshu import StackValidationError, parse_stack, preset_stack
+from metadice.loshu import (
+    AssignmentStack,
+    StackValidationError,
+    parse_stack,
+    preset_stack,
+)
 
 #: Depth accepted without --allow-large (3^8 dice is about 21.5M pairs).
 DEPTH_CEILING = 8
@@ -210,39 +215,27 @@ def _load_family(args) -> DiceFamily:
     if args.multiplicity < 1:
         raise ValueError("multiplicity must be at least 1")
     if args.preset is not None:
-        stack = preset_stack(args.preset, args.depth)
-        _check_depth(stack.depth, args.allow_large)
-        return generate(stack, args.multiplicity)
-    if args.stack is not None:
-        stack = parse_stack(Path(args.stack).read_text())
-        if args.depth is not None and args.depth != stack.depth:
-            raise ValueError(
-                f"--depth {args.depth} does not match the stack's"
-                f" {stack.depth} levels"
-            )
-        _check_depth(stack.depth, args.allow_large)
-        return generate(stack, args.multiplicity)
-    if args.family is not None:
+        source, noun = preset_stack(args.preset, args.depth), "preset"
+    elif args.stack is not None:
+        source, noun = parse_stack(Path(args.stack).read_text()), "stack"
+    elif args.family is not None:
         try:
             doc = json.loads(Path(args.family).read_text())
         except RecursionError:
             raise FamilyFormatError("family document nests too deeply") from None
-        family = family_from_json(doc)
-        if args.depth is not None and args.depth != family.depth:
-            raise ValueError(
-                f"--depth {args.depth} does not match the family's"
-                f" depth {family.depth}"
-            )
-        _check_depth(family.depth, args.allow_large)
-        return family
-    family = _family_from_listing(sys.stdin.read(), args.multiplicity)
-    if args.depth is not None and args.depth != family.depth:
+        source, noun = family_from_json(doc), "family"
+    else:
+        source = _family_from_listing(sys.stdin.read(), args.multiplicity)
+        noun = "listing"
+    if args.depth is not None and args.depth != source.depth:
         raise ValueError(
-            f"--depth {args.depth} does not match the listing's"
-            f" depth {family.depth}"
+            f"--depth {args.depth} does not match the {noun}'s depth {source.depth}"
         )
-    _check_depth(family.depth, args.allow_large)
-    return family
+    # a stack is checked before generate builds its 3^depth dice
+    _check_depth(source.depth, args.allow_large)
+    if isinstance(source, AssignmentStack):
+        return generate(source, args.multiplicity)
+    return source
 
 
 def _family_from_listing(text: str, multiplicity: int) -> DiceFamily:

@@ -15,9 +15,6 @@ from typing import Iterable, Sequence
 
 Face = tuple[int, ...]
 
-#: return values of :func:`compare_faces`
-LESS, EQUAL, GREATER = -1, 0, 1
-
 #: Digits are ASCII only: ``str.isdigit()``, ``\d`` and ``int()`` also take
 #: other scripts' digits (Arabic-Indic two reads as 2), so every parser
 #: matches ``[0-9]`` instead.

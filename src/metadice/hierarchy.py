@@ -7,6 +7,11 @@ prefix agree rank-by-rank on all prefix levels. Two distinct dice therefore
 duel exactly like their first differing trits: the cycle 0 beats 1 beats 2
 beats 0 decides the winner, always at probability 5/9.
 
+A family is stored as its depth, face multiplicity, rank faces in word
+order and, when it has one, its stack. Words follow from the depth and dice
+from the faces, so both are derived on first use: generating, normalizing or
+verifying a passing family builds no ``Die``.
+
 ``verify_family`` proves that claim for a concrete family by checking every
 unordered pair exactly.
 """
@@ -17,7 +22,9 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from metadice.dice import (
@@ -25,7 +32,6 @@ from metadice.dice import (
     DuelResult,
     Face,
     LengthMismatchError,
-    duel,
     face_text,
     is_digit_string,
 )
@@ -33,6 +39,8 @@ from metadice.loshu import AssignmentStack, StackValidationError, parse_stack
 from metadice.sweep import BACKEND, sweep_pairs
 
 Word = tuple[int, ...]
+
+_DIGITS = frozenset(range(10))
 
 
 class FamilyFormatError(ValueError):
@@ -92,62 +100,54 @@ def face_value(word: Word, rank: int, stack: AssignmentStack) -> Face:
 class DiceFamily:
     """All 3^depth dice of one construction, addressed by ternary words.
 
-    ``rank_faces[i]`` are die i's faces in rank order; ``dice[i]`` is the
-    corresponding die with every face at the family multiplicity. Entries
-    follow lexicographic word order, so index = die number - 1. ``stack`` is
-    None for families imported from documents that carry no construction.
+    ``rank_faces[i]`` are die i's faces in rank order, entries in
+    lexicographic word order, so index = die number - 1. ``stack`` is None
+    for families imported from documents that carry no construction.
+    ``words`` and ``dice`` (each face at the family multiplicity) are
+    derived from these fields on first use and cached.
     """
 
     depth: int
     multiplicity: int
-    words: tuple[Word, ...]
     rank_faces: tuple[tuple[Face, Face, Face], ...]
     stack: AssignmentStack | None = None
-    dice: tuple[Die, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 1:
             raise FamilyFormatError("depth must be at least 1")
         if self.multiplicity < 1:
             raise FamilyFormatError("face multiplicity must be positive")
-        size = len(self.words)
+        size = len(self.rank_faces)
         # a depth above the entry count cannot match, so 3^depth is not built
-        if (
-            self.depth > size
-            or 3 ** self.depth != size
-            or len(self.rank_faces) != size
-        ):
+        if self.depth > size or 3 ** self.depth != size:
             raise FamilyFormatError(
                 f"a depth-{self.depth} family needs exactly 3^{self.depth} dice"
             )
-        for idx, word in enumerate(self.words):
-            if word != word_of(idx + 1, self.depth):
-                raise FamilyFormatError(
-                    f"words must cover all of them in lexicographic order;"
-                    f" entry {idx} is {word}"
-                )
-        for word, faces in zip(self.words, self.rank_faces):
+        for n, faces in enumerate(self.rank_faces, start=1):
             if len(faces) != 3 or len(set(faces)) != 3:
                 raise FamilyFormatError(
-                    f"die {face_word_label(word)} needs 3 distinct faces"
+                    f"die {face_word_label(word_of(n, self.depth))}"
+                    " needs 3 distinct faces"
                 )
-            if any(len(f) != self.depth for f in faces):
+            if any(len(f) != self.depth or not _DIGITS.issuperset(f) for f in faces):
                 raise FamilyFormatError(
-                    f"die {face_word_label(word)} has a face whose length"
-                    f" is not the family depth {self.depth}"
+                    f"die {face_word_label(word_of(n, self.depth))} has a face"
+                    f" that is not {self.depth} digits from 0..9"
                 )
-        object.__setattr__(
-            self,
-            "dice",
-            tuple(
-                Die.from_values(faces, self.multiplicity)
-                for faces in self.rank_faces
-            ),
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(itertools.product((0, 1, 2), repeat=self.depth))
+
+    @cached_property
+    def dice(self) -> tuple[Die, ...]:
+        return tuple(
+            Die.from_values(faces, self.multiplicity) for faces in self.rank_faces
         )
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.rank_faces)
 
     def die_at(self, word: Word) -> Die:
         return self.dice[die_number(word) - 1]
@@ -162,20 +162,18 @@ def face_word_label(word: Word) -> str:
 
 
 def _stack_faces(
-    stack: AssignmentStack, words: Sequence[Word]
+    stack: AssignmentStack, words: Iterable[Word]
 ) -> tuple[tuple[Face, Face, Face], ...]:
-    """Rank faces of the die at each word, read off the stack's tables."""
-    k = stack.depth
-    rank_faces = []
-    for w in words:
-        tables = [stack.assignment_at(j, w[: j - 1]) for j in range(1, k + 1)]
-        rank_faces.append(
-            tuple(
-                tuple(tables[j][w[j]][rank] for j in range(k))
-                for rank in range(3)
-            )
-        )
-    return tuple(rank_faces)
+    """Rank faces of the die at each word, read off the stack's tables.
+
+    Row j of a die is the (rank 0, 1, 2) digit triple its level-j table
+    holds for the word's j-th trit; the faces are those rows' columns.
+    """
+    levels = range(1, stack.depth + 1)
+    return tuple(
+        tuple(zip(*(stack.assignment_at(j, w)[t] for j, t in zip(levels, w))))
+        for w in words
+    )
 
 
 def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
@@ -188,11 +186,12 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     """
     if multiplicity < 1:
         raise ValueError("face multiplicity must be positive")
-    words = tuple(itertools.product((0, 1, 2), repeat=stack.depth))
+    words = itertools.product((0, 1, 2), repeat=stack.depth)
     family = DiceFamily(
-        stack.depth, multiplicity, words, _stack_faces(stack, words), stack
+        stack.depth, multiplicity, _stack_faces(stack, words), stack
     )
-    if len(set(family.dice)) != family.size:
+    # dice of one multiplicity are equal exactly when their face sets are
+    if len(set(map(frozenset, family.rank_faces))) != family.size:
         raise StackValidationError("the stack generates colliding dice")
     return family
 
@@ -250,20 +249,24 @@ def verify_family(family: DiceFamily) -> VerificationReport:
 
     Failures are data, not errors; the report carries them in lexicographic
     word-pair order together with a per-level summary, so it is the same
-    regardless of how the independent pair checks are scheduled.
+    regardless of how the independent pair checks are scheduled. Each
+    failure's outcome comes from the sweep's own counts over the 3x3 face
+    grid: with 3 distinct faces per die at one multiplicity, they are the
+    exact duel probabilities times 9.
     """
     start = time.perf_counter()
     checked, raw_failures = sweep_pairs(family.rank_faces, family.depth)
 
     failures = []
     fail_levels: Counter[int] = Counter()
-    for i, j, _wins, _ties in raw_failures:
+    for i, j, wins, ties in raw_failures:
         w, v = family.words[i], family.words[j]
         p = next(idx for idx, (a, b) in enumerate(zip(w, v)) if a != b)
         fail_levels[p] += 1
-        failures.append(
-            PairFailure(w, v, predicted_winner(w, v), duel(family.dice[i], family.dice[j]))
+        observed = DuelResult(
+            Fraction(wins, 9), Fraction(ties, 9), Fraction(9 - wins - ties, 9)
         )
+        failures.append(PairFailure(w, v, predicted_winner(w, v), observed))
     per_level = tuple(
         LevelSummary(p + 1, checked[p], fail_levels.get(p, 0))
         for p in range(family.depth)
@@ -347,7 +350,6 @@ def family_from_json(doc: dict) -> DiceFamily:
             )
     if not isinstance(entries, list):
         raise FamilyFormatError("dice must be a list")
-    words = []
     rank_faces = []
     for pos, entry in enumerate(entries):
         if not (
@@ -370,6 +372,11 @@ def family_from_json(doc: dict) -> DiceFamily:
                 f"dice entry {pos}: paper_number {number} does not match"
                 f" word {list(word)}"
             )
+        if len(word) != depth or die_number(word) != pos + 1:
+            raise FamilyFormatError(
+                f"words must cover all of them in lexicographic order;"
+                f" entry {pos} is {word}"
+            )
         faces = []
         for s in entry["faces"]:
             if not is_digit_string(s):
@@ -377,9 +384,8 @@ def family_from_json(doc: dict) -> DiceFamily:
                     f"dice entry {pos}: faces must be digit strings"
                 )
             faces.append(tuple(int(c) for c in s))
-        words.append(word)
         rank_faces.append(tuple(faces))
-    family = DiceFamily(depth, multiplicity, tuple(words), tuple(rank_faces), stack)
+    family = DiceFamily(depth, multiplicity, tuple(rank_faces), stack)
     if stack is not None:
         built = _stack_faces(stack, family.words)
         for word, faces, echo in zip(family.words, family.rank_faces, built):
@@ -430,5 +436,4 @@ def family_from_rows(
         raise FamilyFormatError(
             f"{size} dice with {depth}-digit faces do not form a complete family"
         )
-    words = tuple(word_of(n, depth) for n in range(1, size + 1))
-    return DiceFamily(depth, multiplicity, words, tuple(rank_faces), None)
+    return DiceFamily(depth, multiplicity, tuple(rank_faces))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from metadice.dice import is_digit_string
@@ -105,11 +106,6 @@ RESIDUE_ROWS = DigitAssignment(((2, 8, 5), (9, 6, 3), (4, 1, 7)))
 SWAPPED_ROWS = DigitAssignment(((2, 9, 4), (1, 8, 6), (3, 7, 5)))
 
 
-def sorted_rows() -> DigitAssignment:
-    """The magic-square rows, each sorted ascending, in cycle order."""
-    return SORTED_ROWS
-
-
 def validate_leading(a: DigitAssignment) -> ValidationResult:
     """Check 5-of-9 all-pairs dominance around the subset cycle."""
     for s in range(3):
@@ -152,6 +148,11 @@ class LevelRule:
 
     base: DigitAssignment
     rotate_by: int | None = None
+
+    @cached_property
+    def tables(self) -> tuple[DigitAssignment, ...]:
+        """``base`` under rotations 0, 1 and 2, indexed by the selecting trit."""
+        return tuple(rotate(self.base, r) for r in range(3))
 
     def text(self) -> str:
         suffix = "" if self.rotate_by is None else f" rot=w{self.rotate_by}"
@@ -214,7 +215,7 @@ class AssignmentStack:
                 f"level {level} needs word position w{rule.rotate_by},"
                 f" but the prefix has only {len(prefix)} trits"
             )
-        return rotate(rule.base, prefix[rule.rotate_by - 1])
+        return rule.tables[prefix[rule.rotate_by - 1] % 3]
 
     def lines(self) -> list[str]:
         """Level descriptors in the stack file syntax, one per level."""

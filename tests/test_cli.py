@@ -1,13 +1,17 @@
-"""The CLI exit-code contract on malformed input: 2 and an ``error:`` line."""
+"""The CLI exit-code contract: 2 and an ``error:`` line on malformed input,
+and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import run_cli_main
 from metadice.hierarchy import family_to_json, generate
 from metadice.loshu import preset_stack
 
 PAPER1 = family_to_json(generate(preset_stack("paper-1")))
+PAPER2 = family_to_json(generate(preset_stack("paper-2")))
 
 
 def paper1_with(**changes):
@@ -21,6 +25,18 @@ def paper1_with(**changes):
 
 def first_entry(**changes):
     return dict(PAPER1["dice"][0], **changes)
+
+
+def without_stack(doc):
+    return {key: value for key, value in doc.items() if key != "stack"}
+
+
+def entries_swapped():
+    """Entries 0 and 1 swapped whole, word and paper_number with them, and
+    no stack echo: each entry is consistent, only their order is wrong."""
+    doc = without_stack(paper1_with())
+    doc["dice"][:2] = doc["dice"][1::-1]
+    return doc
 
 
 BAD_DOCUMENTS = {
@@ -37,6 +53,7 @@ BAD_DOCUMENTS = {
     "stack line a number": paper1_with(stack=[249]),
     "stack echo differs": paper1_with(stack=["1,6,8;3,5,7;2,4,9"]),
     "non-ASCII face digit": paper1_with(first=first_entry(faces=["\u0662", "4", "9"])),
+    "entries out of order": entries_swapped(),
 }
 
 
@@ -80,3 +97,138 @@ def test_ascii_inputs_still_parse(run_cli):
     assert run_cli(["roundrobin", "4, 9, 2", "+3,5,7"]) == (0, "A:4 B:5\n", "")
     code, out, _ = run_cli(["verify", "--stdin"], "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n")
     assert code == 0 and "PASS" in out
+
+
+#: Calls refused by the --depth match or the depth ceiling, with a phrase
+#: of the error; {name} is an input file written by the test.
+DEPTH_REFUSALS = {
+    "preset mismatch": (
+        ["generate", "--preset", "paper-3", "--depth", "2"], None, "not 2"
+    ),
+    "stack mismatch": (
+        ["generate", "--stack", "{stack}", "--depth", "2"], None, "does not match"
+    ),
+    "family mismatch": (
+        ["verify", "--family", "{family}", "--depth", "2"], None, "does not match"
+    ),
+    "listing mismatch": (
+        ["verify", "--stdin", "--depth", "2"],
+        "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n",
+        "does not match",
+    ),
+    "uniform preset too deep": (
+        ["generate", "--preset", "uniform", "--depth", "9"], None, "ceiling"
+    ),
+    "stack too deep": (["generate", "--stack", "{deep_stack}"], None, "ceiling"),
+}
+
+
+@pytest.mark.parametrize("case", DEPTH_REFUSALS.values(), ids=DEPTH_REFUSALS.keys())
+def test_depth_refused_for_every_source(run_cli, tmp_path, case):
+    argv, stdin, phrase = case
+    files = {
+        "stack": "2,4,9;1,6,8;3,5,7\n",
+        "family": json.dumps(PAPER1),
+        "deep_stack": "2,4,9;1,6,8;3,5,7\n" * 9,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in argv]
+    code, out, err = run_cli(argv, stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and phrase in err
+
+
+def tampered(doc):
+    doc = json.loads(json.dumps(without_stack(doc)))
+    doc["dice"][0]["faces"][2] = "91"
+    return doc
+
+
+#: Well-formed starting points: passing, stackless and failing families.
+VALID_DOCUMENTS = (PAPER1, PAPER2, without_stack(PAPER2), tampered(PAPER2))
+
+FUZZ_TOKENS = list("0123456789,;x#") + [
+    " ", "\t", "\n", "rot=w", "-", "+", "_", "\u0662",
+]
+fuzz_text = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=30).map("".join)
+
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-3, 12),
+    fuzz_text,
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["word", "faces"]), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def family_documents(draw):
+    """A valid document with up to three fields nulled, retyped or dropped."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCUMENTS))))
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(
+            ["field", "drop", "entry", "word", "paper_number", "faces", "face"]
+        ))
+        dice = doc["dice"]
+        if target == "field":
+            field = draw(st.sampled_from(["depth", "multiplicity", "stack", "dice"]))
+            doc[field] = draw(json_values)
+            continue
+        if not isinstance(dice, list) or not dice:
+            continue
+        pos = draw(st.integers(0, len(dice) - 1))
+        entry = dice[pos]
+        if target == "drop":
+            del dice[pos]
+        elif target == "entry":
+            dice[pos] = draw(json_values)
+        elif not isinstance(entry, dict):
+            continue
+        elif target == "face":
+            faces = entry["faces"]
+            if isinstance(faces, list) and faces:
+                faces[draw(st.integers(0, len(faces) - 1))] = draw(fuzz_text)
+        else:
+            entry[target] = draw(json_values)
+    return doc
+
+
+FILE = object()  # stands for the input file in a drawn argv
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, stdin text, input file text) for one fuzzed CLI call."""
+    kind = draw(st.sampled_from(["family", "stack", "listing", "die", "team"]))
+    family_command = draw(st.sampled_from(["verify", "generate", "normalize", "graph"]))
+    json_format = ["--format", "json"] if family_command == "verify" else []
+    if kind == "family":
+        doc = json.dumps(draw(family_documents()))
+        return [family_command, "--family", FILE, *json_format], None, doc
+    if kind == "stack":
+        return [family_command, "--stack", FILE, *json_format], None, draw(fuzz_text)
+    if kind == "listing":
+        return ["verify", "--stdin", "--format", "json"], draw(fuzz_text), None
+    a, b = draw(fuzz_text), draw(fuzz_text)
+    if kind == "team":
+        return ["roundrobin", a, b], None, None
+    command = draw(st.sampled_from([["prob"], ["simulate", "--trials", "20"]]))
+    return [*command, a, b], None, None
+
+
+@given(cli_calls())
+@settings(max_examples=300)
+def test_exit_code_contract_holds_on_fuzzed_input(tmp_path_factory, call):
+    argv, stdin, file_text = call
+    if file_text is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-input"
+        path.write_text(file_text)
+        argv = [str(path) if arg is FILE else arg for arg in argv]
+    code, out, err = run_cli_main(argv, stdin)
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    assert "Traceback" not in err
+    assert run_cli_main(argv, stdin)[:2] == (code, out)

@@ -152,20 +152,13 @@ class TestGenerate:
 
 class TestFamilyInvariants:
     def test_wrong_size_rejected(self):
-        with pytest.raises(FamilyFormatError):
-            DiceFamily(2, 2, ((0, 0),), (((1, 1), (2, 2), (3, 3)),))
+        with pytest.raises(FamilyFormatError, match=r"exactly 3\^2 dice"):
+            DiceFamily(2, 2, (((1, 1), (2, 2), (3, 3)),))
 
     def test_duplicate_faces_rejected(self):
-        words = tuple(word_of(n, 1) for n in range(1, 4))
         faces = (((2,), (2,), (9,)), ((1,), (6,), (8,)), ((3,), (5,), (7,)))
-        with pytest.raises(FamilyFormatError):
-            DiceFamily(1, 2, words, faces)
-
-    def test_word_order_enforced(self):
-        words = ((1,), (0,), (2,))
-        faces = (((2,), (4,), (9,)), ((1,), (6,), (8,)), ((3,), (5,), (7,)))
-        with pytest.raises(FamilyFormatError):
-            DiceFamily(1, 2, words, faces)
+        with pytest.raises(FamilyFormatError, match=r"D1 \(0\) needs 3 distinct"):
+            DiceFamily(1, 2, faces)
 
 
 class TestVerify:
@@ -210,7 +203,8 @@ class TestVerify:
                 while len(faces) < 3:
                     faces.add(tuple(rng.randint(1, 9) for _ in range(depth)))
                 rank_faces.append(tuple(sorted(faces)))
-            family = DiceFamily(depth, 2, words, tuple(rank_faces))
+            family = DiceFamily(depth, 2, tuple(rank_faces))
+            assert family.words == words
 
             checked, raw = sweep_pairs(family.rank_faces, depth)
             order = [(i, j) for i, j, _, _ in raw]
@@ -232,6 +226,13 @@ class TestVerify:
             assert [(s.level, s.pairs, s.failures) for s in report.per_level] == [
                 (p + 1, pairs[p], fails[p]) for p in range(depth)
             ]
+            for multiplicity in (1, 2, 3):
+                scaled = DiceFamily(depth, multiplicity, family.rank_faces)
+                report = verify_family(scaled)
+                assert len(report.failures) == len(raw)
+                for failure, (i, j, _, _) in zip(report.failures, raw):
+                    assert (failure.word_a, failure.word_b) == (words[i], words[j])
+                    assert failure.observed == duel(scaled.dice[i], scaled.dice[j])
 
     def test_tampering_detected(self):
         doc = family_to_json(PAPER3)

@@ -18,7 +18,6 @@ from metadice.loshu import (
     parse_stack,
     preset_stack,
     rotate,
-    sorted_rows,
     validate_leading,
     validate_rankwise,
 )
@@ -41,10 +40,10 @@ def test_square_is_magic():
 
 
 def test_sorted_rows_subsets():
-    assert sorted_rows()[0] == (2, 4, 9)
-    assert sorted_rows()[1] == (1, 6, 8)
-    assert sorted_rows()[2] == (3, 5, 7)
-    assert {tuple(sorted(row)) for row in SQUARE} == set(sorted_rows().subsets)
+    assert SORTED_ROWS[0] == (2, 4, 9)
+    assert SORTED_ROWS[1] == (1, 6, 8)
+    assert SORTED_ROWS[2] == (3, 5, 7)
+    assert {tuple(sorted(row)) for row in SQUARE} == set(SORTED_ROWS.subsets)
 
 
 class TestValidateLeading:
