@@ -130,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="export a dominance graph")
     _add_family_source(p)
-    p.add_argument("--level", type=int, default=None, help="prefix level (default 1)")
-    p.add_argument(
+    scope = p.add_mutually_exclusive_group()
+    scope.add_argument("--level", type=int, help="prefix level (default 1)")
+    scope.add_argument(
         "--full-graph",
         action="store_true",
         help="one edge per die pair instead of the sibling cycles",
@@ -177,7 +178,7 @@ def _add_family_source(p: argparse.ArgumentParser, *, stdin: bool = False) -> No
             help="read a plain listing (as printed by tables/generate)",
         )
     p.add_argument("--depth", type=int)
-    p.add_argument("--multiplicity", type=int, default=2)
+    p.add_argument("--multiplicity", type=int)
     p.add_argument(
         "--allow-large",
         action="store_true",
@@ -212,7 +213,9 @@ def _load_family(args) -> DiceFamily:
             "choose exactly one family source (--preset, --stack, --family"
             + (", --stdin)" if hasattr(args, "stdin") else ")")
         )
-    if args.multiplicity < 1:
+    # 2 when unset; a family document keeps its own, which a given one must match
+    multiplicity = 2 if args.multiplicity is None else args.multiplicity
+    if multiplicity < 1:
         raise ValueError("multiplicity must be at least 1")
     if args.preset is not None:
         source, noun = preset_stack(args.preset, args.depth), "preset"
@@ -225,7 +228,7 @@ def _load_family(args) -> DiceFamily:
             raise FamilyFormatError("family document nests too deeply") from None
         source, noun = family_from_json(doc), "family"
     else:
-        source = _family_from_listing(sys.stdin.read(), args.multiplicity)
+        source = _family_from_listing(sys.stdin.read(), multiplicity)
         noun = "listing"
     if args.depth is not None and args.depth != source.depth:
         raise ValueError(
@@ -234,7 +237,12 @@ def _load_family(args) -> DiceFamily:
     # a stack is checked before generate builds its 3^depth dice
     _check_depth(source.depth, args.allow_large)
     if isinstance(source, AssignmentStack):
-        return generate(source, args.multiplicity)
+        return generate(source, multiplicity)
+    if args.multiplicity not in (None, source.multiplicity):
+        raise ValueError(
+            f"--multiplicity {multiplicity} does not match the {noun}'s"
+            f" multiplicity {source.multiplicity}"
+        )
     return source
 
 

@@ -38,22 +38,6 @@ class DieParseError(ValueError):
         self.position = position
 
 
-def make_face(digits: Iterable[int], *, allow_zero: bool = False) -> Face:
-    """Build a face from a digit sequence, checking the digit alphabet.
-
-    Digits run 1..9 by default; ``allow_zero`` admits 0 for custom
-    constructions (comparison stays positional, so leading zeros are fine).
-    """
-    face = tuple(int(d) for d in digits)
-    if not face:
-        raise ValueError("a face needs at least one digit")
-    low = 0 if allow_zero else 1
-    for d in face:
-        if not low <= d <= 9:
-            raise ValueError(f"digit {d} outside {low}..9")
-    return face
-
-
 def is_digit_string(text: object) -> bool:
     """True for a non-empty string of ASCII digits only."""
     return isinstance(text, str) and _DIGIT_STRING.match(text) is not None
@@ -235,16 +219,6 @@ def duel(x: Die, y: Die) -> DuelResult:
         Fraction(tie, total),
         Fraction(total - win - tie, total),
     )
-
-
-def beats(x: Die, y: Die) -> bool:
-    """True when x wins a duel strictly more often than it loses.
-
-    Strict majority rather than p > 1/2, so the relation stays meaningful
-    for dice that can tie.
-    """
-    result = duel(x, y)
-    return result.win > result.loss
 
 
 def round_robin(

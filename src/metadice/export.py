@@ -2,8 +2,10 @@
 
 Graphs come in two flavors: the sibling view at a level m (all 3^m word
 prefixes as nodes, each trio of siblings wired into its 3-cycle) and the
-full view (every pair of dice, one edge per pair). Edges always point from
-winner to loser and carry the exact win probability.
+full view (every pair of dice, one edge per pair). Sibling edges follow the
+cycle and carry the source's exact win probability, so on a failing family
+one can point from a loser; full-view edges point from winner to loser.
+Both views read their win counts from the sweep.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
@@ -16,10 +18,11 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
-from metadice.dice import Face, duel, face_text
-from metadice.hierarchy import DiceFamily, Word, die_number
-from metadice.sweep import pack_face
+from metadice.dice import Face, face_text
+from metadice.hierarchy import DiceFamily, Word, die_number, predicted_winner
+from metadice.sweep import pack_face, sweep_pairs
 
 Prefix = tuple[int, ...]
 
@@ -47,21 +50,37 @@ def node_name(prefix: Prefix, depth: int) -> str:
     return "".join(str(t) for t in prefix)
 
 
-def _representative(prefix: Prefix, depth: int) -> Word:
-    return prefix + (0,) * (depth - len(prefix))
+#: n/9 for n in 0..9: with 3 distinct faces per die at one multiplicity,
+#: every pairwise win probability of a family is a whole number of ninths.
+_NINTHS = tuple(Fraction(n, 9) for n in range(10))
+
+
+def _missed(
+    rank_faces: Sequence[tuple[Face, Face, Face]], depth: int
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """(i, j) -> die i's (wins, ties) in ninths, for each pair the sweep lists.
+
+    The sweep lists only the pairs that miss the cycle's exact outcome; every
+    other pair is won 5 to 4, with no tie, by the die the cycle favors.
+    """
+    _, failures = sweep_pairs(rank_faces, depth)
+    return {(i, j): (wins, ties) for i, j, wins, ties in failures}
 
 
 def build_graph(
     family: DiceFamily, level: int | None = None, *, full: bool = False
 ) -> DominanceGraph:
-    """Dominance graph of a family.
+    """Dominance graph of a family, drawn from the sweep's win counts.
 
     Sibling mode (default) at level m: nodes are the 3^m prefixes; each
-    group of three siblings gets its cycle edges, labeled with the duel of
-    the groups' representative dice (for a valid family every cross-group
-    pair duels alike, so the label is the group claim). Full mode emits one
-    edge per unordered pair of dice; a pair with no strict winner keeps
-    word order and its (tied) win probability.
+    group of three siblings gets its cycle edges, labeled with the win
+    probability of the source's representative die (its prefix padded with
+    zeros) over the target's. A trio's representatives are a depth-1
+    family, so one small sweep settles it; for a valid family every
+    cross-group pair duels alike, so the label is the group claim. Full
+    mode sweeps once and emits one edge per unordered pair of dice, winner
+    to loser; a pair with no strict winner keeps word order and its win
+    probability.
     """
     if full:
         level = family.depth
@@ -71,27 +90,34 @@ def build_graph(
         raise ValueError(f"level {level} outside 1..{family.depth}")
 
     if full:
-        nodes = family.words
+        words = family.words
+        missed = _missed(family.rank_faces, family.depth)
         edges = []
-        for w, v in combinations(family.words, 2):
-            result = duel(family.die_at(w), family.die_at(v))
-            if result.loss > result.win:
-                edges.append(Edge(v, w, result.loss))
+        for i, j in combinations(range(family.size), 2):
+            w, v = words[i], words[j]
+            expected = (5 if predicted_winner(w, v) == w else 4, 0)
+            wins, ties = missed.get((i, j), expected)
+            loss = 9 - wins - ties
+            if loss > wins:
+                edges.append(Edge(v, w, _NINTHS[loss]))
             else:
-                edges.append(Edge(w, v, result.win))
-        return DominanceGraph(family.depth, level, True, nodes, tuple(edges))
+                edges.append(Edge(w, v, _NINTHS[wins]))
+        return DominanceGraph(family.depth, level, True, words, tuple(edges))
 
     nodes = tuple(product((0, 1, 2), repeat=level))
+    stride = 3 ** (family.depth - level)
     edges = []
-    for head in product((0, 1, 2), repeat=level - 1):
+    for n, head in enumerate(product((0, 1, 2), repeat=level - 1)):
+        trio = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
+        missed = _missed(trio, 1)
+        # wins of sibling s over sibling s + 1 around the cycle
+        wins = (
+            missed.get((0, 1), (5, 0))[0],
+            missed.get((1, 2), (5, 0))[0],
+            9 - sum(missed.get((0, 2), (4, 0))),
+        )
         for s in range(3):
-            src = head + (s,)
-            dst = head + ((s + 1) % 3,)
-            result = duel(
-                family.die_at(_representative(src, family.depth)),
-                family.die_at(_representative(dst, family.depth)),
-            )
-            edges.append(Edge(src, dst, result.win))
+            edges.append(Edge(head + (s,), head + ((s + 1) % 3,), _NINTHS[wins[s]]))
     edges.sort(key=lambda e: (e.source, e.target))
     return DominanceGraph(family.depth, level, False, nodes, tuple(edges))
 

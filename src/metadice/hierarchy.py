@@ -8,9 +8,10 @@ duel exactly like their first differing trits: the cycle 0 beats 1 beats 2
 beats 0 decides the winner, always at probability 5/9.
 
 A family is stored as its depth, face multiplicity, rank faces in word
-order and, when it has one, its stack. Words follow from the depth and dice
-from the faces, so both are derived on first use: generating, normalizing or
-verifying a passing family builds no ``Die``.
+order and, when it has one, its stack. Words follow from the depth and are
+derived on first use. No ``Die`` is ever built from a family: the sweep's
+integer counts over the 3x3 face grid settle verification and the dominance
+graphs alike.
 
 ``verify_family`` proves that claim for a concrete family by checking every
 unordered pair exactly.
@@ -103,8 +104,8 @@ class DiceFamily:
     ``rank_faces[i]`` are die i's faces in rank order, entries in
     lexicographic word order, so index = die number - 1. ``stack`` is None
     for families imported from documents that carry no construction.
-    ``words`` and ``dice`` (each face at the family multiplicity) are
-    derived from these fields on first use and cached.
+    ``words`` is derived from the depth on first use and cached; a die is
+    read as its rank faces, each at the family multiplicity.
     """
 
     depth: int
@@ -139,18 +140,9 @@ class DiceFamily:
     def words(self) -> tuple[Word, ...]:
         return tuple(itertools.product((0, 1, 2), repeat=self.depth))
 
-    @cached_property
-    def dice(self) -> tuple[Die, ...]:
-        return tuple(
-            Die.from_values(faces, self.multiplicity) for faces in self.rank_faces
-        )
-
     @property
     def size(self) -> int:
         return len(self.rank_faces)
-
-    def die_at(self, word: Word) -> Die:
-        return self.dice[die_number(word) - 1]
 
     def faces_at(self, word: Word) -> tuple[Face, Face, Face]:
         return self.rank_faces[die_number(word) - 1]

@@ -112,6 +112,23 @@ def valid_stacks(draw, max_depth=3):
     return AssignmentStack(tuple(levels))
 
 
+def random_rank_faces(rng: random.Random, depth: int, high: int = 9):
+    """3^depth dice of 3 distinct random faces each, digits 1..``high``."""
+    rank_faces = []
+    for _ in range(3 ** depth):
+        faces = set()
+        while len(faces) < 3:
+            faces.add(tuple(rng.randint(1, high) for _ in range(depth)))
+        rank_faces.append(tuple(sorted(faces)))
+    return tuple(rank_faces)
+
+
+def die_of(family, i: int) -> Die:
+    """Die i of a family, every face at the family multiplicity: the bridge
+    from a family's rank faces to the ``duel()`` oracle."""
+    return Die.from_values(family.rank_faces[i], family.multiplicity)
+
+
 def run_cli_main(argv, stdin_text=None):
     """Invoke the CLI in process; returns (exit code, stdout, stderr)."""
     out_io, err_io = io.StringIO(), io.StringIO()

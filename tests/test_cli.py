@@ -99,8 +99,9 @@ def test_ascii_inputs_still_parse(run_cli):
     assert code == 0 and "PASS" in out
 
 
-#: Calls refused by the --depth match or the depth ceiling, with a phrase
-#: of the error; {name} is an input file written by the test.
+#: Calls refused by the --depth or --multiplicity match or the depth
+#: ceiling, with a phrase of the error; {name} is an input file written by
+#: the test.
 DEPTH_REFUSALS = {
     "preset mismatch": (
         ["generate", "--preset", "paper-3", "--depth", "2"], None, "not 2"
@@ -115,6 +116,11 @@ DEPTH_REFUSALS = {
         ["verify", "--stdin", "--depth", "2"],
         "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n",
         "does not match",
+    ),
+    "family multiplicity mismatch": (
+        ["generate", "--family", "{family}", "--multiplicity", "5"],
+        None,
+        "--multiplicity 5 does not match the family's multiplicity 2",
     ),
     "uniform preset too deep": (
         ["generate", "--preset", "uniform", "--depth", "9"], None, "ceiling"
@@ -137,6 +143,24 @@ def test_depth_refused_for_every_source(run_cli, tmp_path, case):
     code, out, err = run_cli(argv, stdin)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and phrase in err
+
+
+def test_family_keeps_its_multiplicity(run_cli, tmp_path):
+    """Unset, --multiplicity takes the document's value, not the default 2;
+    a given value is accepted when it matches."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(paper1_with(multiplicity=3)))
+    plain = run_cli(["generate", "--family", str(path)])
+    assert plain[0] == 0 and '"multiplicity": 3' in plain[1]
+    assert run_cli(["generate", "--family", str(path), "--multiplicity", "3"]) == plain
+
+
+def test_graph_level_and_full_graph_exclusive(run_cli):
+    code, out, err = run_cli(
+        ["graph", "--preset", "paper-2", "--full-graph", "--level", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
 
 
 def tampered(doc):

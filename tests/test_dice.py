@@ -12,11 +12,9 @@ from metadice.dice import (
     DuelResult,
     LengthMismatchError,
     TeamOverlapError,
-    beats,
     compare_faces,
     duel,
     face_text,
-    make_face,
     parse_die,
     round_robin,
 )
@@ -55,19 +53,6 @@ class TestCompareFaces:
     @given(face_digits(3), face_digits(3))
     def test_antisymmetric(self, a, b):
         assert compare_faces(a, b) == -compare_faces(b, a)
-
-
-class TestMakeFace:
-    def test_rejects_zero_by_default(self):
-        with pytest.raises(ValueError):
-            make_face((2, 0, 1))
-
-    def test_allows_zero_when_asked(self):
-        assert make_face((2, 0, 1), allow_zero=True) == (2, 0, 1)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            make_face(())
 
 
 class TestDuel:
@@ -123,15 +108,6 @@ class TestDuel:
             tuple((tuple(relabel[d] for d in f), m) for f, m in die.faces)
         )
         assert duel(x, y) == duel(remap(x), remap(y))
-
-
-class TestBeats:
-    def test_cycle_direction(self):
-        assert beats(DIE_A, DIE_B)
-        assert not beats(DIE_B, DIE_A)
-
-    def test_irreflexive(self):
-        assert not beats(DIE_A, DIE_A)
 
 
 class TestRoundRobin:

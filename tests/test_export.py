@@ -1,5 +1,6 @@
 """Dominance graphs, DOT/JSON serialization, normalized point emission."""
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -7,8 +8,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import face_digits
-from metadice.dice import compare_faces
+from conftest import die_of, face_digits, random_rank_faces
+from metadice.dice import compare_faces, duel
 from metadice.export import (
     build_graph,
     graph_to_json,
@@ -17,7 +18,7 @@ from metadice.export import (
     points_to_csv,
     to_dot,
 )
-from metadice.hierarchy import generate
+from metadice.hierarchy import DiceFamily, die_number, generate, predicted_winner
 from metadice.loshu import preset_stack
 
 FIVE_NINTHS = Fraction(5, 9)
@@ -98,6 +99,44 @@ class TestBuildGraph:
             build_graph(PAPER2, 3)
         with pytest.raises(ValueError):
             build_graph(PAPER2, 0)
+
+
+def test_graphs_match_duel_oracle_on_random_families():
+    """Both graph modes against duel() on the dice themselves. Faces use
+    digits 1-3 only, so ties and edges against the cycle occur."""
+    ties = reversed_edges = 0
+    for depth in (1, 2, 3, 4):
+        rng = random.Random(321 + depth)
+        rank_faces = random_rank_faces(rng, depth, high=3)
+        family = DiceFamily(depth, rng.randint(1, 3), rank_faces)
+        words = family.words
+        dice = [die_of(family, i) for i in range(family.size)]
+
+        full = build_graph(family, full=True)
+        pairs = list(combinations(range(family.size), 2))
+        assert len(full.edges) == len(pairs)
+        for (i, j), edge in zip(pairs, full.edges):
+            r = duel(dice[i], dice[j])
+            if r.loss > r.win:
+                assert (edge.source, edge.target, edge.probability) == (
+                    words[j], words[i], r.loss
+                )
+            else:
+                assert (edge.source, edge.target, edge.probability) == (
+                    words[i], words[j], r.win
+                )
+            ties += r.tie > 0
+            reversed_edges += edge.source != predicted_winner(words[i], words[j])
+
+        for level in range(1, depth + 1):
+            graph = build_graph(family, level)
+            pad = (0,) * (depth - level)
+            assert sorted(e.source for e in graph.edges) == sorted(graph.nodes)
+            for edge in graph.edges:
+                assert edge.target == edge.source[:-1] + ((edge.source[-1] + 1) % 3,)
+                rep = [die_number(p + pad) - 1 for p in (edge.source, edge.target)]
+                assert edge.probability == duel(dice[rep[0]], dice[rep[1]]).win
+    assert ties and reversed_edges
 
 
 class TestDot:

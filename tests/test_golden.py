@@ -75,10 +75,17 @@ def _cases():
     cases["normalize-csv rotated-5"] = ["normalize", *rotated]
     cases["verify-json rotated-5"] = ["verify", *rotated, "--format", "json"]
     cases["graph-full rotated-5"] = ["graph", *rotated, "--full-graph"]
+    for level in range(2, 6):
+        cases[f"graph-level{level} rotated-5"] = ["graph", *rotated, "--level", str(level)]
     tampered = ["--family", "{tampered}"]
     cases["verify-json tampered-4"] = ["verify", *tampered, "--format", "json"]
     cases["generate-json tampered-4"] = ["generate", *tampered]
     cases["normalize-csv tampered-4"] = ["normalize", *tampered]
+    # a failing family: sibling labels 4/9 and 2/3, full-graph labels 2/3 and
+    # 7/9, and one pair that ties
+    for level in range(1, 5):
+        cases[f"graph-level{level} tampered-4"] = ["graph", *tampered, "--level", str(level)]
+    cases["graph-full tampered-4"] = ["graph", *tampered, "--full-graph", "--format", "json"]
     cases["generate out-of-order"] = ["generate", "--family", "{out_of_order}"]
     return cases
 
@@ -129,9 +136,18 @@ GOLDEN = {
     "normalize-csv rotated-5": (0, "59f9ece7706e801b9600297e1bbdb63a068b8984d0384c37e4c607f95be27719"),
     "verify-json rotated-5": (0, "f02ff64447c8a518941f54b03ffb1707d49b064eddc0e812ef955f23264f4748"),
     "graph-full rotated-5": (0, "7835bbfddef7f38b82b03beae6ded44d5e67707c99ffb060144317e086315f33"),
+    "graph-level2 rotated-5": (0, "383e90da3ab10b7f2c27ab18a5a30191a6fd9b57da01cb538c1266975caee480"),
+    "graph-level3 rotated-5": (0, "a629258dca406ab845aaf1187971b8d5164356b0ec3e45d30be88cd5bde9c10b"),
+    "graph-level4 rotated-5": (0, "119a38c9abe24431d8308ce07571efe9fb7f5ca05bab6495a64f8146db3c9849"),
+    "graph-level5 rotated-5": (0, "34961c171aa7adf42746026329662440d45091f8230a5d9f5def04dd10ad1d8e"),
     "verify-json tampered-4": (1, "69cd15de1d85bf9a2363d506d968c5d4751bd320f2c2b1649dd6ad58cd267888"),
     "generate-json tampered-4": (0, "af58903265cae9f757bba14aaef75d81031969d644f69c8fd1f702318f68df7f"),
     "normalize-csv tampered-4": (0, "3a8592ec2bd1f9ebefa4b6dd7681eeba21af16c259b7c9a14e22795b3241f5ed"),
+    "graph-level1 tampered-4": (0, "1a9f133bad1cf949987135ae1cb300f9b1dff8e1653f1af2d79a32746245a529"),
+    "graph-level2 tampered-4": (0, "383e90da3ab10b7f2c27ab18a5a30191a6fd9b57da01cb538c1266975caee480"),
+    "graph-level3 tampered-4": (0, "bb8d946d168af1fa1dc79b84c124a9805934f6a18997fa52088451f377336278"),
+    "graph-level4 tampered-4": (0, "de90cc71397ba7126dd934d9e76ec3fc665b95229431d7a2686a6424d301a141"),
+    "graph-full tampered-4": (0, "acf93a6b41d797b80bb33975d4f2750cb298bd3c6678fb87e2a1fa5d5a325303"),
     "generate out-of-order": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

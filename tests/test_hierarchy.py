@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import valid_stacks
+from conftest import die_of, random_rank_faces, valid_stacks
 from metadice.dice import Die, LengthMismatchError, duel
 from metadice.hierarchy import (
     DiceFamily,
@@ -35,7 +35,7 @@ PAPER3 = generate(preset_stack("paper-3"))
 def expected_result(family, i, j):
     """Brute-force pass/fail for one pair, straight from duel()."""
     w, v = family.words[i], family.words[j]
-    r = duel(family.dice[i], family.dice[j])
+    r = duel(die_of(family, i), die_of(family, j))
     winner = predicted_winner(w, v)
     if winner == w:
         return (r.win, r.tie, r.loss) == (FIVE_NINTHS, 0, FOUR_NINTHS)
@@ -78,7 +78,7 @@ class TestPredictedWinner:
     def test_middle_position_with_duel_confirmation(self):
         w, v = (1, 2, 0), (1, 0, 2)
         assert predicted_winner(w, v) == w
-        r = duel(PAPER3.die_at(w), PAPER3.die_at(v))
+        r = duel(*(die_of(PAPER3, die_number(x) - 1) for x in (w, v)))
         assert (r.win, r.tie, r.loss) == (FIVE_NINTHS, 0, FOUR_NINTHS)
 
     def test_equal_words(self):
@@ -118,7 +118,7 @@ class TestFaceValue:
 class TestGenerate:
     def test_base_family_exact(self):
         family = generate(preset_stack("paper-1"))
-        assert family.dice == (
+        assert tuple(die_of(family, i) for i in range(3)) == (
             Die.from_values([2, 4, 9], 2),
             Die.from_values([1, 6, 8], 2),
             Die.from_values([3, 5, 7], 2),
@@ -133,7 +133,7 @@ class TestGenerate:
 
     def test_all_dice_distinct(self):
         family = generate(preset_stack("uniform", 3))
-        assert len(set(family.dice)) == 27
+        assert len({die_of(family, i) for i in range(family.size)}) == 27
 
     def test_prefix_groups_share_prefix_digits(self):
         for word, faces in zip(PAPER3.words, PAPER3.rank_faces):
@@ -143,7 +143,7 @@ class TestGenerate:
 
     def test_multiplicity_respected(self):
         family = generate(preset_stack("paper-1"), 3)
-        assert all(die.total == 9 for die in family.dice)
+        assert all(die_of(family, i).total == 9 for i in range(family.size))
 
     def test_bad_multiplicity(self):
         with pytest.raises(ValueError):
@@ -195,22 +195,15 @@ class TestVerify:
         set and order, raw win and tie counts, and per-level tallies."""
         for depth in (1, 2, 3, 4):
             rng = random.Random(987 + depth)
-            size = 3 ** depth
-            words = tuple(word_of(n, depth) for n in range(1, size + 1))
-            rank_faces = []
-            for _ in range(size):
-                faces = set()
-                while len(faces) < 3:
-                    faces.add(tuple(rng.randint(1, 9) for _ in range(depth)))
-                rank_faces.append(tuple(sorted(faces)))
-            family = DiceFamily(depth, 2, tuple(rank_faces))
+            words = tuple(word_of(n, depth) for n in range(1, 3 ** depth + 1))
+            family = DiceFamily(depth, 2, random_rank_faces(rng, depth))
             assert family.words == words
 
             checked, raw = sweep_pairs(family.rank_faces, depth)
             order = [(i, j) for i, j, _, _ in raw]
             assert order == sorted(order)
             for i, j, wins, ties in raw:
-                r = duel(family.dice[i], family.dice[j])
+                r = duel(die_of(family, i), die_of(family, j))
                 assert (Fraction(wins, 9), Fraction(ties, 9)) == (r.win, r.tie)
 
             expected = brute_failure_pairs(family)
@@ -232,7 +225,7 @@ class TestVerify:
                 assert len(report.failures) == len(raw)
                 for failure, (i, j, _, _) in zip(report.failures, raw):
                     assert (failure.word_a, failure.word_b) == (words[i], words[j])
-                    assert failure.observed == duel(scaled.dice[i], scaled.dice[j])
+                    assert failure.observed == duel(die_of(scaled, i), die_of(scaled, j))
 
     def test_tampering_detected(self):
         doc = family_to_json(PAPER3)
@@ -305,7 +298,7 @@ class TestDecomposition:
         for name in ("paper-1", "paper-2", "paper-3"):
             family = generate(preset_stack(name))
             for i, j in combinations(range(family.size), 2):
-                assert duel(family.dice[i], family.dice[j]).tie == 0
+                assert duel(die_of(family, i), die_of(family, j)).tie == 0
 
 
 class TestMonteCarlo:
