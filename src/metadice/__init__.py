@@ -4,8 +4,9 @@ The library constructs families of 3^k six-sided dice addressed by ternary
 words, where the rock-paper-scissors dominance cycle recurs at every
 nesting level: any two distinct dice duel at exactly 5/9 in the direction
 given by their first differing trit. Everything is exact rational
-arithmetic; ``verify_family`` proves a family's structure by exhaustive
-enumeration, one sibling block of dice at a time.
+arithmetic; ``verify_family`` proves a family's structure from its node
+tables, and checks every pair, one sibling block of dice at a time, when
+those tables cannot prove it.
 """
 
 from metadice.dice import (

@@ -50,7 +50,9 @@ from metadice.loshu import (
     preset_stack,
 )
 
-#: Depth accepted without --allow-large (3^8 dice is about 21.5M pairs).
+#: Depth accepted without --allow-large. A family the certificate proves
+#: costs O(3^k·k) and is bounded by generation memory, but one it cannot
+#: prove falls back to the all-pairs sweep: about 21.5M pairs at depth 8.
 DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
@@ -105,7 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="exhaustively check every pair duels at exactly 5/9 the right way",
+        help=(
+            "prove every pair duels at exactly 5/9 the right way: by the"
+            " node-table certificate, or by checking every pair when it"
+            " cannot prove the family"
+        ),
     )
     _add_family_source(p, stdin=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -314,8 +320,10 @@ def report_text(report: VerificationReport) -> str:
         )
     for failure in report.failures:
         lines.append("  " + failure.describe())
+    if report.certificate_detail is not None:
+        lines.append(f"certificate: {report.certificate_detail}")
     status = "PASS" if report.passed else "FAIL"
-    lines.append(f"{status} ({report.elapsed:.3f}s, {report.backend} backend)")
+    lines.append(f"{status} ({report.elapsed:.3f}s, {report.method})")
     return "\n".join(lines) + "\n"
 
 

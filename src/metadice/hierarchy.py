@@ -1,4 +1,4 @@
-"""Recursive dice-family generation and exhaustive dominance verification.
+"""Recursive dice-family generation and dominance verification.
 
 A depth-k family holds one die per ternary word of length k. The digit a die
 receives at nesting level j is looked up in the stack's level-j table using
@@ -9,12 +9,15 @@ beats 0 decides the winner, always at probability 5/9.
 
 A family is stored as its depth, face multiplicity, rank faces in word
 order and, when it has one, its stack. Words follow from the depth and are
-derived on first use. No ``Die`` is ever built from a family: the sweep's
-integer counts over the 3x3 face grid settle verification and the dominance
-graphs alike.
+derived on first use. No ``Die`` is ever built from a family: its node
+tables or the sweep's integer counts over the 3x3 face grid settle
+verification, and those counts give the dominance graphs.
 
-``verify_family`` proves that claim for a concrete family by checking every
-unordered pair exactly.
+``verify_family`` proves that claim for a concrete family. It first tries
+the certificate, which recovers each node's table from the family and
+checks the tables instead of the pairs; when the certificate cannot prove
+the family, it checks every unordered pair exactly, and that sweep alone
+decides the verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from metadice.dice import (
     is_digit_string,
 )
 from metadice.loshu import AssignmentStack, StackValidationError, parse_stack
-from metadice.sweep import BACKEND, sweep_pairs
+from metadice.sweep import certify, level_pairs, sweep_pairs
 
 Word = tuple[int, ...]
 
@@ -144,9 +147,6 @@ class DiceFamily:
     def size(self) -> int:
         return len(self.rank_faces)
 
-    def faces_at(self, word: Word) -> tuple[Face, Face, Face]:
-        return self.rank_faces[die_number(word) - 1]
-
 
 def face_word_label(word: Word) -> str:
     """Human label for a word: its D-number plus the trits."""
@@ -228,16 +228,30 @@ class VerificationReport:
     failures: tuple[PairFailure, ...]
     per_level: tuple[LevelSummary, ...]
     elapsed: float
-    backend: str
+    #: Why the certificate could not prove the family; None when it did.
+    certificate_detail: str | None
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def method(self) -> str:
+        """``"certificate"`` when the certificate proved the family, else
+        ``"sweep"``: every pair was checked."""
+        return "certificate" if self.certificate_detail is None else "sweep"
+
 
 def verify_family(family: DiceFamily) -> VerificationReport:
-    """Exhaustively check that every pair duels at exactly (5/9, 0, 4/9)
-    in favor of :func:`predicted_winner`.
+    """Check that every pair duels at exactly (5/9, 0, 4/9) in favor of
+    :func:`predicted_winner`.
+
+    The certificate (:func:`metadice.sweep.certify`) runs first, in
+    O(3^k·k) steps; a family it proves passes with every level's pair count
+    and no failures. Otherwise the all-pairs sweep decides: the certificate
+    is sufficient, not necessary, so a family it cannot prove may still
+    pass. Either way the report has the same counts and failures, and
+    ``method`` says which path ran.
 
     Failures are data, not errors; the report carries them in lexicographic
     word-pair order together with a per-level summary, so it is the same
@@ -247,7 +261,11 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     exact duel probabilities times 9.
     """
     start = time.perf_counter()
-    checked, raw_failures = sweep_pairs(family.rank_faces, family.depth)
+    reason = certify(family.rank_faces, family.depth)
+    if reason is None:
+        checked, raw_failures = level_pairs(family.depth), []
+    else:
+        checked, raw_failures = sweep_pairs(family.rank_faces, family.depth)
 
     failures = []
     fail_levels: Counter[int] = Counter()
@@ -271,7 +289,7 @@ def verify_family(family: DiceFamily) -> VerificationReport:
         failures=tuple(failures),
         per_level=per_level,
         elapsed=time.perf_counter() - start,
-        backend=BACKEND,
+        certificate_detail=reason,
     )
 
 

@@ -2,6 +2,7 @@
 and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,59 @@ def test_graph_level_and_full_graph_exclusive(run_cli):
     )
     assert (code, out) == (2, "")
     assert "not allowed with argument" in err
+
+
+#: A depth-2 listing that passes the sweep but not the certificate: its
+#: node (1) table, 2,2,9;1,6,8;3,5,7, repeats digit 2 across ranks.
+REPEATED_DIGIT_LISTING = """\
+D1 22 44 99
+D2 21 46 98
+D3 23 45 97
+D4 12 62 89
+D5 11 66 88
+D6 13 65 87
+D7 32 54 79
+D8 31 56 78
+D9 33 55 77
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, method, detail",
+    [
+        (["--preset", "paper-3"], None, 0, "certificate", None),
+        (
+            ["--stdin"],
+            REPEATED_DIGIT_LISTING,
+            0,
+            "sweep",
+            "level 2, prefix (1), table 2,2,9;1,6,8;3,5,7: the 9 digits of an"
+            " assignment must be pairwise distinct",
+        ),
+        (
+            ["--stdin"],
+            "D1 2 4 8\nD2 1 6 9\nD3 3 5 7\n",
+            1,
+            "sweep",
+            "level 1, prefix (), table 2,4,8;1,6,9;3,5,7: leading property fails"
+            " for subset pair 0->1: 4 winning comparisons, need exactly 5",
+        ),
+    ],
+    ids=["certified", "sweep-pass", "sweep-fail"],
+)
+def test_text_report_names_the_method(run_cli, argv, stdin, code, method, detail):
+    """The text report ends with the verdict, the time and the method; when
+    the sweep ran, a ``certificate:`` line before it says why."""
+    got, out, err = run_cli(["verify", *argv], stdin)
+    assert (got, err) == (code, "")
+    lines = out.splitlines()
+    status = "PASS" if code == 0 else "FAIL"
+    assert re.fullmatch(rf"{status} \(\d+\.\d{{3}}s, {method}\)", lines[-1])
+    certificate_lines = [line for line in lines if line.startswith("certificate:")]
+    if detail is None:
+        assert certificate_lines == []
+    else:
+        assert certificate_lines == [lines[-2]] == [f"certificate: {detail}"]
 
 
 def tampered(doc):

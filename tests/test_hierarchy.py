@@ -1,13 +1,23 @@
-"""Family generation, the winner rule, exhaustive verification, Monte Carlo."""
+"""Family generation, the winner rule, verification by certificate and by
+sweep, Monte Carlo."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import die_of, random_rank_faces, valid_stacks
+from conftest import (
+    LEADING_POOL,
+    RANKWISE_POOL,
+    die_of,
+    naive_leading_counts,
+    naive_rankwise_counts,
+    random_rank_faces,
+    valid_stacks,
+)
 from metadice.dice import Die, LengthMismatchError, duel
 from metadice.hierarchy import (
     DiceFamily,
@@ -23,8 +33,8 @@ from metadice.hierarchy import (
     verify_family,
     word_of,
 )
-from metadice.loshu import preset_stack
-from metadice.sweep import sweep_pairs
+from metadice.loshu import SORTED_ROWS, preset_stack
+from metadice.sweep import certify, sweep_pairs
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)
@@ -48,6 +58,93 @@ def brute_failure_pairs(family):
         for i, j in combinations(range(family.size), 2)
         if not expected_result(family, i, j)
     }
+
+
+def sweep_only_report(family):
+    """The report of ``verify_family`` with the certificate forced to fail,
+    so the all-pairs sweep decides."""
+    with mock.patch("metadice.hierarchy.certify", return_value="not tried"):
+        return verify_family(family)
+
+
+def assert_same_outcome(report, sweep_report):
+    assert report.pairs_checked == sweep_report.pairs_checked
+    assert report.per_level == sweep_report.per_level
+    assert report.failures == sweep_report.failures
+
+
+def tree_rank_faces(depth, table_at):
+    """Rank faces of the family whose node at ``prefix`` on ``level`` has
+    the table ``table_at(level, prefix)``, indexed [subset][rank]."""
+    return tuple(
+        tuple(
+            tuple(table_at(j + 1, word[:j])[t][rank] for j, t in enumerate(word))
+            for rank in range(3)
+        )
+        for word in product(range(3), repeat=depth)
+    )
+
+
+def random_tree_faces(rng, depth, odd_node=None, odd_table=None):
+    """A family with its own pool table at every node, leading at level 1
+    and rank-wise deeper, except ``odd_table`` at the ``odd_node``
+    (level, prefix)."""
+    tables = {}
+
+    def table_at(level, prefix):
+        if (level, prefix) == odd_node:
+            return odd_table
+        if (level, prefix) not in tables:
+            pool = LEADING_POOL if level == 1 else RANKWISE_POOL
+            tables[level, prefix] = rng.choice(pool)
+        return tables[level, prefix]
+
+    return tree_rank_faces(depth, table_at)
+
+
+def odd_table(rng, level):
+    """A node table for ``level`` that no stack holds: nine distinct digits,
+    which mostly fail the level's predicate, or digits that repeat but pass
+    it."""
+
+    def table(digits):
+        return (tuple(digits[0:3]), tuple(digits[3:6]), tuple(digits[6:9]))
+
+    if rng.random() < 0.5:
+        return table(rng.sample(range(1, 10), 9))
+    counts, want = (
+        (naive_leading_counts, [5, 5, 5])
+        if level == 1
+        else (naive_rankwise_counts, [2, 2, 2])
+    )
+    while True:
+        repeating = table([rng.randint(1, 9) for _ in range(9)])
+        if counts(repeating) == want:
+            return repeating
+
+
+def certificate_families():
+    """(depth, rank faces, whether the certificate must prove them) around
+    the certificate's edges: node-table trees, which it must prove, trees
+    with one altered digit or one odd node table, and random garbage."""
+    rng = random.Random(5309)
+    for depth in (1, 2, 3, 4):
+        for _ in range(8):
+            yield depth, random_tree_faces(rng, depth), True
+        for _ in range(12):
+            faces = [list(map(list, die)) for die in random_tree_faces(rng, depth)]
+            die = faces[rng.randrange(3 ** depth)]
+            rank, pos = rng.randrange(3), rng.randrange(depth)
+            die[rank][pos] = rng.choice([d for d in range(10) if d != die[rank][pos]])
+            yield depth, tuple(tuple(map(tuple, d)) for d in faces), False
+        for _ in range(12):
+            level = rng.randint(1, depth)
+            prefix = tuple(rng.randrange(3) for _ in range(level - 1))
+            odd = odd_table(rng, level)
+            yield depth, random_tree_faces(rng, depth, (level, prefix), odd), False
+        for high in (3, 9):
+            for _ in range(3 if depth < 4 else 1):
+                yield depth, random_rank_faces(rng, depth, high), False
 
 
 class TestNumbering:
@@ -137,7 +234,8 @@ class TestGenerate:
 
     def test_prefix_groups_share_prefix_digits(self):
         for word, faces in zip(PAPER3.words, PAPER3.rank_faces):
-            other = PAPER3.faces_at((word[0], word[1], (word[2] + 1) % 3))
+            sibling = (word[0], word[1], (word[2] + 1) % 3)
+            other = PAPER3.rank_faces[die_number(sibling) - 1]
             for rank in range(3):
                 assert faces[rank][:2] == other[rank][:2]
 
@@ -235,6 +333,9 @@ class TestVerify:
         tampered = family_from_json(doc)
         report = verify_family(tampered)
         assert not report.passed
+        assert report.method == "sweep"
+        assert report.certificate_detail.startswith("level 2, prefix (0): ")
+        assert report.failures == sweep_only_report(tampered).failures
         flagged = {(f.word_a, f.word_b) for f in report.failures}
         assert ((0, 0, 0), (0, 1, 0)) in flagged
         for failure in report.failures:
@@ -249,12 +350,88 @@ class TestVerify:
         family = generate(stack, multiplicity)
         report = verify_family(family)
         assert report.passed
+        assert report.method == "certificate"
         assert report.pairs_checked == family.size * (family.size - 1) // 2
+        assert_same_outcome(report, sweep_only_report(family))
 
-    def test_elapsed_and_backend_present(self):
+    def test_method_names_the_path(self):
         report = verify_family(generate(preset_stack("paper-1")))
         assert report.elapsed >= 0
-        assert report.backend == "pure"
+        assert (report.method, report.certificate_detail) == ("certificate", None)
+        faces = (((2,), (4,), (8,)), ((1,), (6,), (9,)), ((3,), (5,), (7,)))
+        report = verify_family(DiceFamily(1, 2, faces))
+        assert report.elapsed >= 0 and not report.passed
+        assert report.method == "sweep"
+        assert report.certificate_detail == (
+            "level 1, prefix (), table 2,4,8;1,6,9;3,5,7: leading property"
+            " fails for subset pair 0->1: 4 winning comparisons, need exactly 5"
+        )
+
+
+class TestCertificate:
+    def test_sound_and_verdict_is_the_sweeps(self):
+        """A certified family passes the sweep, and verify_family reports
+        exactly what the sweep alone would, on either path."""
+        methods = []
+        for depth, rank_faces, must_prove in certificate_families():
+            try:
+                family = DiceFamily(depth, 2, rank_faces)
+            except FamilyFormatError:
+                continue  # an altered digit repeated a face
+            reason = certify(family.rank_faces, depth)
+            report, sweep_report = verify_family(family), sweep_only_report(family)
+            assert report.certificate_detail == reason
+            assert reason is None or not must_prove, reason
+            if reason is None:
+                assert report.method == "certificate"
+                assert sweep_report.passed
+            else:
+                assert report.method == "sweep"
+                assert reason.startswith("level ")
+            assert_same_outcome(report, sweep_report)
+            methods.append((report.method, report.passed))
+        # every combination but a certified failure shows up
+        assert set(methods) == {
+            ("certificate", True),
+            ("sweep", True),
+            ("sweep", False),
+        }
+
+    def test_sweep_decides_when_certificate_fails(self):
+        """Digit 2 twice in one subset of the node (1) table is harmless to
+        the duels, which only compare its digits rank by rank, but it is not
+        a nine-distinct-digit table."""
+        repeated = ((2, 2, 9), (1, 6, 8), (3, 5, 7))
+        family = DiceFamily(2, 2, tree_rank_faces(
+            2, lambda level, prefix: repeated if prefix == (1,) else SORTED_ROWS
+        ))
+        report = verify_family(family)
+        assert report.passed and report.method == "sweep"
+        assert report.certificate_detail == (
+            "level 2, prefix (1), table 2,2,9;1,6,8;3,5,7:"
+            " the 9 digits of an assignment must be pairwise distinct"
+        )
+        assert_same_outcome(report, sweep_only_report(family))
+
+    def test_disagreeing_die_named(self):
+        faces = [list(die) for die in PAPER3.rank_faces]
+        faces[13][1] = (faces[13][1][0], 0, faces[13][1][2])
+        assert certify(tuple(map(tuple, faces)), 3) == (
+            "level 2, prefix (1): D14 (111) has digit 0 at rank 1"
+            f" where D13 (110) has {faces[12][1][1]}"
+        )
+
+    def test_deep_certificate_reads_no_pair(self):
+        family = generate(preset_stack("uniform", 9), 1)
+        with mock.patch("metadice.hierarchy.sweep_pairs") as sweep:
+            report = verify_family(family)
+        sweep.assert_not_called()
+        assert report.passed and report.method == "certificate"
+        n = family.size
+        assert report.pairs_checked == n * (n - 1) // 2
+        assert [s.pairs for s in report.per_level] == [
+            3 ** (2 * 9 - p - 1) for p in range(9)
+        ]
 
 
 class TestDecomposition:
