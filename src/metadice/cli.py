@@ -50,9 +50,9 @@ from metadice.loshu import (
     preset_stack,
 )
 
-#: Depth accepted without --allow-large. A family the certificate proves
-#: costs O(3^k·k) and is bounded by generation memory, but one it cannot
-#: prove falls back to the all-pairs sweep: about 21.5M pairs at depth 8.
+#: Depth accepted without --allow-large. It bounds the memory of generating
+#: 3^k dice, the length of a failure list, and the all-pairs sweep that runs
+#: when a family's level-1 table fails (about 21.5M pairs at depth 8).
 DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
@@ -108,9 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help=(
-            "prove every pair duels at exactly 5/9 the right way: by the"
-            " node-table certificate, or by checking every pair when it"
-            " cannot prove the family"
+            "prove every pair duels at exactly 5/9 the right way, from the"
+            " node tables and by checking the pairs they cannot vouch for"
         ),
     )
     _add_family_source(p, stdin=True)

@@ -13,11 +13,9 @@ derived on first use. No ``Die`` is ever built from a family: its node
 tables or the sweep's integer counts over the 3x3 face grid settle
 verification, and those counts give the dominance graphs.
 
-``verify_family`` proves that claim for a concrete family. It first tries
-the certificate, which recovers each node's table from the family and
-checks the tables instead of the pairs; when the certificate cannot prove
-the family, it checks every unordered pair exactly, and that sweep alone
-decides the verdict.
+``verify_family`` proves that claim for a concrete family, by the node-table
+certificate or by checking the pairs it cannot vouch for; the
+:mod:`metadice.sweep` docstring describes the three paths.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from metadice.dice import (
     is_digit_string,
 )
 from metadice.loshu import AssignmentStack, StackValidationError, parse_stack
-from metadice.sweep import certify, level_pairs, sweep_pairs
+from metadice.sweep import certify, level_pairs, scan_suspects, sweep_pairs
 
 Word = tuple[int, ...]
 
@@ -230,28 +228,24 @@ class VerificationReport:
     elapsed: float
     #: Why the certificate could not prove the family; None when it did.
     certificate_detail: str | None
+    #: ``"certificate"``, ``"localized"`` or ``"sweep"``: the path that ran.
+    method: str
+    #: Pairs actually compared: 0 on a certificate, all of them on a sweep.
+    pairs_scanned: int
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    @property
-    def method(self) -> str:
-        """``"certificate"`` when the certificate proved the family, else
-        ``"sweep"``: every pair was checked."""
-        return "certificate" if self.certificate_detail is None else "sweep"
 
 
 def verify_family(family: DiceFamily) -> VerificationReport:
     """Check that every pair duels at exactly (5/9, 0, 4/9) in favor of
     :func:`predicted_winner`.
 
-    The certificate (:func:`metadice.sweep.certify`) runs first, in
-    O(3^k·k) steps; a family it proves passes with every level's pair count
-    and no failures. Otherwise the all-pairs sweep decides: the certificate
-    is sufficient, not necessary, so a family it cannot prove may still
-    pass. Either way the report has the same counts and failures, and
-    ``method`` says which path ran.
+    The certificate (:func:`metadice.sweep.certify`) runs first and picks
+    one of the paths the :mod:`metadice.sweep` docstring describes. Every
+    path reports the same counts and failures; ``method`` says which ran
+    and ``pairs_scanned`` how many pairs it compared.
 
     Failures are data, not errors; the report carries them in lexicographic
     word-pair order together with a per-level summary, so it is the same
@@ -261,11 +255,18 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     exact duel probabilities times 9.
     """
     start = time.perf_counter()
-    reason = certify(family.rank_faces, family.depth)
-    if reason is None:
-        checked, raw_failures = level_pairs(family.depth), []
-    else:
+    faults = certify(family.rank_faces, family.depth)
+    checked = level_pairs(family.depth)
+    if faults.reason is None:
+        method, raw_failures, scanned = "certificate", [], 0
+    elif faults.bad_nodes[0]:
         checked, raw_failures = sweep_pairs(family.rank_faces, family.depth)
+        method, scanned = "sweep", sum(checked)
+    else:
+        raw_failures, scanned = scan_suspects(
+            family.rank_faces, family.depth, faults
+        )
+        method = "localized"
 
     failures = []
     fail_levels: Counter[int] = Counter()
@@ -289,7 +290,9 @@ def verify_family(family: DiceFamily) -> VerificationReport:
         failures=tuple(failures),
         per_level=per_level,
         elapsed=time.perf_counter() - start,
-        certificate_detail=reason,
+        certificate_detail=faults.reason,
+        method=method,
+        pairs_scanned=scanned,
     )
 
 

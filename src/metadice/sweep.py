@@ -19,14 +19,31 @@ Pairs are mutually independent; the sweep runs single-threaded and emits
 failures in (i, j) order, which is lexicographic word-pair order, so
 reports are deterministic. ``bench/run.py`` times it end to end.
 
-The same block layout carries a proof that reads no pair: ``certify``
-recovers each node's digit table from its three child blocks and checks
-the tables and the blocks' agreement with them in O(3^k·k) steps.
+The same block layout carries a proof that reads no pair, and it decides
+which pairs are checked at all. A pair that first differs at level p under
+node N splits its nine comparisons 6 + 3: the level-1 table settles the six
+cross-rank ones and N's table the three same-rank ones, provided both dice
+carry their child blocks' digits at levels 1..p; deeper digits cannot
+change it. ``certify`` recovers every node's table from its child blocks
+in O(3^k·k) steps and records each die that leaves its block and each
+table that fails. Verification then takes one of three paths:
+
+- ``certificate``: no die strays and every table holds, so every pair
+  passes and none is read;
+- ``localized``: the level-1 table holds, and ``scan_suspects`` checks only
+  the pairs with a stray die at or above their first differing level, or
+  under a failed table;
+- ``sweep``: the level-1 table fails, which vouches for no pair, and
+  ``sweep_pairs`` checks them all.
+
+All three report the same per-level pair counts and the same failures.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from bisect import bisect_left
+from collections import Counter
+from typing import Iterator, NamedTuple, Sequence
 
 from metadice.dice import Face
 from metadice.loshu import (
@@ -72,9 +89,7 @@ def sweep_pairs(
     """
     if depth < 1 or len(rank_faces) != 3 ** depth:
         raise ValueError(f"a depth-{depth} sweep needs exactly 3^{depth} dice")
-    faces = [
-        (pack_face(f0), pack_face(f1), pack_face(f2)) for f0, f1, f2 in rank_faces
-    ]
+    faces = _packed(rank_faces)
     checked = level_pairs(depth)
     sizes = [3 ** (depth - p - 1) for p in range(depth)]
     failures: list[Failure] = []
@@ -91,6 +106,14 @@ def sweep_pairs(
             if trit == 0:
                 _scan(die, faces, i, nxt + size, nxt + 2 * size, 4, failures)
     return checked, failures
+
+
+def _packed(
+    rank_faces: Sequence[tuple[Face, Face, Face]]
+) -> list[tuple[int, int, int]]:
+    return [
+        (pack_face(f0), pack_face(f1), pack_face(f2)) for f0, f1, f2 in rank_faces
+    ]
 
 
 def _scan(
@@ -119,54 +142,95 @@ def _scan(
             failures.append((i, j, wins, ties))
 
 
-def certify(
-    rank_faces: Sequence[tuple[Face, Face, Face]], depth: int
-) -> str | None:
-    """Prove from its node tables that every pair duels 5/9 the cycle's way.
+class Faults(NamedTuple):
+    """Where :func:`certify` found a family's node tables wanting.
+
+    ``reason`` is the first fault in walk order, level by level and a
+    stray die before a failed table, or None when the family is proven.
+    ``deviations`` maps each die that leaves its child block's reference
+    digits to the first (0-based) level where it does. ``bad_nodes[p]``
+    holds the nodes of level p whose table fails.
+    """
+
+    reason: str | None
+    deviations: dict[int, int]
+    bad_nodes: tuple[frozenset[int], ...]
+
+
+def certify(rank_faces: Sequence[tuple[Face, Face, Face]], depth: int) -> Faults:
+    """Prove from its node tables that every pair duels 5/9 the cycle's way,
+    or locate every fault that stops the proof.
 
     At level p (1-based) each block of 3^(depth-p+1) dice is a node, and
     digit p of its three child blocks' faces, rank by rank, is the node's
-    table. The family is proven when every die agrees at every rank with
-    the first die of its child block, and every table has nine distinct
-    digits and is leading at level 1 and rank-wise deeper. Then a pair
-    first differing at level 1 duels by the leading property, and one first
+    table. A child block's reference digit at a rank is the one most of its
+    dice carry; when no digit is carried by more dice than every other, the
+    earliest in die order wins. The family is proven when every die carries
+    its blocks' reference digits and every table has nine distinct digits
+    and is leading at level 1 and rank-wise deeper. Then a pair first
+    differing at level 1 duels by the leading property, and one first
     differing at level p >= 2 wins 3 of its 6 cross-rank comparisons on
     its level-1 digits and 2 or 1 of its 3 same-rank ones on the level-p
-    table. The walk reads each digit once and validates each distinct
-    table of a level once.
+    table. The walk reads each digit once, takes majorities only in blocks
+    whose dice disagree, and validates each distinct table of a level once.
 
-    Returns None when the family is proven, otherwise one line naming the
-    level, the node's word prefix and the failed check. The certificate is
-    sufficient, not necessary: a family it cannot prove may still pass
-    :func:`sweep_pairs`, which alone decides a verdict.
+    The certificate is sufficient, not necessary: a family it cannot prove
+    may still pass. The module docstring says which pairs are then checked.
     """
     if depth < 1 or len(rank_faces) != 3 ** depth:
         raise ValueError(f"a depth-{depth} certificate needs exactly 3^{depth} dice")
     # columns[r][p]: digit p of the rank-r face of every die, in die order
     columns = [tuple(zip(*(faces[r] for faces in rank_faces))) for r in range(3)]
+    reason = None
+    deviations: dict[int, int] = {}
+    bad_nodes = []
     for p in range(depth):
         size = 3 ** (depth - p - 1)
         digits = [column[p] for column in columns]
-        heads = [col[::size] for col in digits]
-        if any(
-            col[offset::size] != head
-            for col, head in zip(digits, heads)
-            for offset in range(1, size)
-        ):
-            return _disagreement(digits, size, p, depth)
+        refs, strays = [], set()
+        for col in digits:
+            heads = col[::size]
+            if any(col[offset::size] != heads for offset in range(1, size)):
+                heads = _block_majorities(col, size, strays)
+            refs.append(heads)
+        for i in strays:
+            deviations.setdefault(i, p)
+        if strays and reason is None:
+            reason = _disagreement(digits, refs, min(strays), size, p, depth)
         check = validate_leading if p == 0 else validate_rankwise
-        rows = list(zip(*heads))  # (rank 0, 1, 2) digits of each child block
+        rows = list(zip(*refs))  # (rank 0, 1, 2) digits of each child block
         verdicts: dict[tuple, str | None] = {}
+        bad = set()
         for node, table in enumerate(zip(rows[0::3], rows[1::3], rows[2::3])):
             if table not in verdicts:
                 verdicts[table] = _table_fault(table, check)
             if verdicts[table] is not None:
-                return (
-                    f"level {p + 1}, prefix ({_trits(node, p)}), table"
-                    f" {';'.join(','.join(map(str, row)) for row in table)}:"
-                    f" {verdicts[table]}"
-                )
-    return None
+                bad.add(node)
+                if reason is None:
+                    reason = (
+                        f"level {p + 1}, prefix ({_trits(node, p)}), table"
+                        f" {';'.join(','.join(map(str, row)) for row in table)}:"
+                        f" {verdicts[table]}"
+                    )
+        bad_nodes.append(frozenset(bad))
+    return Faults(reason, deviations, tuple(bad_nodes))
+
+
+def _block_majorities(
+    col: tuple[int, ...], size: int, strays: set[int]
+) -> tuple[int, ...]:
+    """Each child block's reference digit in one rank's column, adding the
+    dice that do not carry it to ``strays``."""
+    refs = []
+    for lo in range(0, len(col), size):
+        block = col[lo : lo + size]
+        ref = block[0]
+        if block.count(ref) != size:
+            # most_common keeps first-seen order among equal counts
+            ref = Counter(block).most_common(1)[0][0]
+            strays.update(i for i, d in enumerate(block, lo) if d != ref)
+        refs.append(ref)
+    return tuple(refs)
 
 
 def _table_fault(table, check) -> str | None:
@@ -179,22 +243,88 @@ def _table_fault(table, check) -> str | None:
 
 
 def _disagreement(
-    digits: list[tuple[int, ...]], size: int, p: int, depth: int
+    digits: list[tuple[int, ...]],
+    refs: list[tuple[int, ...]],
+    i: int,
+    size: int,
+    p: int,
+    depth: int,
 ) -> str:
-    """Name the first die whose level-p digit differs from its child block's
-    first die; the caller has seen that one does."""
-    i, rank = next(
-        (i, rank)
-        for i in range(len(digits[0]))
-        for rank, col in enumerate(digits)
-        if col[i] != col[i - i % size]
-    )
-    head, col = i - i % size, digits[rank]
+    """Name die i, which strays from its child block at level p, next to
+    the first die of the block that carries the reference digit."""
+    block = i // size
+    rank = next(r for r, col in enumerate(digits) if col[i] != refs[r][block])
+    col, ref = digits[rank], refs[rank][block]
+    carrier = col.index(ref, block * size, (block + 1) * size)
     return (
         f"level {p + 1}, prefix ({_trits(i // (3 * size), p)}):"
         f" D{i + 1} ({_trits(i, depth)}) has digit {col[i]} at rank {rank}"
-        f" where D{head + 1} ({_trits(head, depth)}) has {col[head]}"
+        f" where D{carrier + 1} ({_trits(carrier, depth)}) has {ref}"
     )
+
+
+def scan_suspects(
+    rank_faces: Sequence[tuple[Face, Face, Face]], depth: int, faults: Faults
+) -> tuple[list[Failure], int]:
+    """Check only the pairs that ``faults`` leaves the node tables unable to
+    vouch for; the level-1 table must hold.
+
+    A pair (i, j) first differing at level p under node N is checked when
+    die i or die j strays at a level <= p, or when N's table fails. Returns
+    the failures as :func:`sweep_pairs` would, in (i, j) order, and the
+    number of pairs compared.
+    """
+    if faults.bad_nodes[0]:
+        raise ValueError("a failed level-1 table vouches for no pair")
+    faces = _packed(rank_faces)
+    failures: list[Failure] = []
+    scanned = 0
+    for p, bad in enumerate(faults.bad_nodes):
+        size = 3 ** (depth - p - 1)
+        span = 3 * size
+        for node in bad:  # every pair across the node's child blocks
+            a, b, c = node * span, node * span + size, node * span + 2 * size
+            for i in range(a, b):
+                _scan(faces[i], faces, i, b, c, 5, failures)
+                _scan(faces[i], faces, i, c, c + size, 4, failures)
+            for i in range(b, c):
+                _scan(faces[i], faces, i, c, c + size, 5, failures)
+            scanned += 3 * size * size
+        suspects = sorted(
+            i for i, level in faults.deviations.items()
+            if level <= p and i // span not in bad
+        )
+        for i in suspects:
+            lo, trit = i - i % size, i // size % 3
+            # later siblings, suspect or not, as in sweep_pairs
+            for start, expected in ((1, 5), (2, 4))[: 2 - trit]:
+                first = lo + start * size
+                _scan(faces[i], faces, i, first, first + size, expected, failures)
+                scanned += size
+            # earlier siblings but the suspects, whose own scan covered the
+            # pair; i's block loses 4/9 to its predecessor and beats the block
+            # before that 5/9
+            for start, expected in ((1, 4), (2, 5))[:trit]:
+                block = lo - start * size, lo - (start - 1) * size
+                for first, stop in _gaps(*block, suspects):
+                    backward: list[Failure] = []
+                    _scan(faces[i], faces, i, first, stop, expected, backward)
+                    failures.extend((j, i, 9 - w - t, t) for _, j, w, t in backward)
+                    scanned += stop - first
+    failures.sort()
+    return failures, scanned
+
+
+def _gaps(lo: int, hi: int, skip: list[int]) -> Iterator[tuple[int, int]]:
+    """The runs of [lo, hi) between the indices of the sorted ``skip``."""
+    for k in range(bisect_left(skip, lo), len(skip)):
+        if skip[k] >= hi:
+            break
+        if skip[k] > lo:
+            yield lo, skip[k]
+        lo = skip[k] + 1
+    if lo < hi:
+        yield lo, hi
 
 
 def _trits(n: int, length: int) -> str:

@@ -187,8 +187,16 @@ D9 33 55 77
             ["--stdin"],
             REPEATED_DIGIT_LISTING,
             0,
-            "sweep",
+            "localized",
             "level 2, prefix (1), table 2,2,9;1,6,8;3,5,7: the 9 digits of an"
+            " assignment must be pairwise distinct",
+        ),
+        (
+            ["--stdin"],
+            REPEATED_DIGIT_LISTING.replace("D1 22 44 99", "D1 22 44 91"),
+            1,
+            "localized",
+            "level 2, prefix (0), table 2,4,1;1,6,8;3,5,7: the 9 digits of an"
             " assignment must be pairwise distinct",
         ),
         (
@@ -200,11 +208,12 @@ D9 33 55 77
             " for subset pair 0->1: 4 winning comparisons, need exactly 5",
         ),
     ],
-    ids=["certified", "sweep-pass", "sweep-fail"],
+    ids=["certified", "localized-pass", "localized-fail", "sweep-fail"],
 )
 def test_text_report_names_the_method(run_cli, argv, stdin, code, method, detail):
     """The text report ends with the verdict, the time and the method; when
-    the sweep ran, a ``certificate:`` line before it says why."""
+    the certificate could not prove the family, a ``certificate:`` line
+    before it says why."""
     got, out, err = run_cli(["verify", *argv], stdin)
     assert (got, err) == (code, "")
     lines = out.splitlines()

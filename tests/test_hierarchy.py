@@ -1,9 +1,11 @@
-"""Family generation, the winner rule, verification by certificate and by
-sweep, Monte Carlo."""
+"""Family generation, the winner rule, verification by certificate, by
+localized scan and by sweep, Monte Carlo."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -18,10 +20,12 @@ from conftest import (
     random_rank_faces,
     valid_stacks,
 )
-from metadice.dice import Die, LengthMismatchError, duel
+from metadice.dice import Die, DuelResult, LengthMismatchError, duel
 from metadice.hierarchy import (
     DiceFamily,
     FamilyFormatError,
+    LevelSummary,
+    PairFailure,
     die_number,
     face_value,
     family_from_json,
@@ -61,10 +65,26 @@ def brute_failure_pairs(family):
 
 
 def sweep_only_report(family):
-    """The report of ``verify_family`` with the certificate forced to fail,
-    so the all-pairs sweep decides."""
-    with mock.patch("metadice.hierarchy.certify", return_value="not tried"):
-        return verify_family(family)
+    """Pair counts, per-level summaries and failures as the all-pairs sweep
+    alone finds them, decoded here rather than by ``verify_family``."""
+    checked, raw = sweep_pairs(family.rank_faces, family.depth)
+    failures, fail_levels = [], Counter()
+    for i, j, wins, ties in raw:
+        w, v = family.words[i], family.words[j]
+        fail_levels[next(p for p, (a, b) in enumerate(zip(w, v)) if a != b)] += 1
+        observed = DuelResult(
+            Fraction(wins, 9), Fraction(ties, 9), Fraction(9 - wins - ties, 9)
+        )
+        failures.append(PairFailure(w, v, predicted_winner(w, v), observed))
+    return SimpleNamespace(
+        pairs_checked=sum(checked),
+        per_level=tuple(
+            LevelSummary(p + 1, pairs, fail_levels[p])
+            for p, pairs in enumerate(checked)
+        ),
+        failures=tuple(failures),
+        passed=not failures,
+    )
 
 
 def assert_same_outcome(report, sweep_report):
@@ -123,10 +143,16 @@ def odd_table(rng, level):
             return repeating
 
 
+def frozen(faces):
+    """Mutable ``[die][rank][level]`` digit lists back to rank faces."""
+    return tuple(tuple(map(tuple, die)) for die in faces)
+
+
 def certificate_families():
     """(depth, rank faces, whether the certificate must prove them) around
     the certificate's edges: node-table trees, which it must prove, trees
-    with one altered digit or one odd node table, and random garbage."""
+    with one altered digit, with digits below level 1 scrambled or with one
+    odd node table, and random garbage."""
     rng = random.Random(5309)
     for depth in (1, 2, 3, 4):
         for _ in range(8):
@@ -136,7 +162,7 @@ def certificate_families():
             die = faces[rng.randrange(3 ** depth)]
             rank, pos = rng.randrange(3), rng.randrange(depth)
             die[rank][pos] = rng.choice([d for d in range(10) if d != die[rank][pos]])
-            yield depth, tuple(tuple(map(tuple, d)) for d in faces), False
+            yield depth, frozen(faces), False
         for _ in range(12):
             level = rng.randint(1, depth)
             prefix = tuple(rng.randrange(3) for _ in range(level - 1))
@@ -145,6 +171,17 @@ def certificate_families():
         for high in (3, 9):
             for _ in range(3 if depth < 4 else 1):
                 yield depth, random_rank_faces(rng, depth, high), False
+    # many stray dice and failed nodes under a valid level-1 table
+    rng = random.Random(8642)
+    for depth in (2, 3, 4):
+        for _ in range(6):
+            faces = [list(map(list, die)) for die in random_tree_faces(rng, depth)]
+            rate, high = rng.choice((0.05, 0.3, 1.0)), rng.choice((3, 9))
+            for face in (face for die in faces for face in die):
+                for pos in range(1, depth):
+                    if rng.random() < rate:
+                        face[pos] = rng.randint(1, high)
+            yield depth, frozen(faces), False
 
 
 class TestNumbering:
@@ -333,8 +370,12 @@ class TestVerify:
         tampered = family_from_json(doc)
         report = verify_family(tampered)
         assert not report.passed
-        assert report.method == "sweep"
-        assert report.certificate_detail.startswith("level 2, prefix (0): ")
+        assert report.method == "localized"
+        # D2 and D3 outvote the altered D1 in their block
+        assert report.certificate_detail == (
+            "level 2, prefix (0): D1 (000) has digit 1 at rank 2"
+            " where D2 (001) has 5"
+        )
         assert report.failures == sweep_only_report(tampered).failures
         flagged = {(f.word_a, f.word_b) for f in report.failures}
         assert ((0, 0, 0), (0, 1, 0)) in flagged
@@ -358,10 +399,12 @@ class TestVerify:
         report = verify_family(generate(preset_stack("paper-1")))
         assert report.elapsed >= 0
         assert (report.method, report.certificate_detail) == ("certificate", None)
+        assert report.pairs_scanned == 0
         faces = (((2,), (4,), (8,)), ((1,), (6,), (9,)), ((3,), (5,), (7,)))
         report = verify_family(DiceFamily(1, 2, faces))
         assert report.elapsed >= 0 and not report.passed
         assert report.method == "sweep"
+        assert report.pairs_scanned == report.pairs_checked == 3
         assert report.certificate_detail == (
             "level 1, prefix (), table 2,4,8;1,6,9;3,5,7: leading property"
             " fails for subset pair 0->1: 4 winning comparisons, need exactly 5"
@@ -371,42 +414,72 @@ class TestVerify:
 class TestCertificate:
     def test_sound_and_verdict_is_the_sweeps(self):
         """A certified family passes the sweep, and verify_family reports
-        exactly what the sweep alone would, on either path."""
+        exactly what the sweep alone would, on every path."""
         methods = []
         for depth, rank_faces, must_prove in certificate_families():
             try:
                 family = DiceFamily(depth, 2, rank_faces)
             except FamilyFormatError:
                 continue  # an altered digit repeated a face
-            reason = certify(family.rank_faces, depth)
+            faults = certify(family.rank_faces, depth)
             report, sweep_report = verify_family(family), sweep_only_report(family)
-            assert report.certificate_detail == reason
-            assert reason is None or not must_prove, reason
-            if reason is None:
+            assert report.certificate_detail == faults.reason
+            assert faults.reason is None or not must_prove, faults.reason
+            if faults.reason is None:
                 assert report.method == "certificate"
+                assert report.pairs_scanned == 0
                 assert sweep_report.passed
-            else:
+            elif faults.bad_nodes[0]:
                 assert report.method == "sweep"
-                assert reason.startswith("level ")
+                assert report.pairs_scanned == report.pairs_checked
+            else:
+                assert report.method == "localized"
+                assert 0 < report.pairs_scanned <= report.pairs_checked
+            assert faults.reason is None or faults.reason.startswith("level ")
             assert_same_outcome(report, sweep_report)
             methods.append((report.method, report.passed))
         # every combination but a certified failure shows up
         assert set(methods) == {
             ("certificate", True),
+            ("localized", True),
+            ("localized", False),
             ("sweep", True),
             ("sweep", False),
         }
 
+    def test_single_faults_match_the_sweep(self):
+        """Every one-digit alteration of paper-3 (each die, rank and level,
+        each other digit) reports what the sweep alone finds."""
+        methods = Counter()
+        for i, rank, pos in product(range(27), range(3), range(3)):
+            for digit in range(10):
+                faces = [list(map(list, die)) for die in PAPER3.rank_faces]
+                if faces[i][rank][pos] == digit:
+                    continue
+                faces[i][rank][pos] = digit
+                try:
+                    family = DiceFamily(3, 2, frozen(faces))
+                except FamilyFormatError:
+                    continue  # the altered face repeats another
+                report = verify_family(family)
+                assert_same_outcome(report, sweep_only_report(family))
+                methods[report.method] += 1
+        # no altered face repeats, and no single digit outvotes a level-1
+        # block of nine dice; 27 alterations leave every table valid
+        assert methods == {"localized": 2160, "certificate": 27}
+
     def test_sweep_decides_when_certificate_fails(self):
         """Digit 2 twice in one subset of the node (1) table is harmless to
         the duels, which only compare its digits rank by rank, but it is not
-        a nine-distinct-digit table."""
+        a nine-distinct-digit table, so the pairs under that node are
+        checked one by one."""
         repeated = ((2, 2, 9), (1, 6, 8), (3, 5, 7))
         family = DiceFamily(2, 2, tree_rank_faces(
             2, lambda level, prefix: repeated if prefix == (1,) else SORTED_ROWS
         ))
         report = verify_family(family)
-        assert report.passed and report.method == "sweep"
+        assert report.passed and report.method == "localized"
+        assert report.pairs_scanned == 3
         assert report.certificate_detail == (
             "level 2, prefix (1), table 2,2,9;1,6,8;3,5,7:"
             " the 9 digits of an assignment must be pairwise distinct"
@@ -416,7 +489,7 @@ class TestCertificate:
     def test_disagreeing_die_named(self):
         faces = [list(die) for die in PAPER3.rank_faces]
         faces[13][1] = (faces[13][1][0], 0, faces[13][1][2])
-        assert certify(tuple(map(tuple, faces)), 3) == (
+        assert certify(tuple(map(tuple, faces)), 3).reason == (
             "level 2, prefix (1): D14 (111) has digit 0 at rank 1"
             f" where D13 (110) has {faces[12][1][1]}"
         )
@@ -432,6 +505,25 @@ class TestCertificate:
         assert [s.pairs for s in report.per_level] == [
             3 ** (2 * 9 - p - 1) for p in range(9)
         ]
+
+    def test_deep_faults_scan_few_pairs(self):
+        """Three altered digits of a depth-7 family: only pairs with an
+        altered die are compared, and the sweep never runs."""
+        family = generate(preset_stack("uniform", 7), 1)
+        faces = [list(map(list, die)) for die in family.rank_faces]
+        altered = {100: (0, 0), 1500: (2, 3), 2186: (1, 6)}
+        for i, (rank, pos) in altered.items():
+            faces[i][rank][pos] = (faces[i][rank][pos] + 1) % 10
+        tampered = DiceFamily(7, 1, frozen(faces))
+        with mock.patch("metadice.hierarchy.sweep_pairs") as sweep:
+            report = verify_family(tampered)
+        sweep.assert_not_called()
+        assert not report.passed and report.method == "localized"
+        assert report.pairs_checked == 2187 * 2186 // 2
+        assert 0 < report.pairs_scanned < report.pairs_checked // 100
+        words = {family.words[i] for i in altered}
+        for failure in report.failures:
+            assert {failure.word_a, failure.word_b} & words
 
 
 class TestDecomposition:
