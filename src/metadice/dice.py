@@ -47,19 +47,6 @@ def face_text(face: Face) -> str:
     return "".join(str(d) for d in face)
 
 
-def compare_faces(a: Face, b: Face) -> int:
-    """Compare two equal-length faces positionally; returns -1, 0 or 1.
-
-    For equal-length digit sequences this is exactly the numeric comparison
-    of the denoted integers.
-    """
-    if len(a) != len(b):
-        raise LengthMismatchError(
-            f"cannot compare a {len(a)}-digit face with a {len(b)}-digit face"
-        )
-    return (a > b) - (a < b)
-
-
 @dataclass(frozen=True)
 class Die:
     """A die as a multiset of equal-length faces.

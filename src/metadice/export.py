@@ -22,7 +22,7 @@ from typing import Sequence
 
 from metadice.dice import Face, face_text
 from metadice.hierarchy import DiceFamily, Word, die_number, predicted_winner
-from metadice.sweep import pack_face, sweep_pairs
+from metadice.sweep import outcome, pack_face, sweep_pairs
 
 Prefix = tuple[int, ...]
 
@@ -50,15 +50,11 @@ def node_name(prefix: Prefix, depth: int) -> str:
     return "".join(str(t) for t in prefix)
 
 
-#: n/9 for n in 0..9: with 3 distinct faces per die at one multiplicity,
-#: every pairwise win probability of a family is a whole number of ninths.
-_NINTHS = tuple(Fraction(n, 9) for n in range(10))
-
-
 def _missed(
     rank_faces: Sequence[tuple[Face, Face, Face]], depth: int
 ) -> dict[tuple[int, int], tuple[int, int]]:
-    """(i, j) -> die i's (wins, ties) in ninths, for each pair the sweep lists.
+    """(i, j) -> die i's (wins, ties) over the face grid, for each pair the
+    sweep lists.
 
     The sweep lists only the pairs that miss the cycle's exact outcome; every
     other pair is won 5 to 4, with no tie, by the die the cycle favors.
@@ -97,11 +93,10 @@ def build_graph(
             w, v = words[i], words[j]
             expected = (5 if predicted_winner(w, v) == w else 4, 0)
             wins, ties = missed.get((i, j), expected)
-            loss = 9 - wins - ties
-            if loss > wins:
-                edges.append(Edge(v, w, _NINTHS[loss]))
+            if 9 - wins - ties > wins:
+                edges.append(Edge(v, w, outcome(wins, ties).loss))
             else:
-                edges.append(Edge(w, v, _NINTHS[wins]))
+                edges.append(Edge(w, v, outcome(wins, ties).win))
         return DominanceGraph(family.depth, level, True, words, tuple(edges))
 
     nodes = tuple(product((0, 1, 2), repeat=level))
@@ -110,14 +105,14 @@ def build_graph(
     for n, head in enumerate(product((0, 1, 2), repeat=level - 1)):
         trio = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
         missed = _missed(trio, 1)
-        # wins of sibling s over sibling s + 1 around the cycle
+        # win probability of sibling s over sibling s + 1 around the cycle
         wins = (
-            missed.get((0, 1), (5, 0))[0],
-            missed.get((1, 2), (5, 0))[0],
-            9 - sum(missed.get((0, 2), (4, 0))),
+            outcome(*missed.get((0, 1), (5, 0))).win,
+            outcome(*missed.get((1, 2), (5, 0))).win,
+            outcome(*missed.get((0, 2), (4, 0))).loss,
         )
         for s in range(3):
-            edges.append(Edge(head + (s,), head + ((s + 1) % 3,), _NINTHS[wins[s]]))
+            edges.append(Edge(head + (s,), head + ((s + 1) % 3,), wins[s]))
     edges.sort(key=lambda e: (e.source, e.target))
     return DominanceGraph(family.depth, level, False, nodes, tuple(edges))
 

@@ -7,6 +7,10 @@ prefix agree rank-by-rank on all prefix levels. Two distinct dice therefore
 duel exactly like their first differing trits: the cycle 0 beats 1 beats 2
 beats 0 decides the winner, always at probability 5/9.
 
+The word prefixes form a tree whose node at level j holds one level-j
+table. ``generate`` walks that tree a level at a time and reads each
+node's table once; ``face_value`` follows a single word's path.
+
 A family is stored as its depth, face multiplicity, rank faces in word
 order and, when it has one, its stack. Words follow from the depth and are
 derived on first use. No ``Die`` is ever built from a family: its node
@@ -25,7 +29,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -38,7 +41,7 @@ from metadice.dice import (
     is_digit_string,
 )
 from metadice.loshu import AssignmentStack, StackValidationError, parse_stack
-from metadice.sweep import certify, level_pairs, scan_suspects, sweep_pairs
+from metadice.sweep import certify, level_pairs, outcome, scan_suspects, sweep_pairs
 
 Word = tuple[int, ...]
 
@@ -95,7 +98,7 @@ def face_value(word: Word, rank: int, stack: AssignmentStack) -> Face:
         )
     if rank not in (0, 1, 2):
         raise ValueError(f"rank must be 0, 1 or 2, got {rank}")
-    return _stack_faces(stack, (word,))[0][rank]
+    return tuple(stack.assignment_at(j, word)[t][rank] for j, t in enumerate(word, 1))
 
 
 @dataclass(frozen=True)
@@ -151,23 +154,13 @@ def face_word_label(word: Word) -> str:
     return f"D{die_number(word)} ({''.join(str(t) for t in word)})"
 
 
-def _stack_faces(
-    stack: AssignmentStack, words: Iterable[Word]
-) -> tuple[tuple[Face, Face, Face], ...]:
-    """Rank faces of the die at each word, read off the stack's tables.
-
-    Row j of a die is the (rank 0, 1, 2) digit triple its level-j table
-    holds for the word's j-th trit; the faces are those rows' columns.
-    """
-    levels = range(1, stack.depth + 1)
-    return tuple(
-        tuple(zip(*(stack.assignment_at(j, w)[t] for j, t in zip(levels, w))))
-        for w in words
-    )
-
-
 def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     """Fill the whole depth-``stack.depth`` family from an assignment stack.
+
+    The walk goes node by node, a level at a time: every die of the level
+    above spawns three, one per subset of its node's table, and their rank
+    faces append that subset's digits. Each node's table is read once, so
+    a depth-k family costs (3^k - 1) / 2 table lookups.
 
     Stack validity is established at stack construction; this walk only
     reads tables. Dice come out pairwise distinct because the level-1
@@ -176,10 +169,16 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     """
     if multiplicity < 1:
         raise ValueError("face multiplicity must be positive")
-    words = itertools.product((0, 1, 2), repeat=stack.depth)
-    family = DiceFamily(
-        stack.depth, multiplicity, _stack_faces(stack, words), stack
-    )
+    rank_faces = [((), (), ())]
+    for level in range(1, stack.depth + 1):
+        # the dice so far are the nodes of this level, in prefix order
+        prefixes = itertools.product((0, 1, 2), repeat=level - 1)
+        rank_faces = [
+            (f0 + (a,), f1 + (b,), f2 + (c,))
+            for (f0, f1, f2), prefix in zip(rank_faces, prefixes)
+            for a, b, c in stack.assignment_at(level, prefix).subsets
+        ]
+    family = DiceFamily(stack.depth, multiplicity, tuple(rank_faces), stack)
     # dice of one multiplicity are equal exactly when their face sets are
     if len(set(map(frozenset, family.rank_faces))) != family.size:
         raise StackValidationError("the stack generates colliding dice")
@@ -250,9 +249,8 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     Failures are data, not errors; the report carries them in lexicographic
     word-pair order together with a per-level summary, so it is the same
     regardless of how the independent pair checks are scheduled. Each
-    failure's outcome comes from the sweep's own counts over the 3x3 face
-    grid: with 3 distinct faces per die at one multiplicity, they are the
-    exact duel probabilities times 9.
+    failure's outcome is read from the sweep's own counts by
+    :func:`metadice.sweep.outcome`.
     """
     start = time.perf_counter()
     faults = certify(family.rank_faces, family.depth)
@@ -274,10 +272,9 @@ def verify_family(family: DiceFamily) -> VerificationReport:
         w, v = family.words[i], family.words[j]
         p = next(idx for idx, (a, b) in enumerate(zip(w, v)) if a != b)
         fail_levels[p] += 1
-        observed = DuelResult(
-            Fraction(wins, 9), Fraction(ties, 9), Fraction(9 - wins - ties, 9)
+        failures.append(
+            PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
         )
-        failures.append(PairFailure(w, v, predicted_winner(w, v), observed))
     per_level = tuple(
         LevelSummary(p + 1, checked[p], fail_levels.get(p, 0))
         for p in range(family.depth)
@@ -400,11 +397,11 @@ def family_from_json(doc: dict) -> DiceFamily:
         rank_faces.append(tuple(faces))
     family = DiceFamily(depth, multiplicity, tuple(rank_faces), stack)
     if stack is not None:
-        built = _stack_faces(stack, family.words)
-        for word, faces, echo in zip(family.words, family.rank_faces, built):
+        built = generate(stack, multiplicity).rank_faces
+        for n, (faces, echo) in enumerate(zip(family.rank_faces, built), 1):
             if faces != echo:
                 raise FamilyFormatError(
-                    f"die {face_word_label(word)} has faces"
+                    f"die {face_word_label(word_of(n, depth))} has faces"
                     f" {' '.join(map(face_text, faces))} but the stack echo"
                     f" generates {' '.join(map(face_text, echo))}"
                 )

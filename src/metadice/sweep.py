@@ -12,8 +12,7 @@ contiguous index ranges, each with one expected win count.
 Faces are packed base 10 into integers, which preserves the positional
 comparison order for equal-length faces. A pair passes when the die
 favored by the cycle wins exactly 5 of the 9 face comparisons and none of
-them tie. With one face multiplicity across a family, these counts over
-the 3x3 distinct-face grid are the exact duel probabilities times 9.
+them tie; ``outcome`` reads such counts as a duel.
 
 Pairs are mutually independent; the sweep runs single-threaded and emits
 failures in (i, j) order, which is lexicographic word-pair order, so
@@ -43,9 +42,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
+from functools import cache
 from typing import Iterator, NamedTuple, Sequence
 
-from metadice.dice import Face
+from metadice.dice import DuelResult, Face
 from metadice.loshu import (
     DigitAssignment,
     StackValidationError,
@@ -67,6 +68,19 @@ def pack_face(face: Face) -> int:
     for d in face:
         code = code * 10 + d
     return code
+
+
+@cache
+def outcome(wins: int, ties: int) -> DuelResult:
+    """The duel behind a pair's counts over the 3x3 face grid.
+
+    With 3 distinct faces per die at one multiplicity, those counts are
+    the exact duel probabilities times 9, so only 55 outcomes exist; each
+    is built, and checked, once.
+    """
+    return DuelResult(
+        Fraction(wins, 9), Fraction(ties, 9), Fraction(9 - wins - ties, 9)
+    )
 
 
 def level_pairs(depth: int) -> list[int]:

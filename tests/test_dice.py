@@ -1,18 +1,17 @@
-"""Core dice arithmetic: comparison, exact duels, round-robin play."""
+"""Core dice arithmetic: exact duels, die parsing, round-robin play."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import die_pair, face_digits
+from conftest import die_pair
 from metadice.dice import (
     Die,
     DieParseError,
     DuelResult,
     LengthMismatchError,
     TeamOverlapError,
-    compare_faces,
     duel,
     face_text,
     parse_die,
@@ -34,25 +33,6 @@ def oracle_duel(x: Die, y: Die):
     tie = sum(1 for a in fx for b in fy if a == b)
     n = len(fx) * len(fy)
     return Fraction(win, n), Fraction(tie, n), Fraction(n - win - tie, n)
-
-
-class TestCompareFaces:
-    def test_greater_at_second_digit(self):
-        assert compare_faces((4, 8, 9), (4, 6, 4)) == 1
-
-    def test_equal(self):
-        assert compare_faces((2, 2, 2), (2, 2, 2)) == 0
-
-    def test_less(self):
-        assert compare_faces((9, 5, 4), (9, 7, 9)) == -1
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            compare_faces((1, 2), (1, 2, 3))
-
-    @given(face_digits(3), face_digits(3))
-    def test_antisymmetric(self, a, b):
-        assert compare_faces(a, b) == -compare_faces(b, a)
 
 
 class TestDuel:

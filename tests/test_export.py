@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import die_of, face_digits, random_rank_faces
-from metadice.dice import compare_faces, duel
+from metadice.dice import duel
 from metadice.export import (
     build_graph,
     graph_to_json,
@@ -208,8 +208,8 @@ class TestNormalizedValues:
     def test_order_isomorphic_to_face_comparison(self):
         points = normalized_values(PAPER3)
         for a, b in combinations(points, 2):
-            assert (a.value < b.value) == (compare_faces(a.face, b.face) < 0)
-            assert (a.value == b.value) == (compare_faces(a.face, b.face) == 0)
+            assert (a.value < b.value) == (a.face < b.face)
+            assert (a.value == b.value) == (a.face == b.face)
 
     @given(face_digits(3), face_digits(3))
     def test_order_isomorphism_random_faces(self, f, g):
@@ -221,7 +221,7 @@ class TestNormalizedValues:
                 code = code * 10 + d
             return Fraction(code, scale)
 
-        assert (value(f) < value(g)) == (compare_faces(f, g) < 0)
+        assert (value(f) < value(g)) == (f < g)
 
     def test_csv_layout(self):
         text = points_to_csv(normalized_values(PAPER1))

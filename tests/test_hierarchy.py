@@ -284,6 +284,29 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(preset_stack("paper-1"), 0)
 
+    @given(valid_stacks(max_depth=5))
+    @settings(max_examples=60)
+    def test_matches_per_word_reference(self, stack):
+        """Every digit computed per word from the base tables alone, with no
+        rotated table, node walk or ``assignment_at``."""
+
+        def digit(word, rule, t, rank):
+            shift = 0 if rule.rotate_by is None else word[rule.rotate_by - 1]
+            return rule.base[t][(rank + shift) % 3]
+
+        words = list(product(range(3), repeat=stack.depth))
+        expected = tuple(
+            tuple(
+                tuple(digit(w, rule, t, rank) for rule, t in zip(stack.levels, w))
+                for rank in range(3)
+            )
+            for w in words
+        )
+        assert generate(stack).rank_faces == expected
+        for word, faces in zip(words, expected):
+            for rank in range(3):
+                assert face_value(word, rank, stack) == faces[rank]
+
 
 class TestFamilyInvariants:
     def test_wrong_size_rejected(self):
