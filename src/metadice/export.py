@@ -5,30 +5,32 @@ prefixes as nodes, each trio of siblings wired into its 3-cycle) and the
 full view (every pair of dice, one edge per pair). Sibling edges follow the
 cycle and carry the source's exact win probability, so on a failing family
 one can point from a loser; full-view edges point from winner to loser.
-Both views read their win counts from the sweep.
+A sibling trio's win counts come from a sweep of its three representative
+dice; the full view takes the failing pairs from
+:func:`metadice.hierarchy.check_pairs`, the path ``verify`` runs, and every
+other pair duels exactly 5/9 the cycle's way.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
-scale-free presentation of a family's face values.
+scale-free presentation of a family's face values. Points hold ints and
+the renderers write their rows from those ints.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Sequence
+from itertools import product
+from math import gcd
+from typing import NamedTuple, Sequence
 
-from metadice.dice import Face, face_text
-from metadice.hierarchy import DiceFamily, Word, die_number, predicted_winner
-from metadice.sweep import outcome, pack_face, sweep_pairs
+from metadice.dice import Face
+from metadice.hierarchy import DiceFamily, Word, check_pairs, die_number
+from metadice.sweep import outcome, sweep_pairs
 
 Prefix = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: Prefix
     target: Prefix
     probability: Fraction
@@ -50,23 +52,10 @@ def node_name(prefix: Prefix, depth: int) -> str:
     return "".join(str(t) for t in prefix)
 
 
-def _missed(
-    rank_faces: Sequence[tuple[Face, Face, Face]], depth: int
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """(i, j) -> die i's (wins, ties) over the face grid, for each pair the
-    sweep lists.
-
-    The sweep lists only the pairs that miss the cycle's exact outcome; every
-    other pair is won 5 to 4, with no tie, by the die the cycle favors.
-    """
-    _, failures = sweep_pairs(rank_faces, depth)
-    return {(i, j): (wins, ties) for i, j, wins, ties in failures}
-
-
 def build_graph(
     family: DiceFamily, level: int | None = None, *, full: bool = False
 ) -> DominanceGraph:
-    """Dominance graph of a family, drawn from the sweep's win counts.
+    """Dominance graph of a family, drawn from integer win counts.
 
     Sibling mode (default) at level m: nodes are the 3^m prefixes; each
     group of three siblings gets its cycle edges, labeled with the win
@@ -74,9 +63,10 @@ def build_graph(
     zeros) over the target's. A trio's representatives are a depth-1
     family, so one small sweep settles it; for a valid family every
     cross-group pair duels alike, so the label is the group claim. Full
-    mode sweeps once and emits one edge per unordered pair of dice, winner
-    to loser; a pair with no strict winner keeps word order and its win
-    probability.
+    mode emits one edge per unordered pair of dice, winner to loser; a pair
+    with no strict winner keeps word order and its win probability. It
+    reads the failing pairs from :func:`metadice.hierarchy.check_pairs`, so
+    a certified family compares no pair.
     """
     if full:
         level = family.depth
@@ -86,17 +76,15 @@ def build_graph(
         raise ValueError(f"level {level} outside 1..{family.depth}")
 
     if full:
-        words = family.words
-        missed = _missed(family.rank_faces, family.depth)
-        edges = []
-        for i, j in combinations(range(family.size), 2):
-            w, v = words[i], words[j]
-            expected = (5 if predicted_winner(w, v) == w else 4, 0)
-            wins, ties = missed.get((i, j), expected)
+        words, n = family.words, family.size
+        edges = _cycle_edges(words, family.depth)
+        for i, j, wins, ties in check_pairs(family).failures:
+            # pair (i, j)'s place in (i, j) order
+            at = i * (2 * n - i - 1) // 2 + j - i - 1
             if 9 - wins - ties > wins:
-                edges.append(Edge(v, w, outcome(wins, ties).loss))
+                edges[at] = Edge(words[j], words[i], outcome(wins, ties).loss)
             else:
-                edges.append(Edge(w, v, outcome(wins, ties).win))
+                edges[at] = Edge(words[i], words[j], outcome(wins, ties).win)
         return DominanceGraph(family.depth, level, True, words, tuple(edges))
 
     nodes = tuple(product((0, 1, 2), repeat=level))
@@ -104,7 +92,9 @@ def build_graph(
     edges = []
     for n, head in enumerate(product((0, 1, 2), repeat=level - 1)):
         trio = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
-        missed = _missed(trio, 1)
+        # (i, j) -> die i's (wins, ties) for the pairs that miss the cycle's
+        # exact outcome; every other pair is won 5 to 4 the cycle's way
+        missed = {(i, j): (w, t) for i, j, w, t in sweep_pairs(trio, 1)[1]}
         # win probability of sibling s over sibling s + 1 around the cycle
         wins = (
             outcome(*missed.get((0, 1), (5, 0))).win,
@@ -117,50 +107,112 @@ def build_graph(
     return DominanceGraph(family.depth, level, False, nodes, tuple(edges))
 
 
+def _cycle_edges(words: Sequence[Word], depth: int) -> list[Edge]:
+    """One edge per pair of a depth-``depth`` family, in (i, j) order, as
+    the cycle predicts it: 5/9 from the die it favors to the other.
+
+    The walk is :func:`metadice.sweep.sweep_pairs`'s: for die i and each
+    level, deepest first, i's block beats its successor block and loses to
+    the one after it, which only a trit-0 block has as a later sibling.
+    """
+    five_ninths = outcome(5, 0).win
+    sizes = [3 ** p for p in range(depth)]
+    edges: list[Edge] = []
+    for i, w in enumerate(words):
+        for size in sizes:
+            trit = i // size % 3
+            if trit == 2:
+                continue
+            nxt = i - i % size + size
+            edges.extend(Edge(w, v, five_ninths) for v in words[nxt : nxt + size])
+            if trit == 0:
+                later = words[nxt + size : nxt + 2 * size]
+                edges.extend(Edge(v, w, five_ninths) for v in later)
+    return edges
+
+
+def _node_names(graph: DominanceGraph) -> dict[Prefix, str]:
+    return {prefix: node_name(prefix, graph.depth) for prefix in graph.nodes}
+
+
+def _sorted_edges(graph: DominanceGraph) -> list[Edge]:
+    """The edges in (source, target) order, compared as node positions."""
+    position = {prefix: k for k, prefix in enumerate(sorted(graph.nodes))}
+    n = len(position)
+    return sorted(
+        graph.edges, key=lambda e: position[e.source] * n + position[e.target]
+    )
+
+
+def _labels(edges: Sequence[Edge]) -> dict[int, str]:
+    """Each probability's text, keyed by the id of its object: the edges
+    share a few ``Fraction`` objects, which are slow to hash and to print."""
+    labels: dict[int, str] = {}
+    for edge in edges:
+        if id(edge.probability) not in labels:
+            labels[id(edge.probability)] = str(edge.probability)
+    return labels
+
+
 def to_dot(graph: DominanceGraph) -> str:
     """Byte-deterministic DOT text: sorted nodes, then sorted edges."""
+    names, labels = _node_names(graph), _labels(graph.edges)
     lines = ["digraph dominance {"]
-    for prefix in sorted(graph.nodes):
-        lines.append(f'  "{node_name(prefix, graph.depth)}";')
-    for edge in sorted(graph.edges, key=lambda e: (e.source, e.target)):
-        lines.append(
-            f'  "{node_name(edge.source, graph.depth)}"'
-            f' -> "{node_name(edge.target, graph.depth)}"'
-            f' [label="{edge.probability}"];'
-        )
+    lines.extend(f'  "{names[prefix]}";' for prefix in sorted(graph.nodes))
+    lines.extend(
+        f'  "{names[source]}" -> "{names[target]}"'
+        f' [label="{labels[id(probability)]}"];'
+        for source, target, probability in _sorted_edges(graph)
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(graph: DominanceGraph) -> dict:
+    names, labels = _node_names(graph), _labels(graph.edges)
     return {
         "depth": graph.depth,
         "level": graph.level,
         "full": graph.full,
-        "nodes": [node_name(p, graph.depth) for p in sorted(graph.nodes)],
+        "nodes": [names[prefix] for prefix in sorted(graph.nodes)],
         "edges": [
             {
-                "from": node_name(e.source, graph.depth),
-                "to": node_name(e.target, graph.depth),
-                "probability": str(e.probability),
+                "from": names[source],
+                "to": names[target],
+                "probability": labels[id(probability)],
             }
-            for e in sorted(graph.edges, key=lambda e: (e.source, e.target))
+            for source, target, probability in _sorted_edges(graph)
         ],
     }
 
 
-@dataclass(frozen=True)
-class NormalizedPoint:
-    """One face read as a decimal fraction: face 221 becomes 0.221."""
+class NormalizedPoint(NamedTuple):
+    """One face read as a decimal fraction: face 221 becomes 0.221.
+
+    ``numerator`` and ``denominator`` are the value in lowest terms (221/1000
+    here; face 012 gives 0.012 = 3/250), and ``digits`` is the face as text,
+    which keeps the leading zeros the fraction drops. ``number`` is the
+    die's D-number and ``word`` the family's own word tuple.
+    """
 
     word: Word
+    number: int
     rank: int
-    face: Face
-    value: Fraction
+    digits: str
+    numerator: int
+    denominator: int
+
+    @property
+    def face(self) -> Face:
+        return tuple(map(int, self.digits))
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def decimal(self) -> str:
-        return "0." + face_text(self.face)
+        return "0." + self.digits
 
 
 def normalized_values(family: DiceFamily) -> tuple[NormalizedPoint, ...]:
@@ -170,44 +222,47 @@ def normalized_values(family: DiceFamily) -> tuple[NormalizedPoint, ...]:
     the positional face comparison.
     """
     scale = 10 ** family.depth
+    texts = iter(family.face_texts())
     points = []
-    for word, faces in zip(family.words, family.rank_faces):
-        for rank, face in enumerate(faces):
+    for number, word in enumerate(family.words, start=1):
+        for rank, digits in zip((0, 1, 2), texts):
+            code = int(digits)
+            common = gcd(code, scale)
             points.append(
-                NormalizedPoint(word, rank, face, Fraction(pack_face(face), scale))
+                NormalizedPoint(
+                    word, number, rank, digits, code // common, scale // common
+                )
             )
     return tuple(points)
 
 
-def points_to_csv(points: tuple[NormalizedPoint, ...]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["word", "paper_number", "rank", "decimal", "numerator", "denominator"]
+def _word_texts(points: Sequence[NormalizedPoint]) -> dict[Word, str]:
+    """Each distinct word's trits as text, written once for its three points."""
+    return {w: "".join(map(str, w)) for w in dict.fromkeys(p.word for p in points)}
+
+
+def points_to_csv(points: Sequence[NormalizedPoint]) -> str:
+    """One row per point; no field can hold a comma, quote or line break,
+    so rows need no CSV quoting."""
+    words = _word_texts(points)
+    rows = ["word,paper_number,rank,decimal,numerator,denominator\n"]
+    rows.extend(
+        f"{words[word]},{number},{rank},0.{digits},{numerator},{denominator}\n"
+        for word, number, rank, digits, numerator, denominator in points
     )
-    for p in points:
-        writer.writerow(
-            [
-                "".join(str(t) for t in p.word),
-                die_number(p.word),
-                p.rank,
-                p.decimal,
-                p.value.numerator,
-                p.value.denominator,
-            ]
-        )
-    return out.getvalue()
+    return "".join(rows)
 
 
-def points_to_json(points: tuple[NormalizedPoint, ...]) -> list[dict]:
+def points_to_json(points: Sequence[NormalizedPoint]) -> list[dict]:
+    words = _word_texts(points)
     return [
         {
-            "word": "".join(str(t) for t in p.word),
-            "paper_number": die_number(p.word),
-            "rank": p.rank,
-            "decimal": p.decimal,
-            "numerator": p.value.numerator,
-            "denominator": p.value.denominator,
+            "word": words[word],
+            "paper_number": number,
+            "rank": rank,
+            "decimal": "0." + digits,
+            "numerator": numerator,
+            "denominator": denominator,
         }
-        for p in points
+        for word, number, rank, digits, numerator, denominator in points
     ]

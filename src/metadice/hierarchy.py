@@ -14,8 +14,9 @@ node's table once; ``face_value`` follows a single word's path.
 A family is stored as its depth, face multiplicity, rank faces in word
 order and, when it has one, its stack. Words follow from the depth and are
 derived on first use. No ``Die`` is ever built from a family: its node
-tables or the sweep's integer counts over the 3x3 face grid settle
-verification, and those counts give the dominance graphs.
+tables or integer win counts over the 3x3 face grid settle verification,
+and :func:`check_pairs` hands the same failing pairs to the dominance
+graphs.
 
 ``verify_family`` proves that claim for a concrete family, by the node-table
 certificate or by checking the pairs it cannot vouch for; the
@@ -30,7 +31,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from metadice.dice import (
     Die,
@@ -41,11 +42,22 @@ from metadice.dice import (
     is_digit_string,
 )
 from metadice.loshu import AssignmentStack, StackValidationError, parse_stack
-from metadice.sweep import certify, level_pairs, outcome, scan_suspects, sweep_pairs
+from metadice.sweep import (
+    Failure,
+    Faults,
+    certify,
+    level_pairs,
+    outcome,
+    scan_suspects,
+    sweep_pairs,
+)
 
 Word = tuple[int, ...]
 
 _DIGITS = frozenset(range(10))
+
+#: Byte d -> the ASCII digit d, for writing faces of digits 0..9 as text.
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class FamilyFormatError(ValueError):
@@ -148,6 +160,15 @@ class DiceFamily:
     def size(self) -> int:
         return len(self.rank_faces)
 
+    def face_texts(self) -> list[str]:
+        """Every face as its digit string, rank by rank and die by die: die
+        i's rank-r face is entry 3i + r."""
+        # validation keeps every digit in 0..9, one byte each
+        faces = itertools.chain.from_iterable(self.rank_faces)
+        text = b"".join(map(bytes, faces)).translate(_DIGIT_TEXT).decode()
+        k = self.depth
+        return [text[start : start + k] for start in range(0, len(text), k)]
+
 
 def face_word_label(word: Word) -> str:
     """Human label for a word: its D-number plus the trits."""
@@ -237,14 +258,46 @@ class VerificationReport:
         return not self.failures
 
 
+class PairCheck(NamedTuple):
+    """The pairs of a family that miss the exact (5/9, 0, 4/9) outcome, and
+    how :func:`check_pairs` found them.
+
+    ``failures`` are (i, j, wins of i, ties) records in (i, j) order, as
+    :func:`metadice.sweep.sweep_pairs` returns them; ``checked`` holds the
+    pairs per first-difference level (0-based).
+    """
+
+    faults: Faults
+    method: str
+    checked: list[int]
+    failures: list[Failure]
+    scanned: int
+
+
+def check_pairs(family: DiceFamily) -> PairCheck:
+    """Run the certificate and then the path it leaves: no pair on a proof,
+    the pairs the node tables cannot vouch for while the level-1 table
+    holds, every pair otherwise (see the :mod:`metadice.sweep` docstring).
+    """
+    faults = certify(family.rank_faces, family.depth)
+    if faults.reason is None:
+        return PairCheck(faults, "certificate", level_pairs(family.depth), [], 0)
+    if faults.bad_nodes[0]:
+        checked, failures = sweep_pairs(family.rank_faces, family.depth)
+        return PairCheck(faults, "sweep", checked, failures, sum(checked))
+    failures, scanned = scan_suspects(family.rank_faces, family.depth, faults)
+    return PairCheck(
+        faults, "localized", level_pairs(family.depth), failures, scanned
+    )
+
+
 def verify_family(family: DiceFamily) -> VerificationReport:
     """Check that every pair duels at exactly (5/9, 0, 4/9) in favor of
     :func:`predicted_winner`.
 
-    The certificate (:func:`metadice.sweep.certify`) runs first and picks
-    one of the paths the :mod:`metadice.sweep` docstring describes. Every
-    path reports the same counts and failures; ``method`` says which ran
-    and ``pairs_scanned`` how many pairs it compared.
+    :func:`check_pairs` runs the certificate first and then the path it
+    leaves. Every path reports the same counts and failures; ``method``
+    says which ran and ``pairs_scanned`` how many pairs it compared.
 
     Failures are data, not errors; the report carries them in lexicographic
     word-pair order together with a per-level summary, so it is the same
@@ -253,22 +306,10 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     :func:`metadice.sweep.outcome`.
     """
     start = time.perf_counter()
-    faults = certify(family.rank_faces, family.depth)
-    checked = level_pairs(family.depth)
-    if faults.reason is None:
-        method, raw_failures, scanned = "certificate", [], 0
-    elif faults.bad_nodes[0]:
-        checked, raw_failures = sweep_pairs(family.rank_faces, family.depth)
-        method, scanned = "sweep", sum(checked)
-    else:
-        raw_failures, scanned = scan_suspects(
-            family.rank_faces, family.depth, faults
-        )
-        method = "localized"
-
+    pairs = check_pairs(family)
     failures = []
     fail_levels: Counter[int] = Counter()
-    for i, j, wins, ties in raw_failures:
+    for i, j, wins, ties in pairs.failures:
         w, v = family.words[i], family.words[j]
         p = next(idx for idx, (a, b) in enumerate(zip(w, v)) if a != b)
         fail_levels[p] += 1
@@ -276,20 +317,20 @@ def verify_family(family: DiceFamily) -> VerificationReport:
             PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
         )
     per_level = tuple(
-        LevelSummary(p + 1, checked[p], fail_levels.get(p, 0))
+        LevelSummary(p + 1, pairs.checked[p], fail_levels.get(p, 0))
         for p in range(family.depth)
     )
     return VerificationReport(
         depth=family.depth,
         dice_count=family.size,
         multiplicity=family.multiplicity,
-        pairs_checked=sum(checked),
+        pairs_checked=sum(pairs.checked),
         failures=tuple(failures),
         per_level=per_level,
         elapsed=time.perf_counter() - start,
-        certificate_detail=faults.reason,
-        method=method,
-        pairs_scanned=scanned,
+        certificate_detail=pairs.faults.reason,
+        method=pairs.method,
+        pairs_scanned=pairs.scanned,
     )
 
 
@@ -319,13 +360,14 @@ def family_to_json(family: DiceFamily) -> dict:
     doc: dict = {"depth": family.depth, "multiplicity": family.multiplicity}
     if family.stack is not None:
         doc["stack"] = family.stack.lines()
+    texts = family.face_texts()
     doc["dice"] = [
         {
             "word": list(word),
-            "paper_number": die_number(word),
-            "faces": [face_text(f) for f in faces],
+            "paper_number": i + 1,
+            "faces": texts[3 * i : 3 * i + 3],
         }
-        for word, faces in zip(family.words, family.rank_faces)
+        for i, word in enumerate(family.words)
     ]
     return doc
 
@@ -374,15 +416,16 @@ def family_from_json(doc: dict) -> DiceFamily:
         word = tuple(_int_field(t, "a trit", pos) for t in entry["word"])
         if any(t not in (0, 1, 2) for t in word):
             raise FamilyFormatError(f"dice entry {pos} has a bad trit")
+        word_number = die_number(word)
         number = entry.get("paper_number")
         if number is not None and _int_field(
             number, "paper_number", pos
-        ) != die_number(word):
+        ) != word_number:
             raise FamilyFormatError(
                 f"dice entry {pos}: paper_number {number} does not match"
                 f" word {list(word)}"
             )
-        if len(word) != depth or die_number(word) != pos + 1:
+        if len(word) != depth or word_number != pos + 1:
             raise FamilyFormatError(
                 f"words must cover all of them in lexicographic order;"
                 f" entry {pos} is {word}"
@@ -393,7 +436,7 @@ def family_from_json(doc: dict) -> DiceFamily:
                 raise FamilyFormatError(
                     f"dice entry {pos}: faces must be digit strings"
                 )
-            faces.append(tuple(int(c) for c in s))
+            faces.append(tuple(map(int, s)))
         rank_faces.append(tuple(faces))
     family = DiceFamily(depth, multiplicity, tuple(rank_faces), stack)
     if stack is not None:
@@ -410,6 +453,8 @@ def family_from_json(doc: dict) -> DiceFamily:
 
 def _int_field(value: object, name: str, pos: int | None = None) -> int:
     """An integer document field: a JSON integer or a string of ASCII digits."""
+    if type(value) is int:  # bool, an int subclass, is refused below
+        return value
     if isinstance(value, bool) or not (
         isinstance(value, int) or is_digit_string(value)
     ):

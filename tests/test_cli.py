@@ -1,13 +1,15 @@
 """The CLI exit-code contract: 2 and an ``error:`` line on malformed input,
-and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout."""
+and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout.
+Also the JSON writer's byte identity with ``json.dumps(indent=2)``."""
 
 import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_cli_main
+from metadice.cli import _json_text
 from metadice.hierarchy import family_to_json, generate
 from metadice.loshu import preset_stack
 
@@ -275,7 +277,8 @@ def family_documents(draw):
         elif not isinstance(entry, dict):
             continue
         elif target == "face":
-            faces = entry["faces"]
+            # an earlier step may have left an entry without faces
+            faces = entry.get("faces")
             if isinstance(faces, list) and faces:
                 faces[draw(st.integers(0, len(faces) - 1))] = draw(fuzz_text)
         else:
@@ -319,3 +322,34 @@ def test_exit_code_contract_holds_on_fuzzed_input(tmp_path_factory, call):
     assert code != 1 or argv[0] == "verify"
     assert "Traceback" not in err
     assert run_cli_main(argv, stdin)[:2] == (code, out)
+
+
+#: Strings that need escapes: quotes, backslashes, control characters and
+#: text outside ASCII, down to a character outside the basic plane.
+escaped_text = st.text(
+    alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a9\u00e9\u2603\U0001f600')
+)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), escaped_text
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=4), escaped_text), inner, max_size=4),
+        # the lists the writer joins in one call, and near misses of them
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.lists(st.one_of(st.text(max_size=4), escaped_text), max_size=5),
+        st.lists(st.one_of(st.integers(), st.floats(), st.none()), max_size=5),
+    ),
+    max_leaves=24,
+)
+
+
+@given(json_documents)
+@example({"word": [0, True, 2], "paper_number": 2, "faces": ["249", "\u0662\"\\"]})
+@example([[], {}, [1, False], [1.5, 2], ["a", None], {"": -0.0}])
+def test_json_text_is_indented_dumps(doc):
+    """The CLI's JSON writer prints exactly what ``json.dumps(indent=2)``
+    prints, including booleans inside a list of ints."""
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"

@@ -1,14 +1,16 @@
 """Dominance graphs, DOT/JSON serialization, normalized point emission."""
 
+import csv
+import io
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import die_of, face_digits, random_rank_faces
+from conftest import die_of, face_digits, random_rank_faces, valid_stacks
 from metadice.dice import duel
 from metadice.export import (
     build_graph,
@@ -18,8 +20,18 @@ from metadice.export import (
     points_to_csv,
     to_dot,
 )
-from metadice.hierarchy import DiceFamily, die_number, generate, predicted_winner
+from metadice.hierarchy import (
+    DiceFamily,
+    FamilyFormatError,
+    check_pairs,
+    die_number,
+    family_from_rows,
+    generate,
+    predicted_winner,
+)
 from metadice.loshu import preset_stack
+from metadice.sweep import sweep_pairs
+from test_hierarchy import certificate_families, frozen
 
 FIVE_NINTHS = Fraction(5, 9)
 
@@ -139,6 +151,54 @@ def test_graphs_match_duel_oracle_on_random_families():
     assert ties and reversed_edges
 
 
+def sweep_graph_edges(family):
+    """(source, target, probability) of every full-graph edge, in (i, j)
+    order, from the raw counts of the all-pairs sweep."""
+    _, failures = sweep_pairs(family.rank_faces, family.depth)
+    missed = {(i, j): (wins, ties) for i, j, wins, ties in failures}
+    words = family.words
+    edges = []
+    for i, j in combinations(range(family.size), 2):
+        w, v = words[i], words[j]
+        expected = (5 if predicted_winner(w, v) == w else 4, 0)
+        wins, ties = missed.get((i, j), expected)
+        if 9 - wins - ties > wins:
+            edges.append((v, w, Fraction(9 - wins - ties, 9)))
+        else:
+            edges.append((w, v, Fraction(wins, 9)))
+    return edges
+
+
+def paper3_single_faults(count, seed=4242):
+    """A sample of the one-digit alterations of paper-3 that still form a
+    family."""
+    rng = random.Random(seed)
+    sites = list(product(range(27), range(3), range(3), range(10)))
+    for i, rank, pos, digit in rng.sample(sites, count):
+        faces = [list(map(list, die)) for die in PAPER3.rank_faces]
+        faces[i][rank][pos] = digit
+        yield 3, frozen(faces)
+
+
+def test_full_graph_matches_the_sweep_on_every_path():
+    """The full graph takes its failing pairs from the path verify runs;
+    on every path it equals the graph drawn from the sweep's own counts."""
+    families = [(d, f) for d, f, _ in certificate_families()]
+    families += paper3_single_faults(60)
+    methods = set()
+    for depth, rank_faces in families:
+        try:
+            family = DiceFamily(depth, 2, rank_faces)
+        except FamilyFormatError:
+            continue  # an altered digit repeated a face
+        graph = build_graph(family, full=True)
+        assert [
+            (e.source, e.target, e.probability) for e in graph.edges
+        ] == sweep_graph_edges(family)
+        methods.add(check_pairs(family).method)
+    assert methods == {"certificate", "localized", "sweep"}
+
+
 class TestDot:
     def test_cycle_structure(self):
         nodes, edges = read_dot(to_dot(build_graph(PAPER1, 1)))
@@ -230,6 +290,43 @@ class TestNormalizedValues:
         assert lines[1] == "0,1,0,0.2,1,5"
         assert lines[3] == "0,1,2,0.9,9,10"
         assert len(lines) == 1 + 9
+
+    @staticmethod
+    def csv_writer_rendering(family):
+        """The CSV text ``csv.writer`` gives for a family's faces, every
+        field worked out from its words and rank faces."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ["word", "paper_number", "rank", "decimal", "numerator", "denominator"]
+        )
+        for word, faces in zip(family.words, family.rank_faces):
+            for rank, face in enumerate(faces):
+                digits = "".join(str(d) for d in face)
+                value = Fraction(int(digits), 10 ** len(digits))
+                writer.writerow([
+                    "".join(str(t) for t in word), die_number(word), rank,
+                    "0." + digits, value.numerator, value.denominator,
+                ])
+        return out.getvalue()
+
+    @given(valid_stacks(max_depth=5))
+    def test_csv_matches_csv_writer(self, stack):
+        family = generate(stack)
+        text = points_to_csv(normalized_values(family))
+        assert text == self.csv_writer_rendering(family)
+
+    def test_csv_leading_zeros(self):
+        """Faces 000 to 080: leading zeros stay in the decimal, and the
+        values reduce, 0.012 to 3/250 and 0.000 to 0/1."""
+        rows = [[f"{3 * n + r:03d}" for r in range(3)] for n in range(27)]
+        family = family_from_rows(rows)
+        points = normalized_values(family)
+        by_face = {p.decimal: p for p in points}
+        assert (by_face["0.012"].numerator, by_face["0.012"].denominator) == (3, 250)
+        assert (by_face["0.000"].numerator, by_face["0.000"].denominator) == (0, 1)
+        assert by_face["0.012"].value == Fraction(3, 250)
+        assert points_to_csv(points) == self.csv_writer_rendering(family)
 
     def test_csv_deterministic(self):
         assert points_to_csv(normalized_values(PAPER2)) == points_to_csv(

@@ -73,10 +73,21 @@ def _cases():
     rotated = ["--stack", "{rotated}"]
     cases["generate-json rotated-5"] = ["generate", *rotated]
     cases["normalize-csv rotated-5"] = ["normalize", *rotated]
+    cases["normalize-json rotated-5"] = ["normalize", *rotated, "--format", "json"]
     cases["verify-json rotated-5"] = ["verify", *rotated, "--format", "json"]
     cases["graph-full rotated-5"] = ["graph", *rotated, "--full-graph"]
     for level in range(2, 6):
         cases[f"graph-level{level} rotated-5"] = ["graph", *rotated, "--level", str(level)]
+    cases["graph-level2-json rotated-5"] = [
+        "graph", *rotated, "--level", "2", "--format", "json"
+    ]
+    # the JSON producers that read no family; simulate's estimate is a float
+    cases["prob-json"] = ["prob", "2,4,9", "1,4,8", "--format", "json"]
+    cases["roundrobin-json"] = ["roundrobin", "4,9,2", "3,5,7", "--format", "json"]
+    cases["simulate-json"] = [
+        "simulate", "2,4,9", "1,6,8", "--trials", "1000", "--seed", "3",
+        "--format", "json",
+    ]
     tampered = ["--family", "{tampered}"]
     cases["verify-json tampered-4"] = ["verify", *tampered, "--format", "json"]
     cases["generate-json tampered-4"] = ["generate", *tampered]
@@ -134,12 +145,17 @@ GOLDEN = {
     "graph-full paper-3": (0, "f762f5ecd64da79f419ec70bfe19fc92404ecebae4308e402f0fc6dd4573e748"),
     "generate-json rotated-5": (0, "6c58e9cd50a1f6eae407094679b738164a69e698f456f9be1ce2a131bfe2f052"),
     "normalize-csv rotated-5": (0, "59f9ece7706e801b9600297e1bbdb63a068b8984d0384c37e4c607f95be27719"),
+    "normalize-json rotated-5": (0, "8ada6611387a22ff0dfa3c9b2d1e25a2fac4486183df15c3c7e2bbe72ba07967"),
     "verify-json rotated-5": (0, "f02ff64447c8a518941f54b03ffb1707d49b064eddc0e812ef955f23264f4748"),
     "graph-full rotated-5": (0, "7835bbfddef7f38b82b03beae6ded44d5e67707c99ffb060144317e086315f33"),
     "graph-level2 rotated-5": (0, "383e90da3ab10b7f2c27ab18a5a30191a6fd9b57da01cb538c1266975caee480"),
     "graph-level3 rotated-5": (0, "a629258dca406ab845aaf1187971b8d5164356b0ec3e45d30be88cd5bde9c10b"),
     "graph-level4 rotated-5": (0, "119a38c9abe24431d8308ce07571efe9fb7f5ca05bab6495a64f8146db3c9849"),
     "graph-level5 rotated-5": (0, "34961c171aa7adf42746026329662440d45091f8230a5d9f5def04dd10ad1d8e"),
+    "graph-level2-json rotated-5": (0, "c1f2e8b7c4027e78cf3c22d66015cb16b7477a99be48d96b3ce795739354b479"),
+    "prob-json": (0, "c90c0bc4bf31958f9e92e7de9e8eb9fdaf1516257ceb4b6b2becab950774d90c"),
+    "roundrobin-json": (0, "9d224baa6efa316adcab3ec60b3e7811ff9a28519f8a5f2fe37462f5de71f67f"),
+    "simulate-json": (0, "0fb5a6e35a66344037b0bbaed98d69e291cbf0998a5b98c5c7428d6b4b29a09f"),
     "verify-json tampered-4": (1, "69cd15de1d85bf9a2363d506d968c5d4751bd320f2c2b1649dd6ad58cd267888"),
     "generate-json tampered-4": (0, "af58903265cae9f757bba14aaef75d81031969d644f69c8fd1f702318f68df7f"),
     "normalize-csv tampered-4": (0, "3a8592ec2bd1f9ebefa4b6dd7681eeba21af16c259b7c9a14e22795b3241f5ed"),
