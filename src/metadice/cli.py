@@ -21,7 +21,6 @@ from metadice.dice import (
     LengthMismatchError,
     TeamOverlapError,
     duel,
-    face_text,
     parse_die,
     round_robin,
 )
@@ -276,9 +275,7 @@ def _emit(args, text: str) -> None:
 
 def tables_text(depth: int) -> str:
     family = generate(preset_stack(f"paper-{depth}"))
-    faces = [
-        " ".join(face_text(f) for f in triple) for triple in family.rank_faces
-    ]
+    faces = [" ".join(triple) for triple in family.rank_faces]
     lines: list[str] = []
     if depth == 1:
         for label, row in zip("ABC", faces):
@@ -303,7 +300,7 @@ def tables_text(depth: int) -> str:
 
 def family_listing(family: DiceFamily) -> str:
     lines = [
-        f"D{n} " + " ".join(face_text(f) for f in triple)
+        f"D{n} " + " ".join(triple)
         for n, triple in enumerate(family.rank_faces, start=1)
     ]
     return "\n".join(lines) + "\n"

@@ -17,8 +17,7 @@ Face = tuple[int, ...]
 
 #: Digits are ASCII only: ``str.isdigit()``, ``\d`` and ``int()`` also take
 #: other scripts' digits (Arabic-Indic two reads as 2), so every parser
-#: matches ``[0-9]`` instead.
-_DIGIT_STRING = re.compile(r"[0-9]+\Z")
+#: matches ``[0-9]`` or also tests ``str.isascii()``.
 _FACE_TOKEN = re.compile(r"([0-9]+)(?:x([0-9]+))?\Z")
 
 
@@ -40,7 +39,7 @@ class DieParseError(ValueError):
 
 def is_digit_string(text: object) -> bool:
     """True for a non-empty string of ASCII digits only."""
-    return isinstance(text, str) and _DIGIT_STRING.match(text) is not None
+    return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
 def face_text(face: Face) -> str:

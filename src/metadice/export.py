@@ -222,10 +222,9 @@ def normalized_values(family: DiceFamily) -> tuple[NormalizedPoint, ...]:
     the positional face comparison.
     """
     scale = 10 ** family.depth
-    texts = iter(family.face_texts())
     points = []
-    for number, word in enumerate(family.words, start=1):
-        for rank, digits in zip((0, 1, 2), texts):
+    for number, (word, faces) in enumerate(zip(family.words, family.rank_faces), 1):
+        for rank, digits in enumerate(faces):
             code = int(digits)
             common = gcd(code, scale)
             points.append(

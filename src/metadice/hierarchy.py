@@ -12,8 +12,10 @@ table. ``generate`` walks that tree a level at a time and reads each
 node's table once; ``face_value`` follows a single word's path.
 
 A family is stored as its depth, face multiplicity, rank faces in word
-order and, when it has one, its stack. Words follow from the depth and are
-derived on first use. No ``Die`` is ever built from a family: its node
+order and, when it has one, its stack. A face is its digit string, one Lo
+Shu digit per nesting level, as the documents write it; for equal lengths
+string order is the positional digit order. Words follow from the depth and
+are derived on first use. No ``Die`` is ever built from a family: its node
 tables or integer win counts over the 3x3 face grid settle verification,
 and :func:`check_pairs` hands the same failing pairs to the dominance
 graphs.
@@ -33,15 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from metadice.dice import (
-    Die,
-    DuelResult,
-    Face,
-    LengthMismatchError,
-    face_text,
-    is_digit_string,
-)
-from metadice.loshu import AssignmentStack, StackValidationError, parse_stack
+from metadice.dice import Die, DuelResult, LengthMismatchError, is_digit_string
+from metadice.loshu import AssignmentStack, parse_stack
 from metadice.sweep import (
     Failure,
     Faults,
@@ -53,11 +48,6 @@ from metadice.sweep import (
 )
 
 Word = tuple[int, ...]
-
-_DIGITS = frozenset(range(10))
-
-#: Byte d -> the ASCII digit d, for writing faces of digits 0..9 as text.
-_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class FamilyFormatError(ValueError):
@@ -102,31 +92,34 @@ def predicted_winner(w: Word, v: Word) -> Word | None:
     return None
 
 
-def face_value(word: Word, rank: int, stack: AssignmentStack) -> Face:
-    """Digits of the rank-``rank`` face of the die at ``word``."""
+def face_value(word: Word, rank: int, stack: AssignmentStack) -> str:
+    """Digit string of the rank-``rank`` face of the die at ``word``."""
     if len(word) != stack.depth:
         raise ValueError(
             f"word length {len(word)} does not match stack depth {stack.depth}"
         )
     if rank not in (0, 1, 2):
         raise ValueError(f"rank must be 0, 1 or 2, got {rank}")
-    return tuple(stack.assignment_at(j, word)[t][rank] for j, t in enumerate(word, 1))
+    return "".join(
+        str(stack.assignment_at(j, word)[t][rank]) for j, t in enumerate(word, 1)
+    )
 
 
 @dataclass(frozen=True)
 class DiceFamily:
     """All 3^depth dice of one construction, addressed by ternary words.
 
-    ``rank_faces[i]`` are die i's faces in rank order, entries in
-    lexicographic word order, so index = die number - 1. ``stack`` is None
-    for families imported from documents that carry no construction.
+    ``rank_faces[i]`` are die i's faces in rank order, each a string of
+    ``depth`` ASCII digits, entries in lexicographic word order, so index =
+    die number - 1. ``stack`` is None for families imported from documents
+    that carry no construction.
     ``words`` is derived from the depth on first use and cached; a die is
     read as its rank faces, each at the family multiplicity.
     """
 
     depth: int
     multiplicity: int
-    rank_faces: tuple[tuple[Face, Face, Face], ...]
+    rank_faces: tuple[tuple[str, str, str], ...]
     stack: AssignmentStack | None = None
 
     def __post_init__(self):
@@ -146,7 +139,7 @@ class DiceFamily:
                     f"die {face_word_label(word_of(n, self.depth))}"
                     " needs 3 distinct faces"
                 )
-            if any(len(f) != self.depth or not _DIGITS.issuperset(f) for f in faces):
+            if not all(is_digit_string(f) and len(f) == self.depth for f in faces):
                 raise FamilyFormatError(
                     f"die {face_word_label(word_of(n, self.depth))} has a face"
                     f" that is not {self.depth} digits from 0..9"
@@ -159,15 +152,6 @@ class DiceFamily:
     @property
     def size(self) -> int:
         return len(self.rank_faces)
-
-    def face_texts(self) -> list[str]:
-        """Every face as its digit string, rank by rank and die by die: die
-        i's rank-r face is entry 3i + r."""
-        # validation keeps every digit in 0..9, one byte each
-        faces = itertools.chain.from_iterable(self.rank_faces)
-        text = b"".join(map(bytes, faces)).translate(_DIGIT_TEXT).decode()
-        k = self.depth
-        return [text[start : start + k] for start in range(0, len(text), k)]
 
 
 def face_word_label(word: Word) -> str:
@@ -184,26 +168,22 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     a depth-k family costs (3^k - 1) / 2 table lookups.
 
     Stack validity is established at stack construction; this walk only
-    reads tables. Dice come out pairwise distinct because the level-1
-    digits already separate the three subsets; a collision is still raised
-    as a :class:`StackValidationError` rather than returned.
+    reads tables. Dice come out pairwise distinct: two dice that first
+    differ at level p take their level-p digits from different subsets of
+    one node table, whose nine digits are distinct, so they share no face.
     """
     if multiplicity < 1:
         raise ValueError("face multiplicity must be positive")
-    rank_faces = [((), (), ())]
+    rank_faces = [("", "", "")]
     for level in range(1, stack.depth + 1):
         # the dice so far are the nodes of this level, in prefix order
         prefixes = itertools.product((0, 1, 2), repeat=level - 1)
         rank_faces = [
-            (f0 + (a,), f1 + (b,), f2 + (c,))
+            (f0 + str(a), f1 + str(b), f2 + str(c))
             for (f0, f1, f2), prefix in zip(rank_faces, prefixes)
             for a, b, c in stack.assignment_at(level, prefix).subsets
         ]
-    family = DiceFamily(stack.depth, multiplicity, tuple(rank_faces), stack)
-    # dice of one multiplicity are equal exactly when their face sets are
-    if len(set(map(frozenset, family.rank_faces))) != family.size:
-        raise StackValidationError("the stack generates colliding dice")
-    return family
+    return DiceFamily(stack.depth, multiplicity, tuple(rank_faces), stack)
 
 
 @dataclass(frozen=True)
@@ -360,14 +340,9 @@ def family_to_json(family: DiceFamily) -> dict:
     doc: dict = {"depth": family.depth, "multiplicity": family.multiplicity}
     if family.stack is not None:
         doc["stack"] = family.stack.lines()
-    texts = family.face_texts()
     doc["dice"] = [
-        {
-            "word": list(word),
-            "paper_number": i + 1,
-            "faces": texts[3 * i : 3 * i + 3],
-        }
-        for i, word in enumerate(family.words)
+        {"word": list(word), "paper_number": n, "faces": list(faces)}
+        for n, (word, faces) in enumerate(zip(family.words, family.rank_faces), 1)
     ]
     return doc
 
@@ -430,14 +405,10 @@ def family_from_json(doc: dict) -> DiceFamily:
                 f"words must cover all of them in lexicographic order;"
                 f" entry {pos} is {word}"
             )
-        faces = []
-        for s in entry["faces"]:
-            if not is_digit_string(s):
-                raise FamilyFormatError(
-                    f"dice entry {pos}: faces must be digit strings"
-                )
-            faces.append(tuple(map(int, s)))
-        rank_faces.append(tuple(faces))
+        faces = tuple(entry["faces"])
+        if not all(map(is_digit_string, faces)):
+            raise FamilyFormatError(f"dice entry {pos}: faces must be digit strings")
+        rank_faces.append(faces)
     family = DiceFamily(depth, multiplicity, tuple(rank_faces), stack)
     if stack is not None:
         built = generate(stack, multiplicity).rank_faces
@@ -445,8 +416,8 @@ def family_from_json(doc: dict) -> DiceFamily:
             if faces != echo:
                 raise FamilyFormatError(
                     f"die {face_word_label(word_of(n, depth))} has faces"
-                    f" {' '.join(map(face_text, faces))} but the stack echo"
-                    f" generates {' '.join(map(face_text, echo))}"
+                    f" {' '.join(faces)} but the stack echo"
+                    f" generates {' '.join(echo)}"
                 )
     return family
 
@@ -480,7 +451,7 @@ def family_from_rows(
             raise FamilyFormatError(f"row {pos + 1}: faces must be digit strings")
         if depth is None:
             depth = len(row[0])
-        rank_faces.append(tuple(tuple(int(c) for c in s) for s in row))
+        rank_faces.append(tuple(row))
     if depth is None or depth < 1:
         raise FamilyFormatError("listing contains no dice")
     size = len(rank_faces)

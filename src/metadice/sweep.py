@@ -9,8 +9,8 @@ blocks' trits names the expected winner. So the sweep never reads a word:
 for die i and each level it visits the later sibling blocks, at most two
 contiguous index ranges, each with one expected win count.
 
-Faces are packed base 10 into integers, which preserves the positional
-comparison order for equal-length faces. A pair passes when the die
+Each face, a digit string, is read once as an integer, which keeps the
+positional comparison order of equal-length faces. A pair passes when the die
 favored by the cycle wins exactly 5 of the 9 face comparisons and none of
 them tie; ``outcome`` reads such counts as a duel.
 
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, NamedTuple, Sequence
 
-from metadice.dice import DuelResult, Face
+from metadice.dice import DuelResult
 from metadice.loshu import (
     DigitAssignment,
     StackValidationError,
@@ -54,20 +54,13 @@ from metadice.loshu import (
     validate_rankwise,
 )
 
+Faces = tuple[str, str, str]
 Failure = tuple[int, int, int, int]
 SweepResult = tuple[list[int], list[Failure]]
 
 
 def available_backends() -> tuple[str, ...]:
     return ("pure",)
-
-
-def pack_face(face: Face) -> int:
-    """A face's digits read as one base-10 integer (face 221 becomes 221)."""
-    code = 0
-    for d in face:
-        code = code * 10 + d
-    return code
 
 
 @cache
@@ -92,9 +85,7 @@ def level_pairs(depth: int) -> list[int]:
     return [3 ** (2 * depth - p - 1) for p in range(depth)]
 
 
-def sweep_pairs(
-    rank_faces: Sequence[tuple[Face, Face, Face]], depth: int
-) -> SweepResult:
+def sweep_pairs(rank_faces: Sequence[Faces], depth: int) -> SweepResult:
     """Check every unordered pair of a depth-``depth`` family's dice.
 
     ``rank_faces[i]`` holds die i's three faces, dice in lexicographic word
@@ -103,7 +94,7 @@ def sweep_pairs(
     """
     if depth < 1 or len(rank_faces) != 3 ** depth:
         raise ValueError(f"a depth-{depth} sweep needs exactly 3^{depth} dice")
-    faces = _packed(rank_faces)
+    faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
     checked = level_pairs(depth)
     sizes = [3 ** (depth - p - 1) for p in range(depth)]
     failures: list[Failure] = []
@@ -120,14 +111,6 @@ def sweep_pairs(
             if trit == 0:
                 _scan(die, faces, i, nxt + size, nxt + 2 * size, 4, failures)
     return checked, failures
-
-
-def _packed(
-    rank_faces: Sequence[tuple[Face, Face, Face]]
-) -> list[tuple[int, int, int]]:
-    return [
-        (pack_face(f0), pack_face(f1), pack_face(f2)) for f0, f1, f2 in rank_faces
-    ]
 
 
 def _scan(
@@ -171,7 +154,7 @@ class Faults(NamedTuple):
     bad_nodes: tuple[frozenset[int], ...]
 
 
-def certify(rank_faces: Sequence[tuple[Face, Face, Face]], depth: int) -> Faults:
+def certify(rank_faces: Sequence[Faces], depth: int) -> Faults:
     """Prove from its node tables that every pair duels 5/9 the cycle's way,
     or locate every fault that stops the proof.
 
@@ -223,7 +206,7 @@ def certify(rank_faces: Sequence[tuple[Face, Face, Face]], depth: int) -> Faults
                 if reason is None:
                     reason = (
                         f"level {p + 1}, prefix ({_trits(node, p)}), table"
-                        f" {';'.join(','.join(map(str, row)) for row in table)}:"
+                        f" {';'.join(map(','.join, table))}:"
                         f" {verdicts[table]}"
                     )
         bad_nodes.append(frozenset(bad))
@@ -231,8 +214,8 @@ def certify(rank_faces: Sequence[tuple[Face, Face, Face]], depth: int) -> Faults
 
 
 def _block_majorities(
-    col: tuple[int, ...], size: int, strays: set[int]
-) -> tuple[int, ...]:
+    col: tuple[str, ...], size: int, strays: set[int]
+) -> tuple[str, ...]:
     """Each child block's reference digit in one rank's column, adding the
     dice that do not carry it to ``strays``."""
     refs = []
@@ -257,8 +240,8 @@ def _table_fault(table, check) -> str | None:
 
 
 def _disagreement(
-    digits: list[tuple[int, ...]],
-    refs: list[tuple[int, ...]],
+    digits: list[tuple[str, ...]],
+    refs: list[tuple[str, ...]],
     i: int,
     size: int,
     p: int,
@@ -278,7 +261,7 @@ def _disagreement(
 
 
 def scan_suspects(
-    rank_faces: Sequence[tuple[Face, Face, Face]], depth: int, faults: Faults
+    rank_faces: Sequence[Faces], depth: int, faults: Faults
 ) -> tuple[list[Failure], int]:
     """Check only the pairs that ``faults`` leaves the node tables unable to
     vouch for; the level-1 table must hold.
@@ -290,7 +273,7 @@ def scan_suspects(
     """
     if faults.bad_nodes[0]:
         raise ValueError("a failed level-1 table vouches for no pair")
-    faces = _packed(rank_faces)
+    faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
     failures: list[Failure] = []
     scanned = 0
     for p, bad in enumerate(faults.bad_nodes):

@@ -113,12 +113,13 @@ def valid_stacks(draw, max_depth=3):
 
 
 def random_rank_faces(rng: random.Random, depth: int, high: int = 9):
-    """3^depth dice of 3 distinct random faces each, digits 1..``high``."""
+    """3^depth dice of 3 distinct random digit-string faces each, digits
+    1..``high``."""
     rank_faces = []
     for _ in range(3 ** depth):
         faces = set()
         while len(faces) < 3:
-            faces.add(tuple(rng.randint(1, high) for _ in range(depth)))
+            faces.add("".join(str(rng.randint(1, high)) for _ in range(depth)))
         rank_faces.append(tuple(sorted(faces)))
     return tuple(rank_faces)
 

@@ -1,5 +1,7 @@
-"""Core dice arithmetic: exact duels, die parsing, round-robin play."""
+"""Core dice arithmetic: exact duels, die parsing, round-robin play, digit
+strings."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from metadice.dice import (
     TeamOverlapError,
     duel,
     face_text,
+    is_digit_string,
     parse_die,
     round_robin,
 )
@@ -186,3 +189,33 @@ class TestDuelResult:
     def test_components_in_range(self):
         with pytest.raises(ValueError):
             DuelResult(Fraction(3, 2), Fraction(0), Fraction(-1, 2))
+
+
+class TestDigitString:
+    """``is_digit_string`` validates every face of a family: ASCII digits
+    only, although ``str.isdigit`` also takes other scripts' digits and
+    superscripts."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("", False),
+            ("0", True),
+            ("0123456789", True),
+            ("12\n", False),
+            ("\u0663", False),  # Arabic-Indic three
+            ("\u00b2", False),  # superscript two
+            (" 1", False),
+            ("-1", False),
+            (12, False),
+            (b"12", False),
+            (None, False),
+        ],
+    )
+    def test_cases(self, text, expected):
+        assert is_digit_string(text) is expected
+
+    # plain text, and text of Unicode digits and numbers that isdigit takes
+    @given(st.text() | st.text(st.characters(categories=("Nd", "No"))))
+    def test_matches_ascii_digit_pattern(self, text):
+        assert is_digit_string(text) == (re.fullmatch(r"[0-9]+", text) is not None)

@@ -176,7 +176,7 @@ def paper3_single_faults(count, seed=4242):
     sites = list(product(range(27), range(3), range(3), range(10)))
     for i, rank, pos, digit in rng.sample(sites, count):
         faces = [list(map(list, die)) for die in PAPER3.rank_faces]
-        faces[i][rank][pos] = digit
+        faces[i][rank][pos] = str(digit)
         yield 3, frozen(faces)
 
 

@@ -98,7 +98,9 @@ def tree_rank_faces(depth, table_at):
     the table ``table_at(level, prefix)``, indexed [subset][rank]."""
     return tuple(
         tuple(
-            tuple(table_at(j + 1, word[:j])[t][rank] for j, t in enumerate(word))
+            "".join(
+                str(table_at(j + 1, word[:j])[t][rank]) for j, t in enumerate(word)
+            )
             for rank in range(3)
         )
         for word in product(range(3), repeat=depth)
@@ -145,7 +147,7 @@ def odd_table(rng, level):
 
 def frozen(faces):
     """Mutable ``[die][rank][level]`` digit lists back to rank faces."""
-    return tuple(tuple(map(tuple, die)) for die in faces)
+    return tuple(tuple(map("".join, die)) for die in faces)
 
 
 def certificate_families():
@@ -161,7 +163,9 @@ def certificate_families():
             faces = [list(map(list, die)) for die in random_tree_faces(rng, depth)]
             die = faces[rng.randrange(3 ** depth)]
             rank, pos = rng.randrange(3), rng.randrange(depth)
-            die[rank][pos] = rng.choice([d for d in range(10) if d != die[rank][pos]])
+            die[rank][pos] = rng.choice(
+                [str(d) for d in range(10) if str(d) != die[rank][pos]]
+            )
             yield depth, frozen(faces), False
         for _ in range(12):
             level = rng.randint(1, depth)
@@ -180,7 +184,7 @@ def certificate_families():
             for face in (face for die in faces for face in die):
                 for pos in range(1, depth):
                     if rng.random() < rate:
-                        face[pos] = rng.randint(1, high)
+                        face[pos] = str(rng.randint(1, high))
             yield depth, frozen(faces), False
 
 
@@ -236,13 +240,13 @@ class TestPredictedWinner:
 
 class TestFaceValue:
     def test_deep_preset(self):
-        assert face_value((0, 0, 0), 1, preset_stack("paper-3")) == (4, 8, 9)
+        assert face_value((0, 0, 0), 1, preset_stack("paper-3")) == "489"
 
     def test_middle_preset(self):
-        assert face_value((0, 1), 2, preset_stack("paper-2")) == (9, 8)
+        assert face_value((0, 1), 2, preset_stack("paper-2")) == "98"
 
     def test_base(self):
-        assert face_value((2,), 0, preset_stack("uniform", 1)) == (3,)
+        assert face_value((2,), 0, preset_stack("uniform", 1)) == "3"
 
     def test_word_length_checked(self):
         with pytest.raises(ValueError):
@@ -265,9 +269,14 @@ class TestGenerate:
             assert len(set(faces)) == 3
             assert all(len(f) == 4 for f in faces)
 
-    def test_all_dice_distinct(self):
-        family = generate(preset_stack("uniform", 3))
-        assert len({die_of(family, i) for i in range(family.size)}) == 27
+    @given(valid_stacks(max_depth=5), st.integers(1, 3))
+    @settings(max_examples=40)
+    def test_all_dice_distinct(self, stack, multiplicity):
+        """No check in the walk keeps dice apart: two that first differ at
+        level p take their level-p digits from different subsets of one
+        node table, whose nine digits are distinct."""
+        family = generate(stack, multiplicity)
+        assert len({die_of(family, i) for i in range(family.size)}) == family.size
 
     def test_prefix_groups_share_prefix_digits(self):
         for word, faces in zip(PAPER3.words, PAPER3.rank_faces):
@@ -297,7 +306,9 @@ class TestGenerate:
         words = list(product(range(3), repeat=stack.depth))
         expected = tuple(
             tuple(
-                tuple(digit(w, rule, t, rank) for rule, t in zip(stack.levels, w))
+                "".join(
+                    str(digit(w, rule, t, rank)) for rule, t in zip(stack.levels, w)
+                )
                 for rank in range(3)
             )
             for w in words
@@ -311,12 +322,27 @@ class TestGenerate:
 class TestFamilyInvariants:
     def test_wrong_size_rejected(self):
         with pytest.raises(FamilyFormatError, match=r"exactly 3\^2 dice"):
-            DiceFamily(2, 2, (((1, 1), (2, 2), (3, 3)),))
+            DiceFamily(2, 2, (("11", "22", "33"),))
 
     def test_duplicate_faces_rejected(self):
-        faces = (((2,), (2,), (9,)), ((1,), (6,), (8,)), ((3,), (5,), (7,)))
+        faces = (("2", "2", "9"), ("1", "6", "8"), ("3", "5", "7"))
         with pytest.raises(FamilyFormatError, match=r"D1 \(0\) needs 3 distinct"):
             DiceFamily(1, 2, faces)
+
+    @pytest.mark.parametrize(
+        "faces",
+        [
+            ((1,), (6,), (8,)),  # the old digit-tuple form
+            (1, 6, 8),
+            (b"1", b"6", b"8"),
+            (None, "6", "8"),
+        ],
+        ids=["digit tuples", "ints", "bytes", "None"],
+    )
+    def test_non_string_faces_rejected(self, faces):
+        rank_faces = (("2", "4", "9"), faces, ("3", "5", "7"))
+        with pytest.raises(FamilyFormatError, match=r"die D2 \(1\) has a face"):
+            DiceFamily(1, 2, rank_faces)
 
 
 class TestVerify:
@@ -423,7 +449,7 @@ class TestVerify:
         assert report.elapsed >= 0
         assert (report.method, report.certificate_detail) == ("certificate", None)
         assert report.pairs_scanned == 0
-        faces = (((2,), (4,), (8,)), ((1,), (6,), (9,)), ((3,), (5,), (7,)))
+        faces = (("2", "4", "8"), ("1", "6", "9"), ("3", "5", "7"))
         report = verify_family(DiceFamily(1, 2, faces))
         assert report.elapsed >= 0 and not report.passed
         assert report.method == "sweep"
@@ -475,7 +501,7 @@ class TestCertificate:
         each other digit) reports what the sweep alone finds."""
         methods = Counter()
         for i, rank, pos in product(range(27), range(3), range(3)):
-            for digit in range(10):
+            for digit in "0123456789":
                 faces = [list(map(list, die)) for die in PAPER3.rank_faces]
                 if faces[i][rank][pos] == digit:
                     continue
@@ -511,7 +537,7 @@ class TestCertificate:
 
     def test_disagreeing_die_named(self):
         faces = [list(die) for die in PAPER3.rank_faces]
-        faces[13][1] = (faces[13][1][0], 0, faces[13][1][2])
+        faces[13][1] = faces[13][1][0] + "0" + faces[13][1][2]
         assert certify(tuple(map(tuple, faces)), 3).reason == (
             "level 2, prefix (1): D14 (111) has digit 0 at rank 1"
             f" where D13 (110) has {faces[12][1][1]}"
@@ -536,7 +562,7 @@ class TestCertificate:
         faces = [list(map(list, die)) for die in family.rank_faces]
         altered = {100: (0, 0), 1500: (2, 3), 2186: (1, 6)}
         for i, (rank, pos) in altered.items():
-            faces[i][rank][pos] = (faces[i][rank][pos] + 1) % 10
+            faces[i][rank][pos] = str((int(faces[i][rank][pos]) + 1) % 10)
         tampered = DiceFamily(7, 1, frozen(faces))
         with mock.patch("metadice.hierarchy.sweep_pairs") as sweep:
             report = verify_family(tampered)
