@@ -9,7 +9,6 @@ values; nothing in this module touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -46,23 +45,23 @@ def face_text(face: Face) -> str:
     return "".join(str(d) for d in face)
 
 
-@dataclass(frozen=True)
 class Die:
     """A die as a multiset of equal-length faces.
 
     ``faces`` holds (face, multiplicity) pairs; construction merges duplicate
     faces and sorts, so two dice with the same multiset compare equal. The
     classic six-sided sets use three distinct faces at multiplicity 2.
+    A die is an immutable value: equal faces mean equal dice and hashes.
     """
 
     faces: tuple[tuple[Face, int], ...]
 
-    def __post_init__(self):
-        if not self.faces:
+    def __init__(self, faces: tuple[tuple[Face, int], ...]):
+        if not faces:
             raise ValueError("a die needs at least one face")
         merged: dict[Face, int] = {}
         length: int | None = None
-        for face, mult in self.faces:
+        for face, mult in faces:
             face = tuple(int(d) for d in face)
             if not face:
                 raise ValueError("a face needs at least one digit")
@@ -78,6 +77,22 @@ class Die:
                 raise ValueError(f"face multiplicity must be positive, got {mult}")
             merged[face] = merged.get(face, 0) + int(mult)
         object.__setattr__(self, "faces", tuple(sorted(merged.items())))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.faces == other.faces
+
+    def __hash__(self):
+        return hash(self.faces)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Die(faces={self.faces!r})"
 
     @classmethod
     def from_values(
@@ -163,7 +178,6 @@ def parse_die(text: str, *, allow_zero: bool = False) -> Die:
     return Die(tuple(faces))
 
 
-@dataclass(frozen=True)
 class DuelResult:
     """Exact (win, tie, loss) probability triple of one die against another."""
 
@@ -171,12 +185,31 @@ class DuelResult:
     tie: Fraction
     loss: Fraction
 
-    def __post_init__(self):
-        if self.win + self.tie + self.loss != 1:
+    def __init__(self, win: Fraction, tie: Fraction, loss: Fraction):
+        if win + tie + loss != 1:
             raise ValueError("duel probabilities must sum to exactly 1")
-        for p in (self.win, self.tie, self.loss):
+        for p in (win, tie, loss):
             if not 0 <= p <= 1:
                 raise ValueError(f"probability {p} outside [0, 1]")
+        object.__setattr__(self, "win", win)
+        object.__setattr__(self, "tie", tie)
+        object.__setattr__(self, "loss", loss)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.win, self.tie, self.loss) == (other.win, other.tie, other.loss)
+
+    def __hash__(self):
+        return hash((self.win, self.tie, self.loss))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"DuelResult(win={self.win!r}, tie={self.tie!r}, loss={self.loss!r})"
 
     def __str__(self) -> str:
         return f"{self.win} {self.tie} {self.loss}"

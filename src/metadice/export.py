@@ -17,7 +17,6 @@ the renderers write their rows from those ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -36,8 +35,7 @@ class Edge(NamedTuple):
     probability: Fraction
 
 
-@dataclass(frozen=True)
-class DominanceGraph:
+class DominanceGraph(NamedTuple):
     depth: int
     level: int
     full: bool

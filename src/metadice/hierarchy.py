@@ -31,7 +31,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -105,7 +104,6 @@ def face_value(word: Word, rank: int, stack: AssignmentStack) -> str:
     )
 
 
-@dataclass(frozen=True)
 class DiceFamily:
     """All 3^depth dice of one construction, addressed by ternary words.
 
@@ -114,36 +112,74 @@ class DiceFamily:
     die number - 1. ``stack`` is None for families imported from documents
     that carry no construction.
     ``words`` is derived from the depth on first use and cached; a die is
-    read as its rank faces, each at the family multiplicity.
+    read as its rank faces, each at the family multiplicity. A family is
+    an immutable value, equal to another with the same four fields.
     """
 
     depth: int
     multiplicity: int
     rank_faces: tuple[tuple[str, str, str], ...]
-    stack: AssignmentStack | None = None
+    stack: AssignmentStack | None
 
-    def __post_init__(self):
-        if self.depth < 1:
+    def __init__(
+        self,
+        depth: int,
+        multiplicity: int,
+        rank_faces: tuple[tuple[str, str, str], ...],
+        stack: AssignmentStack | None = None,
+    ):
+        if depth < 1:
             raise FamilyFormatError("depth must be at least 1")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise FamilyFormatError("face multiplicity must be positive")
-        size = len(self.rank_faces)
+        size = len(rank_faces)
         # a depth above the entry count cannot match, so 3^depth is not built
-        if self.depth > size or 3 ** self.depth != size:
+        if depth > size or 3 ** depth != size:
             raise FamilyFormatError(
-                f"a depth-{self.depth} family needs exactly 3^{self.depth} dice"
+                f"a depth-{depth} family needs exactly 3^{depth} dice"
             )
-        for n, faces in enumerate(self.rank_faces, start=1):
-            if len(faces) != 3 or len(set(faces)) != 3:
+        for n, faces in enumerate(rank_faces, start=1):
+            # shape and face types before set(), which hashes the faces
+            shaped = isinstance(faces, (tuple, list)) and len(faces) == 3
+            strings = shaped and all(map(is_digit_string, faces))
+            if not shaped or (strings and len(set(faces)) != 3):
                 raise FamilyFormatError(
-                    f"die {face_word_label(word_of(n, self.depth))}"
+                    f"die {face_word_label(word_of(n, depth))}"
                     " needs 3 distinct faces"
                 )
-            if not all(is_digit_string(f) and len(f) == self.depth for f in faces):
+            if not strings or not (
+                len(faces[0]) == len(faces[1]) == len(faces[2]) == depth
+            ):
                 raise FamilyFormatError(
-                    f"die {face_word_label(word_of(n, self.depth))} has a face"
-                    f" that is not {self.depth} digits from 0..9"
+                    f"die {face_word_label(word_of(n, depth))} has a face"
+                    f" that is not {depth} digits from 0..9"
                 )
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "rank_faces", rank_faces)
+        object.__setattr__(self, "stack", stack)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return (
+            f"DiceFamily(depth={self.depth!r}, multiplicity={self.multiplicity!r},"
+            f" rank_faces={self.rank_faces!r}, stack={self.stack!r})"
+        )
+
+    def _key(self) -> tuple:
+        return (self.depth, self.multiplicity, self.rank_faces, self.stack)
 
     @cached_property
     def words(self) -> tuple[Word, ...]:
@@ -186,8 +222,7 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     return DiceFamily(stack.depth, multiplicity, tuple(rank_faces), stack)
 
 
-@dataclass(frozen=True)
-class PairFailure:
+class PairFailure(NamedTuple):
     """One pair that missed the exact (5/9, 0, 4/9) outcome."""
 
     word_a: Word
@@ -204,8 +239,7 @@ class PairFailure:
         )
 
 
-@dataclass(frozen=True)
-class LevelSummary:
+class LevelSummary(NamedTuple):
     """All cross-subtree pairs whose first differing trit sits at ``level``."""
 
     level: int
@@ -217,8 +251,7 @@ class LevelSummary:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     depth: int
     dice_count: int
     multiplicity: int

@@ -21,9 +21,8 @@ an earlier trit of the die's address, and is validated on construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from metadice.dice import is_digit_string
 
@@ -41,8 +40,7 @@ class StackValidationError(ValueError):
     """An assignment or stack violates a construction invariant."""
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Outcome of a validity predicate; falsy results carry the counterexample."""
 
     ok: bool
@@ -64,19 +62,18 @@ class ValidationResult:
         )
 
 
-@dataclass(frozen=True)
 class DigitAssignment:
     """Three digit triples, one per subset; all nine digits distinct.
 
     ``subsets[s][i]`` is the digit for cycle position ``s`` at face rank
     ``i``. The digit alphabet is 0..9 structurally; the bundled tables use
-    the Lo Shu digits 1..9 only.
+    the Lo Shu digits 1..9 only. Assignments are immutable values.
     """
 
     subsets: tuple[Triple, Triple, Triple]
 
-    def __post_init__(self):
-        subsets = tuple(tuple(int(d) for d in sub) for sub in self.subsets)
+    def __init__(self, subsets: Sequence[Sequence[int]]):
+        subsets = tuple(tuple(int(d) for d in sub) for sub in subsets)
         if len(subsets) != 3 or any(len(sub) != 3 for sub in subsets):
             raise StackValidationError("an assignment needs 3 subsets of 3 digits")
         digits = [d for sub in subsets for d in sub]
@@ -87,6 +84,22 @@ class DigitAssignment:
                 "the 9 digits of an assignment must be pairwise distinct"
             )
         object.__setattr__(self, "subsets", subsets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.subsets == other.subsets
+
+    def __hash__(self):
+        return hash(self.subsets)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"DigitAssignment(subsets={self.subsets!r})"
 
     def __getitem__(self, subset: int) -> Triple:
         return self.subsets[subset]
@@ -138,7 +151,6 @@ def rotate(a: DigitAssignment, r: int) -> DigitAssignment:
     )
 
 
-@dataclass(frozen=True)
 class LevelRule:
     """One level of a stack: a base table, optionally rotated by an earlier trit.
 
@@ -147,7 +159,27 @@ class LevelRule:
     """
 
     base: DigitAssignment
-    rotate_by: int | None = None
+    rotate_by: int | None
+
+    def __init__(self, base: DigitAssignment, rotate_by: int | None = None):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "rotate_by", rotate_by)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.rotate_by) == (other.base, other.rotate_by)
+
+    def __hash__(self):
+        return hash((self.base, self.rotate_by))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"LevelRule(base={self.base!r}, rotate_by={self.rotate_by!r})"
 
     @cached_property
     def tables(self) -> tuple[DigitAssignment, ...]:
@@ -159,7 +191,6 @@ class LevelRule:
         return self.base.text() + suffix
 
 
-@dataclass(frozen=True)
 class AssignmentStack:
     """A validated per-level sequence of digit assignments.
 
@@ -171,10 +202,10 @@ class AssignmentStack:
 
     levels: tuple[LevelRule, ...]
 
-    def __post_init__(self):
-        if not self.levels:
+    def __init__(self, levels: tuple[LevelRule, ...]):
+        if not levels:
             raise StackValidationError("a stack needs at least one level")
-        for level, rule in enumerate(self.levels, start=1):
+        for level, rule in enumerate(levels, start=1):
             if rule.rotate_by is not None:
                 if level == 1:
                     raise StackValidationError(
@@ -192,6 +223,23 @@ class AssignmentStack:
             )
             if not check:
                 raise StackValidationError(f"level {level}: {check.detail()}")
+        object.__setattr__(self, "levels", levels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.levels == other.levels
+
+    def __hash__(self):
+        return hash(self.levels)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"AssignmentStack(levels={self.levels!r})"
 
     @property
     def depth(self) -> int:

@@ -336,12 +336,19 @@ class TestFamilyInvariants:
             (1, 6, 8),
             (b"1", b"6", b"8"),
             (None, "6", "8"),
+            (["1"], "6", "8"),
         ],
-        ids=["digit tuples", "ints", "bytes", "None"],
+        ids=["digit tuples", "ints", "bytes", "None", "unhashable"],
     )
     def test_non_string_faces_rejected(self, faces):
         rank_faces = (("2", "4", "9"), faces, ("3", "5", "7"))
         with pytest.raises(FamilyFormatError, match=r"die D2 \(1\) has a face"):
+            DiceFamily(1, 2, rank_faces)
+
+    @pytest.mark.parametrize("die", [None, 249, "249"], ids=["None", "int", "str"])
+    def test_die_that_is_not_a_face_sequence_rejected(self, die):
+        rank_faces = (("1", "6", "8"), die, ("3", "5", "7"))
+        with pytest.raises(FamilyFormatError, match=r"die D2 \(1\) needs 3"):
             DiceFamily(1, 2, rank_faces)
 
 

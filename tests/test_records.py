@@ -1,0 +1,174 @@
+"""The record classes: value semantics, and what a CLI process imports."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from metadice.dice import Die, DuelResult
+from metadice.export import DominanceGraph, Edge
+from metadice.hierarchy import (
+    DiceFamily,
+    LevelSummary,
+    PairFailure,
+    VerificationReport,
+)
+from metadice.loshu import (
+    SORTED_ROWS,
+    SWAPPED_ROWS,
+    AssignmentStack,
+    DigitAssignment,
+    LevelRule,
+    ValidationResult,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FACES = (("2", "4", "9"), ("1", "6", "8"), ("3", "5", "7"))
+WIN = DuelResult(Fraction(5, 9), Fraction(0), Fraction(4, 9))
+
+
+def _report(**changes):
+    fields = dict(
+        depth=1,
+        dice_count=3,
+        multiplicity=2,
+        pairs_checked=3,
+        failures=(PairFailure((0,), (1,), (0,), WIN),),
+        per_level=(LevelSummary(1, 3, 1),),
+        elapsed=0.0,
+        certificate_detail=None,
+        method="certificate",
+        pairs_scanned=0,
+    )
+    fields.update(changes)
+    return VerificationReport(**fields)
+
+
+#: name -> (build an instance, build one that differs in a field, a field)
+RECORDS = {
+    "Die": (
+        lambda: Die((((2,), 2), ((4,), 2), ((9,), 2))),
+        lambda: Die((((2,), 2), ((4,), 2), ((8,), 2))),
+        "faces",
+    ),
+    "DuelResult": (
+        lambda: DuelResult(Fraction(5, 9), Fraction(0), Fraction(4, 9)),
+        lambda: DuelResult(Fraction(4, 9), Fraction(0), Fraction(5, 9)),
+        "win",
+    ),
+    "ValidationResult": (
+        lambda: ValidationResult(True, "leading"),
+        lambda: ValidationResult(False, "leading", (0, 1), 4, 5),
+        "ok",
+    ),
+    "DigitAssignment": (
+        lambda: DigitAssignment(((2, 4, 9), (1, 6, 8), (3, 5, 7))),
+        lambda: DigitAssignment(((2, 9, 4), (1, 8, 6), (3, 7, 5))),
+        "subsets",
+    ),
+    "LevelRule": (
+        lambda: LevelRule(SWAPPED_ROWS, rotate_by=2),
+        lambda: LevelRule(SWAPPED_ROWS),
+        "rotate_by",
+    ),
+    "AssignmentStack": (
+        lambda: AssignmentStack((LevelRule(SORTED_ROWS), LevelRule(SORTED_ROWS))),
+        lambda: AssignmentStack((LevelRule(SORTED_ROWS),)),
+        "levels",
+    ),
+    "DiceFamily": (
+        lambda: DiceFamily(1, 2, FACES, stack=None),
+        lambda: DiceFamily(1, 1, FACES),
+        "multiplicity",
+    ),
+    "PairFailure": (
+        lambda: PairFailure((0,), (1,), (0,), WIN),
+        lambda: PairFailure((0,), (2,), (0,), WIN),
+        "word_b",
+    ),
+    "LevelSummary": (
+        lambda: LevelSummary(1, 27, 0),
+        lambda: LevelSummary(1, 27, 1),
+        "failures",
+    ),
+    "VerificationReport": (_report, lambda: _report(method="sweep"), "method"),
+    "DominanceGraph": (
+        lambda: DominanceGraph(1, 1, False, ((0,), (1,)), (Edge((0,), (1,), WIN.win),)),
+        lambda: DominanceGraph(1, 1, True, ((0,), (1,)), ()),
+        "full",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equality_and_hashing_follow_the_fields(name):
+    make, make_other, _ = RECORDS[name]
+    a, b, other = make(), make(), make_other()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other and not a == other
+    assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_fields_are_read_only(name):
+    make, make_other, field = RECORDS[name]
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(make_other(), field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == before
+
+
+def test_keyword_and_default_construction():
+    result = ValidationResult(True, "leading")
+    assert (result.pair, result.count, result.required) == (None, None, None)
+    assert result and result.detail() == "leading property holds"
+    assert not ValidationResult(False, "leading", (0, 1), 4, 5)
+
+    rule = LevelRule(SORTED_ROWS, rotate_by=2)
+    assert (rule.base, rule.rotate_by) == (SORTED_ROWS, 2)
+    assert LevelRule(SORTED_ROWS).rotate_by is None
+    assert LevelRule(base=SORTED_ROWS) == LevelRule(SORTED_ROWS, None)
+
+    family = DiceFamily(1, 2, FACES, stack=None)
+    assert (family.depth, family.multiplicity, family.rank_faces) == (1, 2, FACES)
+    assert family.stack is None
+    assert DiceFamily(
+        depth=1, multiplicity=2, rank_faces=FACES
+    ) == DiceFamily(1, 2, FACES, None)
+
+
+def test_derived_values_are_computed_once():
+    rule = LevelRule(SWAPPED_ROWS, rotate_by=2)
+    assert rule.tables is rule.tables
+    assert rule.tables[0] == SWAPPED_ROWS
+    family = DiceFamily(1, 2, FACES)
+    assert family.words is family.words
+    assert family.words == ((0,), (1,), (2,))
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every CLI command pays its imports again (ROADMAP: "Start-up is now ...")
+    code = (
+        "import metadice.cli, sys;"
+        "print(*sorted(m for m in sys.modules"
+        " if m in ('dataclasses', 'inspect') or m.startswith('metadice.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "dataclasses" not in out and "inspect" not in out
+    for layer in ("dice", "loshu", "sweep", "hierarchy", "export"):
+        assert f"metadice.{layer}" in out
