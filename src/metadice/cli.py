@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import product
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -26,9 +27,10 @@ from metadice.dice import (
 )
 from metadice.export import (
     build_graph,
+    family_csv,
+    full_graph_dot,
     graph_to_json,
     normalized_values,
-    points_to_csv,
     points_to_json,
     to_dot,
 )
@@ -38,7 +40,7 @@ from metadice.hierarchy import (
     VerificationReport,
     family_from_json,
     family_from_rows,
-    family_to_json,
+    family_header,
     generate,
     monte_carlo,
     verify_family,
@@ -298,6 +300,22 @@ def tables_text(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def family_json_text(family: DiceFamily) -> str:
+    """``_json_text(family_to_json(family))``, byte for byte: one f-string
+    per die over its word's trits, written once per family, and its faces,
+    ASCII digits that JSON writes as they are."""
+    words = (",\n        ".join(w) for w in product("012", repeat=family.depth))
+    dice = ",\n    ".join(
+        f'{{\n      "word": [\n        {word}\n      ],\n'
+        f'      "paper_number": {n},\n      "faces": [\n        "{a}",\n'
+        f'        "{b}",\n        "{c}"\n      ]\n    }}'
+        for n, (word, (a, b, c)) in enumerate(zip(words, family.rank_faces), 1)
+    )
+    # the header's text ends "\n}\n": the dice go in before its closing brace
+    head = _json_text(family_header(family))[:-3]
+    return f'{head},\n  "dice": [\n    {dice}\n  ]\n}}\n'
+
+
 def family_listing(family: DiceFamily) -> str:
     lines = [
         f"D{n} " + " ".join(triple)
@@ -423,7 +441,7 @@ def cmd_tables(args) -> int:
 def cmd_generate(args) -> int:
     family = _load_family(args)
     if args.format == "json":
-        _emit(args, _json_text(family_to_json(family)))
+        _emit(args, family_json_text(family))
     else:
         _emit(args, family_listing(family))
     return 0
@@ -478,6 +496,9 @@ def cmd_roundrobin(args) -> int:
 
 def cmd_graph(args) -> int:
     family = _load_family(args)
+    if args.full_graph and args.format == "dot":
+        _emit(args, full_graph_dot(family))
+        return 0
     graph = build_graph(family, args.level, full=args.full_graph)
     if args.format == "json":
         _emit(args, _json_text(graph_to_json(graph)))
@@ -488,11 +509,10 @@ def cmd_graph(args) -> int:
 
 def cmd_normalize(args) -> int:
     family = _load_family(args)
-    points = normalized_values(family)
     if args.format == "json":
-        _emit(args, _json_text(points_to_json(points)))
+        _emit(args, _json_text(points_to_json(normalized_values(family))))
     else:
-        _emit(args, points_to_csv(points))
+        _emit(args, family_csv(family))
     return 0
 
 

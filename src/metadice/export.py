@@ -1,4 +1,4 @@
-"""Dominance-graph construction and serialization, plus normalized points.
+"""Dominance graphs and normalized points, as records and as text.
 
 Graphs come in two flavors: the sibling view at a level m (all 3^m word
 prefixes as nodes, each trio of siblings wired into its 3-cycle) and the
@@ -6,21 +6,26 @@ full view (every pair of dice, one edge per pair). Sibling edges follow the
 cycle and carry the source's exact win probability, so on a failing family
 one can point from a loser; full-view edges point from winner to loser.
 A sibling trio's win counts come from a sweep of its three representative
-dice; the full view takes the failing pairs from
-:func:`metadice.hierarchy.check_pairs`, the path ``verify`` runs, and every
-other pair duels exactly 5/9 the cycle's way.
+dice; the full view's edges come from one integer walk, which takes the
+failing pairs from :func:`metadice.hierarchy.check_pairs`, the path
+``verify`` runs, and every other pair duels exactly 5/9 the cycle's way.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
-scale-free presentation of a family's face values. Points hold ints and
-the renderers write their rows from those ints.
+scale-free presentation of a family's face values.
+
+:func:`full_graph_dot` writes its DOT text from that walk and
+:func:`family_csv` the points' CSV from the rank faces, with no record
+built. The record API, :func:`build_graph`, :func:`normalized_values` and
+their renderers, gives every other output and is the tests' oracle for
+those two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import Face
 from metadice.hierarchy import DiceFamily, Word, check_pairs, die_number
@@ -61,10 +66,11 @@ def build_graph(
     zeros) over the target's. A trio's representatives are a depth-1
     family, so one small sweep settles it; for a valid family every
     cross-group pair duels alike, so the label is the group claim. Full
-    mode emits one edge per unordered pair of dice, winner to loser; a pair
-    with no strict winner keeps word order and its win probability. It
-    reads the failing pairs from :func:`metadice.hierarchy.check_pairs`, so
-    a certified family compares no pair.
+    mode emits one edge per unordered pair of dice, winner to loser, in
+    (source, target) order; a pair with no strict winner keeps word order
+    and its win probability. It reads the failing pairs from
+    :func:`metadice.hierarchy.check_pairs`, so a certified family compares
+    no pair.
     """
     if full:
         level = family.depth
@@ -74,16 +80,12 @@ def build_graph(
         raise ValueError(f"level {level} outside 1..{family.depth}")
 
     if full:
-        words, n = family.words, family.size
-        edges = _cycle_edges(words, family.depth)
-        for i, j, wins, ties in check_pairs(family).failures:
-            # pair (i, j)'s place in (i, j) order
-            at = i * (2 * n - i - 1) // 2 + j - i - 1
-            if 9 - wins - ties > wins:
-                edges[at] = Edge(words[j], words[i], outcome(wins, ties).loss)
-            else:
-                edges[at] = Edge(words[i], words[j], outcome(wins, ties).win)
-        return DominanceGraph(family.depth, level, True, words, tuple(edges))
+        words = family.words
+        ninths = [Fraction(k, 9) for k in range(10)]
+        edges = tuple(
+            Edge(words[s], words[t], p) for s, t, p in _full_rows(family, ninths)
+        )
+        return DominanceGraph(family.depth, level, True, words, edges)
 
     nodes = tuple(product((0, 1, 2), repeat=level))
     stride = 3 ** (family.depth - level)
@@ -105,81 +107,88 @@ def build_graph(
     return DominanceGraph(family.depth, level, False, nodes, tuple(edges))
 
 
-def _cycle_edges(words: Sequence[Word], depth: int) -> list[Edge]:
-    """One edge per pair of a depth-``depth`` family, in (i, j) order, as
-    the cycle predicts it: 5/9 from the die it favors to the other.
+def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
+    """Every full-graph edge as a (source, target, label) row, dice by
+    index, in (source, target) order; ``labels[k]`` labels a win of k/9.
 
-    The walk is :func:`metadice.sweep.sweep_pairs`'s: for die i and each
-    level, deepest first, i's block beats its successor block and loses to
-    the one after it, which only a trit-0 block has as a later sibling.
+    A failing pair points from the die with more wins, in index order on
+    equal wins. Every other pair is won 5/9 by the die the cycle favors: at
+    each level, a die's block beats the next sibling block around the cycle.
     """
-    five_ninths = outcome(5, 0).win
-    sizes = [3 ** p for p in range(depth)]
-    edges: list[Edge] = []
-    for i, w in enumerate(words):
-        for size in sizes:
-            trit = i // size % 3
-            if trit == 2:
-                continue
-            nxt = i - i % size + size
-            edges.extend(Edge(w, v, five_ninths) for v in words[nxt : nxt + size])
-            if trit == 0:
-                later = words[nxt + size : nxt + 2 * size]
-                edges.extend(Edge(v, w, five_ninths) for v in later)
-    return edges
+    moved: dict[int, list[tuple[int, int]]] = {}  # source -> (target, wins)
+    failed: dict[int, set[int]] = {}  # die -> the dice it fails against
+    for i, j, wins, ties in check_pairs(family).failures:
+        loss = 9 - wins - ties
+        source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
+        moved.setdefault(source, []).append((target, ninths))
+        failed.setdefault(i, set()).add(j)
+        failed.setdefault(j, set()).add(i)
+    sizes = [3 ** p for p in range(family.depth)]
+    for s in range(family.size):
+        # (first die, size) of the block that s's block beats, at each level
+        beaten = sorted(
+            (s - s % (3 * size) + (s // size + 1) % 3 * size, size) for size in sizes
+        )
+        targets = chain.from_iterable(range(lo, lo + size) for lo, size in beaten)
+        if s not in failed:
+            yield from zip(repeat(s), targets, repeat(labels[5]))
+            continue
+        rows = [(t, 5) for t in targets if t not in failed[s]] + moved.get(s, [])
+        yield from ((s, t, labels[ninths]) for t, ninths in sorted(rows))
 
 
-def _node_names(graph: DominanceGraph) -> dict[Prefix, str]:
-    return {prefix: node_name(prefix, graph.depth) for prefix in graph.nodes}
-
-
-def _sorted_edges(graph: DominanceGraph) -> list[Edge]:
-    """The edges in (source, target) order, compared as node positions."""
-    position = {prefix: k for k, prefix in enumerate(sorted(graph.nodes))}
-    n = len(position)
-    return sorted(
-        graph.edges, key=lambda e: position[e.source] * n + position[e.target]
+def _graph_rows(graph: DominanceGraph) -> tuple[list[str], list[tuple]]:
+    """The graph's node names in sorted node order, and its edges as
+    (source, target, label) rows over those positions, in (source, target)
+    order."""
+    nodes = sorted(graph.nodes)
+    position = {prefix: k for k, prefix in enumerate(nodes)}
+    # each probability's text, keyed by the id of its object: the edges
+    # share a few Fraction objects, which are slow to hash and to print
+    shared = {id(e.probability): e.probability for e in graph.edges}
+    labels = {key: str(probability) for key, probability in shared.items()}
+    rows = sorted(
+        (position[source], position[target], labels[id(probability)])
+        for source, target, probability in graph.edges
     )
+    return [node_name(prefix, graph.depth) for prefix in nodes], rows
 
 
-def _labels(edges: Sequence[Edge]) -> dict[int, str]:
-    """Each probability's text, keyed by the id of its object: the edges
-    share a few ``Fraction`` objects, which are slow to hash and to print."""
-    labels: dict[int, str] = {}
-    for edge in edges:
-        if id(edge.probability) not in labels:
-            labels[id(edge.probability)] = str(edge.probability)
-    return labels
-
-
-def to_dot(graph: DominanceGraph) -> str:
-    """Byte-deterministic DOT text: sorted nodes, then sorted edges."""
-    names, labels = _node_names(graph), _labels(graph.edges)
+def _dot(names: Sequence[str], rows: Iterable[tuple[int, int, str]]) -> str:
+    """DOT text of the named nodes and the (source, target, label) rows."""
     lines = ["digraph dominance {"]
-    lines.extend(f'  "{names[prefix]}";' for prefix in sorted(graph.nodes))
+    lines.extend(f'  "{name}";' for name in names)
     lines.extend(
-        f'  "{names[source]}" -> "{names[target]}"'
-        f' [label="{labels[id(probability)]}"];'
-        for source, target, probability in _sorted_edges(graph)
+        f'  "{names[source]}" -> "{names[target]}" [label="{label}"];'
+        for source, target, label in rows
     )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def to_dot(graph: DominanceGraph) -> str:
+    """Byte-deterministic DOT text: sorted nodes, then sorted edges."""
+    return _dot(*_graph_rows(graph))
+
+
+def full_graph_dot(family: DiceFamily) -> str:
+    """``to_dot(build_graph(family, full=True))``, byte for byte, written
+    from the row walk: no ``Edge`` is built and no edge sorted."""
+    names = [node_name(word, family.depth) for word in family.words]
+    labels = [str(Fraction(k, 9)) for k in range(10)]
+    return _dot(names, _full_rows(family, labels))
+
+
 def graph_to_json(graph: DominanceGraph) -> dict:
-    names, labels = _node_names(graph), _labels(graph.edges)
+    names, rows = _graph_rows(graph)
     return {
         "depth": graph.depth,
         "level": graph.level,
         "full": graph.full,
-        "nodes": [names[prefix] for prefix in sorted(graph.nodes)],
+        "nodes": names,
         "edges": [
-            {
-                "from": names[source],
-                "to": names[target],
-                "probability": labels[id(probability)],
-            }
-            for source, target, probability in _sorted_edges(graph)
+            {"from": names[source], "to": names[target], "probability": label}
+            for source, target, label in rows
         ],
     }
 
@@ -213,6 +222,14 @@ class NormalizedPoint(NamedTuple):
         return "0." + self.digits
 
 
+def _lowest_terms(digits: str, scale: int) -> tuple[int, int]:
+    """The face ``digits`` read over ``scale``, as (numerator, denominator)
+    in lowest terms."""
+    code = int(digits)
+    common = gcd(code, scale)
+    return code // common, scale // common
+
+
 def normalized_values(family: DiceFamily) -> tuple[NormalizedPoint, ...]:
     """All 3 * 3^depth faces of a family as points in (0, 1).
 
@@ -220,17 +237,14 @@ def normalized_values(family: DiceFamily) -> tuple[NormalizedPoint, ...]:
     the positional face comparison.
     """
     scale = 10 ** family.depth
-    points = []
-    for number, (word, faces) in enumerate(zip(family.words, family.rank_faces), 1):
-        for rank, digits in enumerate(faces):
-            code = int(digits)
-            common = gcd(code, scale)
-            points.append(
-                NormalizedPoint(
-                    word, number, rank, digits, code // common, scale // common
-                )
-            )
-    return tuple(points)
+    return tuple(
+        NormalizedPoint(word, number, rank, digits, *_lowest_terms(digits, scale))
+        for number, (word, faces) in enumerate(zip(family.words, family.rank_faces), 1)
+        for rank, digits in enumerate(faces)
+    )
+
+
+_CSV_HEADER = "word,paper_number,rank,decimal,numerator,denominator\n"
 
 
 def _word_texts(points: Sequence[NormalizedPoint]) -> dict[Word, str]:
@@ -242,10 +256,25 @@ def points_to_csv(points: Sequence[NormalizedPoint]) -> str:
     """One row per point; no field can hold a comma, quote or line break,
     so rows need no CSV quoting."""
     words = _word_texts(points)
-    rows = ["word,paper_number,rank,decimal,numerator,denominator\n"]
+    rows = [_CSV_HEADER]
     rows.extend(
         f"{words[word]},{number},{rank},0.{digits},{numerator},{denominator}\n"
         for word, number, rank, digits, numerator, denominator in points
+    )
+    return "".join(rows)
+
+
+def family_csv(family: DiceFamily) -> str:
+    """``points_to_csv(normalized_values(family))``, byte for byte, written
+    from the rank faces: no point is built."""
+    scale = 10 ** family.depth
+    words = map("".join, product("012", repeat=family.depth))
+    rows = [_CSV_HEADER]
+    rows.extend(
+        f"{word},{number},{rank},0.{digits},{numerator},{denominator}\n"
+        for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1)
+        for rank, digits in enumerate(faces)
+        for numerator, denominator in (_lowest_terms(digits, scale),)
     )
     return "".join(rows)
 

@@ -60,7 +60,7 @@ def die_number(word: Word) -> int:
     """
     n = 0
     for t in word:
-        if t not in (0, 1, 2):
+        if isinstance(t, bool) or t not in (0, 1, 2):
             raise ValueError(f"word trits must be 0, 1 or 2, got {t}")
         n = 3 * n + t
     return n + 1
@@ -97,7 +97,7 @@ def face_value(word: Word, rank: int, stack: AssignmentStack) -> str:
         raise ValueError(
             f"word length {len(word)} does not match stack depth {stack.depth}"
         )
-    if rank not in (0, 1, 2):
+    if isinstance(rank, bool) or rank not in (0, 1, 2):
         raise ValueError(f"rank must be 0, 1 or 2, got {rank}")
     return "".join(
         str(stack.assignment_at(j, word)[t][rank]) for j, t in enumerate(word, 1)
@@ -113,7 +113,8 @@ class DiceFamily:
     that carry no construction.
     ``words`` is derived from the depth on first use and cached; a die is
     read as its rank faces, each at the family multiplicity. A family is
-    an immutable value, equal to another with the same four fields.
+    an immutable value, equal to another with the same four fields. The
+    constructor checks every die; only :func:`generate` skips the checks.
     """
 
     depth: int
@@ -154,10 +155,19 @@ class DiceFamily:
                     f"die {face_word_label(word_of(n, depth))} has a face"
                     f" that is not {depth} digits from 0..9"
                 )
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "rank_faces", rank_faces)
-        object.__setattr__(self, "stack", stack)
+        vars(self).update(
+            depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
+        )
+
+    @classmethod
+    def _trusted(cls, depth, multiplicity, rank_faces, stack) -> DiceFamily:
+        """The family of these fields without the constructor's checks, for
+        :func:`generate` only."""
+        family = object.__new__(cls)
+        vars(family).update(
+            depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
+        )
+        return family
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -204,9 +214,12 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     a depth-k family costs (3^k - 1) / 2 table lookups.
 
     Stack validity is established at stack construction; this walk only
-    reads tables. Dice come out pairwise distinct: two dice that first
-    differ at level p take their level-p digits from different subsets of
-    one node table, whose nine digits are distinct, so they share no face.
+    reads tables. Every die is valid by construction, so this is the one
+    builder that skips :class:`DiceFamily`'s per-die checks, which take as
+    long as the walk: a face is a digit from 0..9 per level, and a die's
+    faces differ at level 1, whose table has nine distinct digits. Two dice
+    that first differ at level p take their level-p digits from different
+    subsets of one node table, so they share no face.
     """
     if multiplicity < 1:
         raise ValueError("face multiplicity must be positive")
@@ -219,7 +232,7 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
             for (f0, f1, f2), prefix in zip(rank_faces, prefixes)
             for a, b, c in stack.assignment_at(level, prefix).subsets
         ]
-    return DiceFamily(stack.depth, multiplicity, tuple(rank_faces), stack)
+    return DiceFamily._trusted(stack.depth, multiplicity, tuple(rank_faces), stack)
 
 
 class PairFailure(NamedTuple):
@@ -368,11 +381,18 @@ def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
     return wins / trials
 
 
-def family_to_json(family: DiceFamily) -> dict:
-    """The family document: construction echo plus all dice in number order."""
+def family_header(family: DiceFamily) -> dict:
+    """The family document's fields before its dice: the construction echo."""
     doc: dict = {"depth": family.depth, "multiplicity": family.multiplicity}
     if family.stack is not None:
         doc["stack"] = family.stack.lines()
+    return doc
+
+
+def family_to_json(family: DiceFamily) -> dict:
+    """The family document: construction echo plus all dice in number order.
+    ``cli.family_json_text`` writes its text without building it."""
+    doc = family_header(family)
     doc["dice"] = [
         {"word": list(word), "paper_number": n, "faces": list(faces)}
         for n, (word, faces) in enumerate(zip(family.words, family.rank_faces), 1)

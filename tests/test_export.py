@@ -2,18 +2,25 @@
 
 import csv
 import io
+import json
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import die_of, face_digits, random_rank_faces, valid_stacks
+from metadice.cli import family_json_text
 from metadice.dice import duel
 from metadice.export import (
+    DominanceGraph,
+    Edge,
     build_graph,
+    family_csv,
+    full_graph_dot,
     graph_to_json,
     node_name,
     normalized_values,
@@ -26,6 +33,7 @@ from metadice.hierarchy import (
     check_pairs,
     die_number,
     family_from_rows,
+    family_to_json,
     generate,
     predicted_winner,
 )
@@ -125,9 +133,11 @@ def test_graphs_match_duel_oracle_on_random_families():
         dice = [die_of(family, i) for i in range(family.size)]
 
         full = build_graph(family, full=True)
+        assert list(full.edges) == sorted(full.edges)
         pairs = list(combinations(range(family.size), 2))
         assert len(full.edges) == len(pairs)
-        for (i, j), edge in zip(pairs, full.edges):
+        by_pair = sorted(full.edges, key=lambda e: sorted((e.source, e.target)))
+        for (i, j), edge in zip(pairs, by_pair):
             r = duel(dice[i], dice[j])
             if r.loss > r.win:
                 assert (edge.source, edge.target, edge.probability) == (
@@ -180,23 +190,86 @@ def paper3_single_faults(count, seed=4242):
         yield 3, frozen(faces)
 
 
-def test_full_graph_matches_the_sweep_on_every_path():
-    """The full graph takes its failing pairs from the path verify runs;
-    on every path it equals the graph drawn from the sweep's own counts."""
-    families = [(d, f) for d, f, _ in certificate_families()]
-    families += paper3_single_faults(60)
-    methods = set()
-    for depth, rank_faces in families:
+def level1_failed_family(depth=3):
+    """Uniform dice whose subset-0 rank-0 faces start with digit 0: the
+    level-1 table 0,4,9;1,6,8;3,5,7 fails the leading property, which
+    vouches for no pair, so the sweep checks them all."""
+    faces = [list(die) for die in generate(preset_stack("uniform", depth)).rank_faces]
+    for die in faces[: 3 ** (depth - 1)]:
+        die[0] = "0" + die[0][1:]
+    return DiceFamily(depth, 2, tuple(map(tuple, faces)))
+
+
+def assert_same_text(got, want):
+    """``got == want`` for long texts, naming the first line that differs:
+    pytest's own diff of two such texts can take minutes."""
+    if got != want:
+        lines = zip(got.splitlines(), want.splitlines())
+        at = next((n for n, (a, b) in enumerate(lines, 1) if a != b), None)
+        pytest.fail(f"texts differ at line {at}: {len(got)} vs {len(want)} chars")
+
+
+@cache
+def corpus():
+    """Families on every verification path, with flipped and tied edges:
+    the certificate corpus, single faults of paper-3, a failed level-1
+    table, and the presets with their stacks."""
+    faces = [(d, f) for d, f, _ in certificate_families()]
+    faces += paper3_single_faults(60)
+    families = []
+    for depth, rank_faces in faces:
         try:
-            family = DiceFamily(depth, 2, rank_faces)
+            families.append(DiceFamily(depth, 2, rank_faces))
         except FamilyFormatError:
             continue  # an altered digit repeated a face
+    families.append(level1_failed_family())
+    families += [PAPER1, generate(PAPER2.stack, 3), generate(PAPER3.stack, 1)]
+    return tuple(families)
+
+
+def test_full_graph_matches_the_sweep_on_every_path():
+    """The full graph takes its failing pairs from the path verify runs;
+    on every path it equals the graph drawn from the sweep's own counts,
+    and so do the DOT text written straight from the row walk and the
+    JSON document."""
+    methods = set()
+    flipped = tied = 0
+    for family in corpus():
+        edges = sweep_graph_edges(family)
+        want = sorted(edges)
         graph = build_graph(family, full=True)
-        assert [
-            (e.source, e.target, e.probability) for e in graph.edges
-        ] == sweep_graph_edges(family)
-        methods.add(check_pairs(family).method)
+        assert [(e.source, e.target, e.probability) for e in graph.edges] == want
+        oracle = DominanceGraph(
+            family.depth, family.depth, True, family.words,
+            tuple(Edge(*edge) for edge in edges),
+        )
+        assert_same_text(full_graph_dot(family), to_dot(oracle))
+        assert graph_to_json(graph) == graph_to_json(oracle)
+        pairs = check_pairs(family)
+        methods.add(pairs.method)
+        flipped += sum(predicted_winner(w, v) != w for w, v, _ in want)
+        tied += sum(ties > 0 for _, _, _, ties in pairs.failures)
     assert methods == {"certificate", "localized", "sweep"}
+    assert flipped and tied
+
+
+class TestOnePassWriters:
+    """The family document and the CSV, written from the rank faces, are
+    the record path's text byte for byte."""
+
+    @staticmethod
+    def assert_match_records(family):
+        text = json.dumps(family_to_json(family), indent=2) + "\n"
+        assert_same_text(family_json_text(family), text)
+        assert_same_text(family_csv(family), points_to_csv(normalized_values(family)))
+
+    def test_corpus(self):
+        for family in corpus():
+            self.assert_match_records(family)
+
+    @given(valid_stacks(max_depth=5), st.integers(1, 3))
+    def test_random_stacks(self, stack, multiplicity):
+        self.assert_match_records(generate(stack, multiplicity))
 
 
 class TestDot:
@@ -327,6 +400,7 @@ class TestNormalizedValues:
         assert (by_face["0.000"].numerator, by_face["0.000"].denominator) == (0, 1)
         assert by_face["0.012"].value == Fraction(3, 250)
         assert points_to_csv(points) == self.csv_writer_rendering(family)
+        assert family_csv(family) == points_to_csv(points)
 
     def test_csv_deterministic(self):
         assert points_to_csv(normalized_values(PAPER2)) == points_to_csv(

@@ -205,6 +205,10 @@ class TestNumbering:
         n = data.draw(st.integers(1, 3 ** depth))
         assert die_number(word_of(n, depth)) == n
 
+    def test_bool_trits_rejected(self):
+        with pytest.raises(ValueError, match="trits must be 0, 1 or 2, got True"):
+            die_number((True, False))
+
 
 class TestPredictedWinner:
     def test_first_position_decides(self):
@@ -252,6 +256,10 @@ class TestFaceValue:
         with pytest.raises(ValueError):
             face_value((0, 1), 0, preset_stack("paper-3"))
 
+    def test_bool_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank must be 0, 1 or 2, got True"):
+            face_value((0,), True, preset_stack("paper-1"))
+
 
 class TestGenerate:
     def test_base_family_exact(self):
@@ -292,6 +300,30 @@ class TestGenerate:
     def test_bad_multiplicity(self):
         with pytest.raises(ValueError):
             generate(preset_stack("paper-1"), 0)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [preset_stack(f"paper-{d}") for d in (1, 2, 3)]
+        + [preset_stack("uniform", d) for d in (1, 4, 6)],
+    )
+    def test_trusted_family_passes_the_checked_constructor(self, stack):
+        """``generate`` skips the constructor's per-die checks; the family
+        it builds passes them and equals the checked one."""
+        for multiplicity in (1, 2, 3):
+            family = generate(stack, multiplicity)
+            checked = DiceFamily(stack.depth, multiplicity, family.rank_faces, stack)
+            assert family == checked
+            assert family.words == checked.words
+
+    @given(valid_stacks(max_depth=6), st.integers(1, 3))
+    @settings(max_examples=40)
+    def test_trusted_family_passes_the_checked_constructor_on_random_stacks(
+        self, stack, multiplicity
+    ):
+        family = generate(stack, multiplicity)
+        assert family == DiceFamily(
+            stack.depth, multiplicity, family.rank_faces, stack
+        )
 
     @given(valid_stacks(max_depth=5))
     @settings(max_examples=60)
