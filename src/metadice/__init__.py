@@ -7,10 +7,10 @@ given by their first differing trit. Everything is exact rational
 arithmetic; ``verify_family`` proves a family's structure from its node
 tables and checks the pairs they cannot vouch for (see ``metadice.sweep``).
 
-The record classes are ``NamedTuple``s or plain classes with an explicit
-``__init__``, not the standard library's record decorator: every CLI
-command is a fresh process, and importing that module (which loads
-``inspect``) and decorating classes with it was a large share of
+The record classes are ``NamedTuple``s or ``dice.Value`` subclasses with
+an explicit ``__init__``, not the standard library's record decorator:
+every CLI command is a fresh process, and importing that module (which
+loads ``inspect``) and decorating classes with it was a large share of
 start-up. ``tests/test_records.py`` checks that ``import metadice.cli``
 loads neither module.
 """

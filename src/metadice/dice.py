@@ -3,7 +3,8 @@
 A face is a fixed-length digit sequence compared positionally (most
 significant digit first), so families of any nesting depth never need
 big-integer arithmetic. All probabilities are exact ``fractions.Fraction``
-values; nothing in this module touches floating point.
+values; nothing in this module touches floating point. The module also
+hosts :class:`Value`, the value protocol the library's immutable classes share.
 """
 
 from __future__ import annotations
@@ -45,15 +46,50 @@ def face_text(face: Face) -> str:
     return "".join(str(d) for d in face)
 
 
-class Die:
+class Value:
+    """An immutable value of the fields named in ``_fields``, which a
+    subclass's ``__init__`` stores with :meth:`_set` once its checks pass.
+
+    Values of one class are equal, and hash alike, when their fields are;
+    a value of another class, a tuple included, is never equal. No
+    ``__slots__``: ``cached_property`` needs the instance ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Die(Value):
     """A die as a multiset of equal-length faces.
 
     ``faces`` holds (face, multiplicity) pairs; construction merges duplicate
     faces and sorts, so two dice with the same multiset compare equal. The
     classic six-sided sets use three distinct faces at multiplicity 2.
-    A die is an immutable value: equal faces mean equal dice and hashes.
     """
 
+    _fields = ("faces",)
     faces: tuple[tuple[Face, int], ...]
 
     def __init__(self, faces: tuple[tuple[Face, int], ...]):
@@ -76,23 +112,7 @@ class Die:
             if mult < 1:
                 raise ValueError(f"face multiplicity must be positive, got {mult}")
             merged[face] = merged.get(face, 0) + int(mult)
-        object.__setattr__(self, "faces", tuple(sorted(merged.items())))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.faces == other.faces
-
-    def __hash__(self):
-        return hash(self.faces)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"Die(faces={self.faces!r})"
+        self._set(faces=tuple(sorted(merged.items())))
 
     @classmethod
     def from_values(
@@ -142,12 +162,12 @@ class Die:
         return self.text()
 
 
-def parse_die(text: str, *, allow_zero: bool = False) -> Die:
+def parse_die(text: str) -> Die:
     """Parse the die text format: comma-separated faces, optional xN suffix.
 
     ``2x2,4x2,9x2`` and the shorthand ``2,4,9`` (multiplicity 1) are both
     accepted. Digit length is set by the longest face; a shorter face is an
-    error, never zero-padded.
+    error, never zero-padded. Digit 0 is refused: the Lo Shu digits are 1..9.
     """
     faces: list[tuple[Face, int]] = []
     positions: list[int] = []
@@ -160,7 +180,7 @@ def parse_die(text: str, *, allow_zero: bool = False) -> Die:
         if m is None:
             raise DieParseError(f"bad face token {token!r}", here)
         digits = tuple(int(c) for c in m.group(1))
-        if not allow_zero and 0 in digits:
+        if 0 in digits:
             raise DieParseError("digit 0 is not allowed here", here)
         mult = int(m.group(2)) if m.group(2) else 1
         if mult < 1:
@@ -178,9 +198,10 @@ def parse_die(text: str, *, allow_zero: bool = False) -> Die:
     return Die(tuple(faces))
 
 
-class DuelResult:
+class DuelResult(Value):
     """Exact (win, tie, loss) probability triple of one die against another."""
 
+    _fields = ("win", "tie", "loss")
     win: Fraction
     tie: Fraction
     loss: Fraction
@@ -191,25 +212,7 @@ class DuelResult:
         for p in (win, tie, loss):
             if not 0 <= p <= 1:
                 raise ValueError(f"probability {p} outside [0, 1]")
-        object.__setattr__(self, "win", win)
-        object.__setattr__(self, "tie", tie)
-        object.__setattr__(self, "loss", loss)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.win, self.tie, self.loss) == (other.win, other.tie, other.loss)
-
-    def __hash__(self):
-        return hash((self.win, self.tie, self.loss))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"DuelResult(win={self.win!r}, tie={self.tie!r}, loss={self.loss!r})"
+        self._set(win=win, tie=tie, loss=loss)
 
     def __str__(self) -> str:
         return f"{self.win} {self.tie} {self.loss}"

@@ -34,7 +34,7 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from metadice.dice import Die, DuelResult, LengthMismatchError, is_digit_string
+from metadice.dice import Die, DuelResult, LengthMismatchError, Value, is_digit_string
 from metadice.loshu import AssignmentStack, parse_stack
 from metadice.sweep import (
     Failure,
@@ -99,12 +99,13 @@ def face_value(word: Word, rank: int, stack: AssignmentStack) -> str:
         )
     if isinstance(rank, bool) or rank not in (0, 1, 2):
         raise ValueError(f"rank must be 0, 1 or 2, got {rank}")
+    die_number(word)  # checks the trits before they index the tables
     return "".join(
         str(stack.assignment_at(j, word)[t][rank]) for j, t in enumerate(word, 1)
     )
 
 
-class DiceFamily:
+class DiceFamily(Value):
     """All 3^depth dice of one construction, addressed by ternary words.
 
     ``rank_faces[i]`` are die i's faces in rank order, each a string of
@@ -113,10 +114,11 @@ class DiceFamily:
     that carry no construction.
     ``words`` is derived from the depth on first use and cached; a die is
     read as its rank faces, each at the family multiplicity. A family is
-    an immutable value, equal to another with the same four fields. The
-    constructor checks every die; only :func:`generate` skips the checks.
+    a :class:`~metadice.dice.Value` of its four fields. The constructor
+    checks every die; only :func:`generate` skips the checks.
     """
 
+    _fields = ("depth", "multiplicity", "rank_faces", "stack")
     depth: int
     multiplicity: int
     rank_faces: tuple[tuple[str, str, str], ...]
@@ -129,6 +131,9 @@ class DiceFamily:
         rank_faces: tuple[tuple[str, str, str], ...],
         stack: AssignmentStack | None = None,
     ):
+        for name, value in (("depth", depth), ("multiplicity", multiplicity)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise FamilyFormatError(f"{name} must be an integer, got {value!r}")
         if depth < 1:
             raise FamilyFormatError("depth must be at least 1")
         if multiplicity < 1:
@@ -155,7 +160,7 @@ class DiceFamily:
                     f"die {face_word_label(word_of(n, depth))} has a face"
                     f" that is not {depth} digits from 0..9"
                 )
-        vars(self).update(
+        self._set(
             depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
         )
 
@@ -164,32 +169,10 @@ class DiceFamily:
         """The family of these fields without the constructor's checks, for
         :func:`generate` only."""
         family = object.__new__(cls)
-        vars(family).update(
+        family._set(
             depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
         )
         return family
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return (
-            f"DiceFamily(depth={self.depth!r}, multiplicity={self.multiplicity!r},"
-            f" rank_faces={self.rank_faces!r}, stack={self.stack!r})"
-        )
-
-    def _key(self) -> tuple:
-        return (self.depth, self.multiplicity, self.rank_faces, self.stack)
 
     @cached_property
     def words(self) -> tuple[Word, ...]:

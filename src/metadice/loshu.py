@@ -24,7 +24,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from metadice.dice import is_digit_string
+from metadice.dice import Value, is_digit_string
 
 Triple = tuple[int, int, int]
 
@@ -62,7 +62,7 @@ class ValidationResult(NamedTuple):
         )
 
 
-class DigitAssignment:
+class DigitAssignment(Value):
     """Three digit triples, one per subset; all nine digits distinct.
 
     ``subsets[s][i]`` is the digit for cycle position ``s`` at face rank
@@ -70,6 +70,7 @@ class DigitAssignment:
     the Lo Shu digits 1..9 only. Assignments are immutable values.
     """
 
+    _fields = ("subsets",)
     subsets: tuple[Triple, Triple, Triple]
 
     def __init__(self, subsets: Sequence[Sequence[int]]):
@@ -83,23 +84,7 @@ class DigitAssignment:
             raise StackValidationError(
                 "the 9 digits of an assignment must be pairwise distinct"
             )
-        object.__setattr__(self, "subsets", subsets)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.subsets == other.subsets
-
-    def __hash__(self):
-        return hash(self.subsets)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"DigitAssignment(subsets={self.subsets!r})"
+        self._set(subsets=subsets)
 
     def __getitem__(self, subset: int) -> Triple:
         return self.subsets[subset]
@@ -151,35 +136,19 @@ def rotate(a: DigitAssignment, r: int) -> DigitAssignment:
     )
 
 
-class LevelRule:
+class LevelRule(Value):
     """One level of a stack: a base table, optionally rotated by an earlier trit.
 
     ``rotate_by`` is the 1-based word position whose trit picks the rotation
     amount; ``None`` means the level uses ``base`` everywhere.
     """
 
+    _fields = ("base", "rotate_by")
     base: DigitAssignment
     rotate_by: int | None
 
     def __init__(self, base: DigitAssignment, rotate_by: int | None = None):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "rotate_by", rotate_by)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.rotate_by) == (other.base, other.rotate_by)
-
-    def __hash__(self):
-        return hash((self.base, self.rotate_by))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"LevelRule(base={self.base!r}, rotate_by={self.rotate_by!r})"
+        self._set(base=base, rotate_by=rotate_by)
 
     @cached_property
     def tables(self) -> tuple[DigitAssignment, ...]:
@@ -191,7 +160,7 @@ class LevelRule:
         return self.base.text() + suffix
 
 
-class AssignmentStack:
+class AssignmentStack(Value):
     """A validated per-level sequence of digit assignments.
 
     Level 1 must satisfy the leading property, deeper levels the rank-wise
@@ -200,6 +169,7 @@ class AssignmentStack:
     a rotated rule covers all three of its rotations.
     """
 
+    _fields = ("levels",)
     levels: tuple[LevelRule, ...]
 
     def __init__(self, levels: tuple[LevelRule, ...]):
@@ -223,23 +193,7 @@ class AssignmentStack:
             )
             if not check:
                 raise StackValidationError(f"level {level}: {check.detail()}")
-        object.__setattr__(self, "levels", levels)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.levels == other.levels
-
-    def __hash__(self):
-        return hash(self.levels)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"AssignmentStack(levels={self.levels!r})"
+        self._set(levels=levels)
 
     @property
     def depth(self) -> int:

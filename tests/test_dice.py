@@ -150,10 +150,6 @@ class TestDieParsing:
         with pytest.raises(DieParseError):
             parse_die(text)
 
-    def test_zero_digit_allowed_with_flag(self):
-        die = parse_die("102,345,678", allow_zero=True)
-        assert die.digit_length == 3
-
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(DieParseError):
             parse_die("2x0,4,9")

@@ -260,6 +260,11 @@ class TestFaceValue:
         with pytest.raises(ValueError, match="rank must be 0, 1 or 2, got True"):
             face_value((0,), True, preset_stack("paper-1"))
 
+    @pytest.mark.parametrize("word", [(-1,), (True,), (5,)])
+    def test_bad_trit_rejected(self, word):
+        with pytest.raises(ValueError, match="word trits must be 0, 1 or 2"):
+            face_value(word, 0, preset_stack("paper-1"))
+
 
 class TestGenerate:
     def test_base_family_exact(self):
@@ -382,6 +387,22 @@ class TestFamilyInvariants:
         rank_faces = (("1", "6", "8"), die, ("3", "5", "7"))
         with pytest.raises(FamilyFormatError, match=r"die D2 \(1\) needs 3"):
             DiceFamily(1, 2, rank_faces)
+
+    @pytest.mark.parametrize(
+        "depth, multiplicity, message",
+        [
+            (True, 2, "depth must be an integer, got True"),
+            (1.0, 2, "depth must be an integer, got 1.0"),
+            (1, "2", "multiplicity must be an integer, got '2'"),
+            (1, False, "multiplicity must be an integer, got False"),
+        ],
+    )
+    def test_non_integer_depth_or_multiplicity_rejected(
+        self, depth, multiplicity, message
+    ):
+        faces = (("2", "4", "9"), ("1", "6", "8"), ("3", "5", "7"))
+        with pytest.raises(FamilyFormatError, match=message):
+            DiceFamily(depth, multiplicity, faces)
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """The record classes: value semantics, and what a CLI process imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from metadice.dice import Die, DuelResult
+import metadice.cli  # noqa: F401  (imports every layer module)
+from metadice.dice import Die, DuelResult, Value
 from metadice.export import DominanceGraph, Edge
 from metadice.hierarchy import (
     DiceFamily,
@@ -101,6 +103,97 @@ RECORDS = {
         "full",
     ),
 }
+
+_ASSIGNMENT = "DigitAssignment(subsets=((2, 4, 9), (1, 6, 8), (3, 5, 7)))"
+_WIN = "DuelResult(win=Fraction(5, 9), tie=Fraction(0, 1), loss=Fraction(4, 9))"
+_FAILURE = (
+    f"PairFailure(word_a=(0,), word_b=(1,), expected_winner=(0,), observed={_WIN})"
+)
+#: name -> repr of RECORDS[name]'s first instance
+REPRS = {
+    "Die": "Die(faces=(((2,), 2), ((4,), 2), ((9,), 2)))",
+    "DuelResult": _WIN,
+    "ValidationResult": (
+        "ValidationResult(ok=True, predicate='leading', pair=None, count=None,"
+        " required=None)"
+    ),
+    "DigitAssignment": _ASSIGNMENT,
+    "LevelRule": (
+        "LevelRule(base=DigitAssignment(subsets=((2, 9, 4), (1, 8, 6), (3, 7, 5))),"
+        " rotate_by=2)"
+    ),
+    "AssignmentStack": (
+        f"AssignmentStack(levels=(LevelRule(base={_ASSIGNMENT}, rotate_by=None),"
+        f" LevelRule(base={_ASSIGNMENT}, rotate_by=None)))"
+    ),
+    "DiceFamily": (
+        "DiceFamily(depth=1, multiplicity=2, rank_faces=(('2', '4', '9'),"
+        " ('1', '6', '8'), ('3', '5', '7')), stack=None)"
+    ),
+    "PairFailure": _FAILURE,
+    "LevelSummary": "LevelSummary(level=1, pairs=27, failures=0)",
+    "VerificationReport": (
+        "VerificationReport(depth=1, dice_count=3, multiplicity=2, pairs_checked=3,"
+        f" failures=({_FAILURE},), per_level=(LevelSummary(level=1, pairs=3,"
+        " failures=1),), elapsed=0.0, certificate_detail=None, method='certificate',"
+        " pairs_scanned=0)"
+    ),
+    "DominanceGraph": (
+        "DominanceGraph(depth=1, level=1, full=False, nodes=((0,), (1,)),"
+        " edges=(Edge(source=(0,), target=(1,), probability=Fraction(5, 9)),))"
+    ),
+}
+PROTOCOL = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__repr__"}
+#: the RECORDS that are not NamedTuples, which are tuples by design
+VALUES = sorted(name for name in RECORDS if not isinstance(RECORDS[name][0](), tuple))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_repr_names_every_field(name):
+    assert repr(RECORDS[name][0]()) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_is_not_the_tuple_of_its_fields(name):
+    record = RECORDS[name][0]()
+    fields = tuple(vars(record).values())  # a fresh value holds only its fields
+    assert fields and record != fields and not record == fields
+
+
+def test_every_value_class_shares_the_one_protocol():
+    classes = {
+        obj
+        for name, module in list(sys.modules.items())
+        if name.startswith("metadice.")
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == name
+    }
+    values = [
+        cls
+        for cls in classes
+        if not issubclass(cls, BaseException)
+        and not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+    ]
+    assert {Value, Die, DiceFamily} <= set(values)
+    for cls in values:
+        assert issubclass(cls, Value) and "_fields" in vars(cls), cls
+
+
+def test_only_value_defines_the_protocol_in_source():
+    defining = set()
+    for path in sorted((SRC / "metadice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(stmt.name)
+                elif isinstance(stmt, ast.Assign):
+                    names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+            if PROTOCOL & names:
+                defining.add(f"{path.name}:{node.name}")
+    assert defining == {"dice.py:Value"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
