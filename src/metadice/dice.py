@@ -42,6 +42,11 @@ def is_digit_string(text: object) -> bool:
     return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
+def is_int(value: object) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def face_text(face: Face) -> str:
     return "".join(str(d) for d in face)
 
@@ -85,8 +90,10 @@ class Die(Value):
     """A die as a multiset of equal-length faces.
 
     ``faces`` holds (face, multiplicity) pairs; construction merges duplicate
-    faces and sorts, so two dice with the same multiset compare equal. The
-    classic six-sided sets use three distinct faces at multiplicity 2.
+    faces and sorts, so two dice with the same multiset compare equal. A
+    face is a sequence of int digits in 0..9 and a multiplicity an int of at
+    least 1; nothing is converted. The classic six-sided sets use three
+    distinct faces at multiplicity 2.
     """
 
     _fields = ("faces",)
@@ -98,7 +105,7 @@ class Die(Value):
         merged: dict[Face, int] = {}
         length: int | None = None
         for face, mult in faces:
-            face = tuple(int(d) for d in face)
+            face = tuple(face)
             if not face:
                 raise ValueError("a face needs at least one digit")
             if length is None:
@@ -107,11 +114,13 @@ class Die(Value):
                 raise LengthMismatchError(
                     "all faces of a die must share one digit length"
                 )
-            if any(not 0 <= d <= 9 for d in face):
-                raise ValueError(f"face {face_text(face)} has a digit outside 0..9")
-            if mult < 1:
-                raise ValueError(f"face multiplicity must be positive, got {mult}")
-            merged[face] = merged.get(face, 0) + int(mult)
+            if not all(is_int(d) and 0 <= d <= 9 for d in face):
+                raise ValueError(f"face {face!r} needs int digits in 0..9")
+            if not is_int(mult) or mult < 1:
+                raise ValueError(
+                    f"face multiplicity must be an int of at least 1, got {mult!r}"
+                )
+            merged[face] = merged.get(face, 0) + mult
         self._set(faces=tuple(sorted(merged.items())))
 
     @classmethod

@@ -70,9 +70,11 @@ def build_graph(
     (source, target) order; a pair with no strict winner keeps word order
     and its win probability. It reads the failing pairs from
     :func:`metadice.hierarchy.check_pairs`, so a certified family compares
-    no pair.
+    no pair. A level given with ``full`` is refused.
     """
     if full:
+        if level is not None:
+            raise ValueError("a full graph has no level: it pairs every die")
         level = family.depth
     elif level is None:
         level = 1

@@ -22,7 +22,7 @@ graphs.
 
 ``verify_family`` proves that claim for a concrete family, by the node-table
 certificate or by checking the pairs it cannot vouch for; the
-:mod:`metadice.sweep` docstring describes the three paths.
+:mod:`metadice.sweep` docstring describes the two paths.
 """
 
 from __future__ import annotations
@@ -34,17 +34,10 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from metadice.dice import Die, DuelResult, LengthMismatchError, Value, is_digit_string
+from metadice.dice import Die, DuelResult, LengthMismatchError, Value
+from metadice.dice import is_digit_string, is_int
 from metadice.loshu import AssignmentStack, parse_stack
-from metadice.sweep import (
-    Failure,
-    Faults,
-    certify,
-    level_pairs,
-    outcome,
-    scan_suspects,
-    sweep_pairs,
-)
+from metadice.sweep import Failure, Faults, certify, level_pairs, outcome, scan_suspects
 
 Word = tuple[int, ...]
 
@@ -132,7 +125,7 @@ class DiceFamily(Value):
         stack: AssignmentStack | None = None,
     ):
         for name, value in (("depth", depth), ("multiplicity", multiplicity)):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 raise FamilyFormatError(f"{name} must be an integer, got {value!r}")
         if depth < 1:
             raise FamilyFormatError("depth must be at least 1")
@@ -257,9 +250,10 @@ class VerificationReport(NamedTuple):
     elapsed: float
     #: Why the certificate could not prove the family; None when it did.
     certificate_detail: str | None
-    #: ``"certificate"``, ``"localized"`` or ``"sweep"``: the path that ran.
+    #: ``"certificate"`` or ``"localized"``: the path that ran.
     method: str
-    #: Pairs actually compared: 0 on a certificate, all of them on a sweep.
+    #: Pairs actually compared: 0 on a certificate, those the node tables
+    #: cannot vouch for on a localized scan.
     pairs_scanned: int
 
     @property
@@ -272,32 +266,26 @@ class PairCheck(NamedTuple):
     how :func:`check_pairs` found them.
 
     ``failures`` are (i, j, wins of i, ties) records in (i, j) order, as
-    :func:`metadice.sweep.sweep_pairs` returns them; ``checked`` holds the
-    pairs per first-difference level (0-based).
+    :func:`metadice.sweep.sweep_pairs` returns them; ``scanned`` counts the
+    pairs compared.
     """
 
     faults: Faults
     method: str
-    checked: list[int]
     failures: list[Failure]
     scanned: int
 
 
 def check_pairs(family: DiceFamily) -> PairCheck:
     """Run the certificate and then the path it leaves: no pair on a proof,
-    the pairs the node tables cannot vouch for while the level-1 table
-    holds, every pair otherwise (see the :mod:`metadice.sweep` docstring).
+    otherwise the pairs the node tables cannot vouch for (see the
+    :mod:`metadice.sweep` docstring).
     """
     faults = certify(family.rank_faces, family.depth)
     if faults.reason is None:
-        return PairCheck(faults, "certificate", level_pairs(family.depth), [], 0)
-    if faults.bad_nodes[0]:
-        checked, failures = sweep_pairs(family.rank_faces, family.depth)
-        return PairCheck(faults, "sweep", checked, failures, sum(checked))
+        return PairCheck(faults, "certificate", [], 0)
     failures, scanned = scan_suspects(family.rank_faces, family.depth, faults)
-    return PairCheck(
-        faults, "localized", level_pairs(family.depth), failures, scanned
-    )
+    return PairCheck(faults, "localized", failures, scanned)
 
 
 def verify_family(family: DiceFamily) -> VerificationReport:
@@ -311,11 +299,12 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     Failures are data, not errors; the report carries them in lexicographic
     word-pair order together with a per-level summary, so it is the same
     regardless of how the independent pair checks are scheduled. Each
-    failure's outcome is read from the sweep's own counts by
+    failure's outcome is read from the scan's own counts by
     :func:`metadice.sweep.outcome`.
     """
     start = time.perf_counter()
     pairs = check_pairs(family)
+    checked = level_pairs(family.depth)
     failures = []
     fail_levels: Counter[int] = Counter()
     for i, j, wins, ties in pairs.failures:
@@ -326,14 +315,14 @@ def verify_family(family: DiceFamily) -> VerificationReport:
             PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
         )
     per_level = tuple(
-        LevelSummary(p + 1, pairs.checked[p], fail_levels.get(p, 0))
+        LevelSummary(p + 1, checked[p], fail_levels.get(p, 0))
         for p in range(family.depth)
     )
     return VerificationReport(
         depth=family.depth,
         dice_count=family.size,
         multiplicity=family.multiplicity,
-        pairs_checked=sum(pairs.checked),
+        pairs_checked=sum(checked),
         failures=tuple(failures),
         per_level=per_level,
         elapsed=time.perf_counter() - start,

@@ -24,7 +24,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from metadice.dice import Value, is_digit_string
+from metadice.dice import Value, is_digit_string, is_int
 
 Triple = tuple[int, int, int]
 
@@ -66,20 +66,21 @@ class DigitAssignment(Value):
     """Three digit triples, one per subset; all nine digits distinct.
 
     ``subsets[s][i]`` is the digit for cycle position ``s`` at face rank
-    ``i``. The digit alphabet is 0..9 structurally; the bundled tables use
-    the Lo Shu digits 1..9 only. Assignments are immutable values.
+    ``i``, an int that is not converted. The digit alphabet is 0..9
+    structurally; the bundled tables use the Lo Shu digits 1..9 only.
+    Assignments are immutable values.
     """
 
     _fields = ("subsets",)
     subsets: tuple[Triple, Triple, Triple]
 
     def __init__(self, subsets: Sequence[Sequence[int]]):
-        subsets = tuple(tuple(int(d) for d in sub) for sub in subsets)
+        subsets = tuple(tuple(sub) for sub in subsets)
         if len(subsets) != 3 or any(len(sub) != 3 for sub in subsets):
             raise StackValidationError("an assignment needs 3 subsets of 3 digits")
         digits = [d for sub in subsets for d in sub]
-        if any(not 0 <= d <= 9 for d in digits):
-            raise StackValidationError("assignment digits must lie in 0..9")
+        if not all(is_int(d) and 0 <= d <= 9 for d in digits):
+            raise StackValidationError("assignment digits must be ints in 0..9")
         if len(set(digits)) != 9:
             raise StackValidationError(
                 "the 9 digits of an assignment must be pairwise distinct"
@@ -231,20 +232,10 @@ def preset_stack(name: str, depth: int | None = None) -> AssignmentStack:
     """Return a built-in stack.
 
     ``paper-1``, ``paper-2`` and ``paper-3`` are the bundled reference
-    families of 3, 9 and 27 dice; ``uniform`` (or ``uniform-<k>``) repeats
-    the sorted magic-square rows at every one of ``depth`` levels.
+    families of 3, 9 and 27 dice; ``uniform`` repeats the sorted
+    magic-square rows at every one of ``depth`` levels.
     """
-    if name == "uniform" or name.startswith("uniform-"):
-        if name != "uniform":
-            try:
-                parsed = int(name.split("-", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad uniform preset name {name!r}") from None
-            if depth is not None and depth != parsed:
-                raise ValueError(
-                    f"preset {name!r} conflicts with depth {depth}"
-                )
-            depth = parsed
+    if name == "uniform":
         if depth is None:
             raise ValueError("the uniform preset needs a depth")
         if depth < 1:

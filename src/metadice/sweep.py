@@ -19,23 +19,24 @@ failures in (i, j) order, which is lexicographic word-pair order, so
 reports are deterministic. ``bench/run.py`` times it end to end.
 
 The same block layout carries a proof that reads no pair, and it decides
-which pairs are checked at all. A pair that first differs at level p under
-node N splits its nine comparisons 6 + 3: the level-1 table settles the six
-cross-rank ones and N's table the three same-rank ones, provided both dice
-carry their child blocks' digits at levels 1..p; deeper digits cannot
-change it. ``certify`` recovers every node's table from its child blocks
-in O(3^k·k) steps and records each die that leaves its block and each
-table that fails. Verification then takes one of three paths:
+which pairs are checked at all. A pair that first differs at level p >= 2
+under node N splits its nine comparisons 6 + 3, provided both dice carry
+their child blocks' digits at levels 1..p; deeper digits cannot change it.
+When the three digits of the pair's level-1 block are distinct, they settle
+the six cross-rank comparisons, three wins each way, and N's table settles
+the three same-rank ones. At level 1 the level-1 table settles all nine.
+``certify`` recovers every node's table from its child blocks in O(3^k·k)
+steps and records each die that leaves its block and each node whose pairs
+no table vouches for. Verification then takes one of two paths:
 
 - ``certificate``: no die strays and every table holds, so every pair
   passes and none is read;
-- ``localized``: the level-1 table holds, and ``scan_suspects`` checks only
-  the pairs with a stray die at or above their first differing level, or
-  under a failed table;
-- ``sweep``: the level-1 table fails, which vouches for no pair, and
-  ``sweep_pairs`` checks them all.
+- ``localized``: ``scan_suspects`` checks only the pairs with a stray die
+  at or above their first differing level, or under such a node.
 
-All three report the same per-level pair counts and the same failures.
+Both report the same per-level pair counts and the same failures.
+``sweep_pairs`` checks every pair; it is the tests' oracle and settles
+a trio of sibling dice for the dominance graphs.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class Faults(NamedTuple):
     stray die before a failed table, or None when the family is proven.
     ``deviations`` maps each die that leaves its child block's reference
     digits to the first (0-based) level where it does. ``bad_nodes[p]``
-    holds the nodes of level p whose table fails.
+    holds the nodes of level p whose pairs no table vouches for.
     """
 
     reason: str | None
@@ -198,6 +199,14 @@ def certify(rank_faces: Sequence[Faces], depth: int) -> Faults:
         rows = list(zip(*refs))  # (rank 0, 1, 2) digits of each child block
         verdicts: dict[tuple, str | None] = {}
         bad = set()
+        if p == 0:
+            # a level-1 block whose digits repeat across ranks cannot settle
+            # the cross-rank comparisons of the pairs beneath it
+            crowded = [b for b, row in enumerate(rows) if len(set(row)) < 3]
+        else:
+            width = 3 ** (p - 1)  # the nodes of level p under one such block
+            for b in crowded:
+                bad.update(range(b * width, (b + 1) * width))
         for node, table in enumerate(zip(rows[0::3], rows[1::3], rows[2::3])):
             if table not in verdicts:
                 verdicts[table] = _table_fault(table, check)
@@ -232,8 +241,9 @@ def _block_majorities(
 
 def _table_fault(table, check) -> str | None:
     """Why a node table cannot certify its level, or None when it can."""
+    digits = tuple(tuple(map(int, row)) for row in table)
     try:
-        result = check(DigitAssignment(table))
+        result = check(DigitAssignment(digits))
     except StackValidationError as exc:
         return str(exc)
     return None if result else result.detail()
@@ -264,15 +274,13 @@ def scan_suspects(
     rank_faces: Sequence[Faces], depth: int, faults: Faults
 ) -> tuple[list[Failure], int]:
     """Check only the pairs that ``faults`` leaves the node tables unable to
-    vouch for; the level-1 table must hold.
+    vouch for.
 
     A pair (i, j) first differing at level p under node N is checked when
-    die i or die j strays at a level <= p, or when N's table fails. Returns
-    the failures as :func:`sweep_pairs` would, in (i, j) order, and the
-    number of pairs compared.
+    die i or die j strays at a level <= p, or when N is in
+    ``faults.bad_nodes[p]``. Returns the failures as :func:`sweep_pairs`
+    would, in (i, j) order, and the number of pairs compared.
     """
-    if faults.bad_nodes[0]:
-        raise ValueError("a failed level-1 table vouches for no pair")
     faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
     failures: list[Failure] = []
     scanned = 0

@@ -2,8 +2,10 @@
 and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout.
 Also the JSON writer's byte identity with ``json.dumps(indent=2)``."""
 
+import inspect
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -102,6 +104,22 @@ def test_ascii_inputs_still_parse(run_cli):
     assert code == 0 and "PASS" in out
 
 
+def test_every_library_error_is_a_value_error():
+    """``main`` turns a ValueError or OSError into exit 2, so each exception
+    class metadice defines must be a ValueError."""
+    errors = {
+        cls
+        for name, module in sys.modules.items()
+        if name.startswith("metadice")
+        for cls in vars(module).values()
+        if inspect.isclass(cls)
+        and issubclass(cls, BaseException)
+        and cls.__module__.startswith("metadice")
+    }
+    assert len(errors) >= 5
+    assert all(issubclass(cls, ValueError) for cls in errors), errors
+
+
 #: Calls refused by the --depth or --multiplicity match or the depth
 #: ceiling, with a phrase of the error; {name} is an input file written by
 #: the test.
@@ -146,6 +164,25 @@ def test_depth_refused_for_every_source(run_cli, tmp_path, case):
     code, out, err = run_cli(argv, stdin)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and phrase in err
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_depth_below_one_refused(run_cli, tmp_path, depth):
+    """Every source refuses a depth below 1 with its own message, before
+    the depth ceiling is checked."""
+    stack, family = tmp_path / "stack", tmp_path / "family.json"
+    stack.write_text("2,4,9;1,6,8;3,5,7\n")
+    family.write_text(json.dumps(PAPER1))
+    uniform = run_cli(["generate", "--preset", "uniform", "--depth", depth])
+    assert uniform == (2, "", f"error: depth must be at least 1, got {depth}\n")
+    for source in (
+        ["--preset", "paper-3"], ["--stack", str(stack)], ["--family", str(family)]
+    ):
+        code, out, err = run_cli(["verify", *source, "--depth", depth])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    listing = "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n"
+    code, out, err = run_cli(["verify", "--stdin", "--depth", depth], listing)
+    assert (code, out) == (2, "") and "does not match" in err
 
 
 def test_family_keeps_its_multiplicity(run_cli, tmp_path):
@@ -205,12 +242,12 @@ D9 33 55 77
             ["--stdin"],
             "D1 2 4 8\nD2 1 6 9\nD3 3 5 7\n",
             1,
-            "sweep",
+            "localized",
             "level 1, prefix (), table 2,4,8;1,6,9;3,5,7: leading property fails"
             " for subset pair 0->1: 4 winning comparisons, need exactly 5",
         ),
     ],
-    ids=["certified", "localized-pass", "localized-fail", "sweep-fail"],
+    ids=["certified", "localized-pass", "localized-fail", "level1-fail"],
 )
 def test_text_report_names_the_method(run_cli, argv, stdin, code, method, detail):
     """The text report ends with the verdict, the time and the method; when

@@ -173,6 +173,27 @@ class TestDieInvariants:
         with pytest.raises(ValueError):
             Die(())
 
+    @pytest.mark.parametrize(
+        "faces",
+        [
+            (((2,), 1.5), ((4,), True)),  # a float and a bool multiplicity
+            (((2,), "2"),),
+            (((2,), 0),),
+            (((2.9,), 1),),  # a float digit
+            (((True,), 1),),
+            (((1, "2"), 1),),
+            ((("\u0662",), 1),),  # Arabic-Indic two
+            (((10,), 1),),
+            (((-1,), 1),),
+        ],
+    )
+    def test_nothing_is_converted(self, faces):
+        """Digits are ints in 0..9 and multiplicities ints of at least 1,
+        taken as given: a float, bool or string is refused, not truncated
+        or parsed."""
+        with pytest.raises(ValueError):
+            Die(faces)
+
     def test_expand_applies_multiplicity(self):
         assert DIE_A.expand() == ((2,),) * 2 + ((4,),) * 2 + ((9,),) * 2
 

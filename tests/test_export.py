@@ -114,6 +114,13 @@ class TestBuildGraph:
         graph = build_graph(PAPER1, full=True)
         assert len(graph.edges) == 3
 
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_full_graph_refuses_a_level(self, level):
+        """Even the level a full graph reports is refused, as the CLI's
+        --level and --full-graph exclude each other."""
+        with pytest.raises(ValueError, match="full graph has no level"):
+            build_graph(PAPER2, level, full=True)
+
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
             build_graph(PAPER2, 3)
@@ -192,8 +199,8 @@ def paper3_single_faults(count, seed=4242):
 
 def level1_failed_family(depth=3):
     """Uniform dice whose subset-0 rank-0 faces start with digit 0: the
-    level-1 table 0,4,9;1,6,8;3,5,7 fails the leading property, which
-    vouches for no pair, so the sweep checks them all."""
+    level-1 table 0,4,9;1,6,8;3,5,7 fails the leading property, so the
+    localized scan checks every pair that first differs at level 1."""
     faces = [list(die) for die in generate(preset_stack("uniform", depth)).rank_faces]
     for die in faces[: 3 ** (depth - 1)]:
         die[0] = "0" + die[0][1:]
@@ -249,7 +256,7 @@ def test_full_graph_matches_the_sweep_on_every_path():
         methods.add(pairs.method)
         flipped += sum(predicted_winner(w, v) != w for w, v, _ in want)
         tied += sum(ties > 0 for _, _, _, ties in pairs.failures)
-    assert methods == {"certificate", "localized", "sweep"}
+    assert methods == {"certificate", "localized"}
     assert flipped and tied
 
 

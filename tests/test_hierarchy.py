@@ -1,5 +1,5 @@
-"""Family generation, the winner rule, verification by certificate, by
-localized scan and by sweep, Monte Carlo."""
+"""Family generation, the winner rule, verification by certificate and by
+localized scan against the all-pairs sweep, Monte Carlo."""
 
 import random
 from collections import Counter
@@ -20,6 +20,7 @@ from conftest import (
     random_rank_faces,
     valid_stacks,
 )
+from metadice import hierarchy
 from metadice.dice import Die, DuelResult, LengthMismatchError, duel
 from metadice.hierarchy import (
     DiceFamily,
@@ -512,7 +513,7 @@ class TestVerify:
         faces = (("2", "4", "8"), ("1", "6", "9"), ("3", "5", "7"))
         report = verify_family(DiceFamily(1, 2, faces))
         assert report.elapsed >= 0 and not report.passed
-        assert report.method == "sweep"
+        assert report.method == "localized"
         assert report.pairs_scanned == report.pairs_checked == 3
         assert report.certificate_detail == (
             "level 1, prefix (), table 2,4,8;1,6,9;3,5,7: leading property"
@@ -538,22 +539,20 @@ class TestCertificate:
                 assert report.method == "certificate"
                 assert report.pairs_scanned == 0
                 assert sweep_report.passed
-            elif faults.bad_nodes[0]:
-                assert report.method == "sweep"
-                assert report.pairs_scanned == report.pairs_checked
             else:
                 assert report.method == "localized"
                 assert 0 < report.pairs_scanned <= report.pairs_checked
             assert faults.reason is None or faults.reason.startswith("level ")
             assert_same_outcome(report, sweep_report)
-            methods.append((report.method, report.passed))
-        # every combination but a certified failure shows up
+            methods.append((report.method, report.passed, bool(faults.bad_nodes[0])))
+        # every combination but a certified failure shows up, and a failed
+        # level-1 table both passes and fails
         assert set(methods) == {
-            ("certificate", True),
-            ("localized", True),
-            ("localized", False),
-            ("sweep", True),
-            ("sweep", False),
+            ("certificate", True, False),
+            ("localized", True, False),
+            ("localized", False, False),
+            ("localized", True, True),
+            ("localized", False, True),
         }
 
     def test_single_faults_match_the_sweep(self):
@@ -595,6 +594,44 @@ class TestCertificate:
         )
         assert_same_outcome(report, sweep_only_report(family))
 
+    def test_crowded_level1_block_scans_every_pair_beneath_it(self):
+        """Rank-1 faces 2 + the rank-2 tail in level-1 block 0 repeat digit
+        2 across its ranks, so its level-1 digits settle none of its pairs'
+        cross-rank comparisons: every node beneath it is checked pair by
+        pair, besides every pair that first differs at level 1."""
+        faces = [list(die) for die in generate(preset_stack("uniform", 3)).rank_faces]
+        for die in faces[:9]:
+            die[1] = "2" + die[2][1:]
+        family = DiceFamily(3, 2, tuple(map(tuple, faces)))
+        assert family.rank_faces[0] == ("222", "299", "999")
+        faults = certify(family.rank_faces, 3)
+        assert faults.bad_nodes == ({0}, {0}, {0, 1, 2})
+        assert faults.deviations == {}
+        report = verify_family(family)
+        assert report.method == "localized"
+        assert report.pairs_scanned == 243 + 27 + 9
+        assert [s.failures for s in report.per_level] == [81, 18, 6]
+        assert_same_outcome(report, sweep_only_report(family))
+
+    def test_crowded_level1_block_overrules_valid_tables_beneath_it(self):
+        """Digit 2 at ranks 0 and 1 of level-1 block 0 leaves those ranks'
+        cross comparisons to level 2. There node (0)'s table holds, yet it
+        makes D1 beat D2 6/9, so the node is checked pair by pair."""
+        crowded = ((2, 2, 9), (1, 6, 8), (3, 5, 7))
+        node0 = ((7, 8, 1), (5, 4, 6), (9, 3, 2))
+        family = DiceFamily(2, 2, tree_rank_faces(
+            2,
+            lambda level, prefix: (
+                crowded if level == 1 else node0 if prefix == (0,) else SORTED_ROWS
+            ),
+        ))
+        assert certify(family.rank_faces, 2).bad_nodes == ({0}, {0})
+        report = verify_family(family)
+        assert report.failures[0].word_a == (0, 0)
+        assert report.failures[0].word_b == (0, 1)
+        assert report.failures[0].observed.win == Fraction(6, 9)
+        assert_same_outcome(report, sweep_only_report(family))
+
     def test_disagreeing_die_named(self):
         faces = [list(die) for die in PAPER3.rank_faces]
         faces[13][1] = faces[13][1][0] + "0" + faces[13][1][2]
@@ -605,7 +642,9 @@ class TestCertificate:
 
     def test_deep_certificate_reads_no_pair(self):
         family = generate(preset_stack("uniform", 9), 1)
-        with mock.patch("metadice.hierarchy.sweep_pairs") as sweep:
+        # verify_family reaches the sweep only through its module
+        assert not hasattr(hierarchy, "sweep_pairs")
+        with mock.patch("metadice.sweep.sweep_pairs") as sweep:
             report = verify_family(family)
         sweep.assert_not_called()
         assert report.passed and report.method == "certificate"
@@ -624,7 +663,7 @@ class TestCertificate:
         for i, (rank, pos) in altered.items():
             faces[i][rank][pos] = str((int(faces[i][rank][pos]) + 1) % 10)
         tampered = DiceFamily(7, 1, frozen(faces))
-        with mock.patch("metadice.hierarchy.sweep_pairs") as sweep:
+        with mock.patch("metadice.sweep.sweep_pairs") as sweep:
             report = verify_family(tampered)
         sweep.assert_not_called()
         assert not report.passed and report.method == "localized"

@@ -117,6 +117,15 @@ class TestDigitAssignment:
         with pytest.raises(StackValidationError):
             DigitAssignment(((1, 2, 3), (4, 5, 6), (7, 8, 11)))
 
+    @pytest.mark.parametrize(
+        "first", [2.7, "2", "\u0662", True, 2.0], ids=repr
+    )
+    def test_digits_are_not_converted(self, first):
+        """A float, string, Arabic-Indic or bool digit is refused, not read
+        as 2 (or 1)."""
+        with pytest.raises(StackValidationError, match="ints in 0..9"):
+            DigitAssignment(((first, 4, 9), (1, 6, 8), (3, 5, 7)))
+
     def test_text_form(self):
         assert SORTED_ROWS.text() == "2,4,9;1,6,8;3,5,7"
 
@@ -152,9 +161,12 @@ class TestPresets:
         assert stack.assignment_at(4, (0, 1, 2)) == SORTED_ROWS
 
     def test_uniform_dash_name(self):
-        assert preset_stack("uniform-4") == preset_stack("uniform", 4)
-        with pytest.raises(ValueError):
-            preset_stack("uniform-4", 5)
+        """The depth is an argument, never part of the name."""
+        for name in ("uniform-3", "uniform-\u0663", "uniform-+3"):
+            with pytest.raises(ValueError, match="unknown preset"):
+                preset_stack(name)
+            with pytest.raises(ValueError, match="unknown preset"):
+                preset_stack(name, 3)
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError):

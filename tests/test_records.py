@@ -96,7 +96,7 @@ RECORDS = {
         lambda: LevelSummary(1, 27, 1),
         "failures",
     ),
-    "VerificationReport": (_report, lambda: _report(method="sweep"), "method"),
+    "VerificationReport": (_report, lambda: _report(method="localized"), "method"),
     "DominanceGraph": (
         lambda: DominanceGraph(1, 1, False, ((0,), (1,)), (Edge((0,), (1,), WIN.win),)),
         lambda: DominanceGraph(1, 1, True, ((0,), (1,)), ()),
