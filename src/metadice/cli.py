@@ -38,6 +38,7 @@ from metadice.hierarchy import (
     verify_family,
 )
 from metadice.loshu import AssignmentStack, parse_stack, preset_stack
+from metadice.sweep import outcome
 
 #: Depth accepted without --allow-large. It bounds the memory of generating
 #: 3^k dice, the length of a failure list, and the scan of every pair that
@@ -203,6 +204,8 @@ def _load_family(args) -> DiceFamily:
     if multiplicity < 1:
         raise ValueError("multiplicity must be at least 1")
     if args.preset is not None:
+        if args.depth is not None:  # before a uniform stack of that depth is built
+            _check_depth(args.depth, args.allow_large)
         source, noun = preset_stack(args.preset, args.depth), "preset"
     elif args.stack is not None:
         source, noun = parse_stack(Path(args.stack).read_text()), "stack"
@@ -303,16 +306,35 @@ def family_listing(family: DiceFamily) -> str:
 
 
 def report_text(report: VerificationReport) -> str:
+    """The human report: counts, one line per failure, the certificate's
+    complaint and the verdict with its time and method.
+
+    Each failure line is ``"  " + failure.describe()``, written from the
+    report's records: each die's ``D<n> (<trits>)`` label and each
+    (wins, ties) outcome's text are written once.
+    """
     lines = [
         f"depth {report.depth}, {report.dice_count} dice,"
-        f" {report.pairs_checked} pairs, {len(report.failures)} failures"
+        f" {report.pairs_checked} pairs, {len(report.records)} failures"
     ]
     for level in report.per_level:
         lines.append(
             f"level {level.level}: {level.pairs} pairs, {level.failures} failures"
         )
-    for failure in report.failures:
-        lines.append("  " + failure.describe())
+    if report.records:
+        labels = [
+            f"D{n} ({''.join(word)})"
+            for n, word in enumerate(product("012", repeat=report.depth), 1)
+        ]
+        observed = {
+            key: f"observed win {r.win} tie {r.tie} loss {r.loss}"
+            for key, r in _outcomes(report).items()
+        }
+        lines += [
+            f"  {labels[i]} vs {labels[j]}: expected {labels[winner]} to win 5/9,"
+            f" {observed[key]}"
+            for i, j, winner, key in _failure_rows(report)
+        ]
     if report.certificate_detail is not None:
         lines.append(f"certificate: {report.certificate_detail}")
     status = "PASS" if report.passed else "FAIL"
@@ -320,7 +342,24 @@ def report_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_json(report: VerificationReport) -> dict:
+def _outcomes(report: VerificationReport) -> dict:
+    """The duel of each (wins, ties) count among the report's failures."""
+    return {(wins, ties): outcome(wins, ties) for _, _, wins, ties in report.records}
+
+
+def _failure_rows(report: VerificationReport):
+    """Per failure record: i, j, the index of the die the cycle favors and
+    the (wins, ties) key. Dice i < j sit in sibling blocks of the largest
+    block size that separates them, and i wins when j's block is the one
+    right after its own."""
+    sizes = [3 ** e for e in reversed(range(report.depth))]
+    for i, j, wins, ties in report.records:
+        size = next(s for s in sizes if i // s != j // s)
+        yield i, j, i if j // size - i // size == 1 else j, (wins, ties)
+
+
+def _report_header(report: VerificationReport) -> dict:
+    """The report document's fields before its failures."""
     return {
         "depth": report.depth,
         "dice": report.dice_count,
@@ -330,21 +369,57 @@ def report_json(report: VerificationReport) -> dict:
             {"level": s.level, "pairs": s.pairs, "failures": s.failures}
             for s in report.per_level
         ],
-        "failures": [
-            {
-                "word_a": list(f.word_a),
-                "word_b": list(f.word_b),
-                "expected_winner": list(f.expected_winner),
-                "observed": {
-                    "win": str(f.observed.win),
-                    "tie": str(f.observed.tie),
-                    "loss": str(f.observed.loss),
-                },
-            }
-            for f in report.failures
-        ],
-        "passed": report.passed,
     }
+
+
+def report_json(report: VerificationReport) -> dict:
+    """The report document. :func:`report_json_text` writes its text
+    without building it."""
+    doc = _report_header(report)
+    doc["failures"] = [
+        {
+            "word_a": list(f.word_a),
+            "word_b": list(f.word_b),
+            "expected_winner": list(f.expected_winner),
+            "observed": {
+                "win": str(f.observed.win),
+                "tie": str(f.observed.tie),
+                "loss": str(f.observed.loss),
+            },
+        }
+        for f in report.failures
+    ]
+    doc["passed"] = report.passed
+    return doc
+
+
+def report_json_text(report: VerificationReport) -> str:
+    """``_json_text(report_json(report))``, byte for byte, from the
+    report's records: each die's word is written once as its indented
+    list and each (wins, ties) outcome once as its ``observed`` object, so
+    a failure is one f-string over four lookups."""
+    failures = "[]"
+    if report.records:
+        words = [
+            "[\n        " + ",\n        ".join(word) + "\n      ]"
+            for word in product("012", repeat=report.depth)
+        ]
+        observed = {
+            key: f'{{\n        "win": "{r.win}",\n        "tie": "{r.tie}",\n'
+            f'        "loss": "{r.loss}"\n      }}'
+            for key, r in _outcomes(report).items()
+        }
+        items = ",\n    ".join(
+            f'{{\n      "word_a": {words[i]},\n      "word_b": {words[j]},\n'
+            f'      "expected_winner": {words[winner]},\n'
+            f'      "observed": {observed[key]}\n    }}'
+            for i, j, winner, key in _failure_rows(report)
+        )
+        failures = f"[\n    {items}\n  ]"
+    # the header's text ends "\n}\n": the failures go in before its brace
+    head = _json_text(_report_header(report))[:-3]
+    passed = "true" if report.passed else "false"
+    return f'{head},\n  "failures": {failures},\n  "passed": {passed}\n}}\n'
 
 
 def _json_text(doc) -> str:
@@ -429,7 +504,7 @@ def cmd_verify(args) -> int:
     family = _load_family(args)
     report = verify_family(family)
     if args.format == "json":
-        _emit(args, _json_text(report_json(report)))
+        _emit(args, report_json_text(report))
     else:
         _emit(args, report_text(report))
     return 0 if report.passed else 1

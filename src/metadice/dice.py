@@ -105,6 +105,8 @@ class Die(Value):
         merged: dict[Face, int] = {}
         length: int | None = None
         for face, mult in faces:
+            if not isinstance(face, Sequence):
+                raise ValueError(f"face {face!r} must be a sequence of digits")
             face = tuple(face)
             if not face:
                 raise ValueError("a face needs at least one digit")

@@ -53,7 +53,7 @@ def die_number(word: Word) -> int:
     """
     n = 0
     for t in word:
-        if isinstance(t, bool) or t not in (0, 1, 2):
+        if not is_int(t) or t not in (0, 1, 2):
             raise ValueError(f"word trits must be 0, 1 or 2, got {t}")
         n = 3 * n + t
     return n + 1
@@ -241,11 +241,20 @@ class LevelSummary(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
+    """What :func:`verify_family` found.
+
+    ``records`` holds each failing pair as the integers the pair check
+    found it by: (i, j, wins of i, ties) over the 3x3 face grid, with die
+    indices i < j, in (i, j) order, which is lexicographic word-pair order.
+    ``failures`` decodes them into :class:`PairFailure`s on each read; the
+    CLI writes its reports from the records.
+    """
+
     depth: int
     dice_count: int
     multiplicity: int
     pairs_checked: int
-    failures: tuple[PairFailure, ...]
+    records: tuple[Failure, ...]
     per_level: tuple[LevelSummary, ...]
     elapsed: float
     #: Why the certificate could not prove the family; None when it did.
@@ -257,8 +266,18 @@ class VerificationReport(NamedTuple):
     pairs_scanned: int
 
     @property
+    def failures(self) -> tuple[PairFailure, ...]:
+        failures = []
+        for i, j, wins, ties in self.records:
+            w, v = word_of(i + 1, self.depth), word_of(j + 1, self.depth)
+            failures.append(
+                PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
+            )
+        return tuple(failures)
+
+    @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.records
 
 
 class PairCheck(NamedTuple):
@@ -296,24 +315,21 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     leaves. Every path reports the same counts and failures; ``method``
     says which ran and ``pairs_scanned`` how many pairs it compared.
 
-    Failures are data, not errors; the report carries them in lexicographic
-    word-pair order together with a per-level summary, so it is the same
-    regardless of how the independent pair checks are scheduled. Each
-    failure's outcome is read from the scan's own counts by
-    :func:`metadice.sweep.outcome`.
+    Failures are data, not errors. The report carries them as the scan's
+    integer records in lexicographic word-pair order, together with a
+    per-level summary, so it is the same regardless of how the independent
+    pair checks are scheduled. A failure's level is the largest block size
+    that separates its two dice, as in :func:`metadice.sweep.sweep_pairs`;
+    no failure is decoded here.
     """
     start = time.perf_counter()
     pairs = check_pairs(family)
     checked = level_pairs(family.depth)
-    failures = []
-    fail_levels: Counter[int] = Counter()
-    for i, j, wins, ties in pairs.failures:
-        w, v = family.words[i], family.words[j]
-        p = next(idx for idx, (a, b) in enumerate(zip(w, v)) if a != b)
-        fail_levels[p] += 1
-        failures.append(
-            PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
-        )
+    sizes = [3 ** (family.depth - p - 1) for p in range(family.depth)]
+    fail_levels = Counter(
+        next(p for p, size in enumerate(sizes) if i // size != j // size)
+        for i, j, _, _ in pairs.failures
+    )
     per_level = tuple(
         LevelSummary(p + 1, checked[p], fail_levels.get(p, 0))
         for p in range(family.depth)
@@ -323,7 +339,7 @@ def verify_family(family: DiceFamily) -> VerificationReport:
         dice_count=family.size,
         multiplicity=family.multiplicity,
         pairs_checked=sum(checked),
-        failures=tuple(failures),
+        records=tuple(pairs.failures),
         per_level=per_level,
         elapsed=time.perf_counter() - start,
         certificate_detail=pairs.faults.reason,

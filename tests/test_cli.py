@@ -1,6 +1,7 @@
 """The CLI exit-code contract: 2 and an ``error:`` line on malformed input,
 and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout.
-Also the JSON writer's byte identity with ``json.dumps(indent=2)``."""
+Also the JSON writer's byte identity with ``json.dumps(indent=2)``, and the
+verify reports written from failure records against the record path."""
 
 import inspect
 import json
@@ -11,9 +12,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_cli_main
-from metadice.cli import _json_text
-from metadice.hierarchy import family_to_json, generate
+from metadice import cli
+from metadice.cli import (
+    DEPTH_CEILING,
+    _json_text,
+    report_json,
+    report_json_text,
+    report_text,
+)
+from metadice.hierarchy import (
+    DiceFamily,
+    family_from_json,
+    family_to_json,
+    generate,
+    verify_family,
+)
 from metadice.loshu import preset_stack
+from test_export import assert_same_text, corpus
+from test_golden import tampered_document
+from test_hierarchy import crowded_block_family, crowded_over_valid_table_family
 
 PAPER1 = family_to_json(generate(preset_stack("paper-1")))
 PAPER2 = family_to_json(generate(preset_stack("paper-2")))
@@ -164,6 +181,35 @@ def test_depth_refused_for_every_source(run_cli, tmp_path, case):
     code, out, err = run_cli(argv, stdin)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and phrase in err
+
+
+@pytest.mark.parametrize("command", ["verify", "generate", "normalize", "graph"])
+def test_preset_depth_over_the_ceiling_refused_before_the_stack(
+    run_cli, monkeypatch, command
+):
+    """``--preset uniform --depth N`` builds N levels, so a depth over the
+    ceiling is refused before any stack is built; ``--allow-large`` lets
+    the depth through to ``preset_stack``."""
+    calls = []
+
+    def preset_stack_below_ceiling(name, depth=None):
+        if depth is not None and depth > DEPTH_CEILING:
+            calls.append(depth)
+            raise ValueError("stack not built")
+        return preset_stack(name, depth)
+
+    monkeypatch.setattr(cli, "preset_stack", preset_stack_below_ceiling)
+    for depth in (DEPTH_CEILING + 1, 10_000_000):
+        argv = [command, "--preset", "uniform", "--depth", str(depth)]
+        assert run_cli(argv) == (
+            2, "", f"error: depth {depth} exceeds the default ceiling of"
+            f" {DEPTH_CEILING} (pass --allow-large to run anyway)\n",
+        )
+        assert calls == []
+        assert run_cli([*argv, "--allow-large"]) == (2, "", "error: stack not built\n")
+        assert calls == [depth]
+        calls.clear()
+    assert run_cli([command, "--preset", "uniform", "--depth", "2"])[0] == 0
 
 
 @pytest.mark.parametrize("depth", ["0", "-2"])
@@ -390,3 +436,59 @@ def test_json_text_is_indented_dumps(doc):
     """The CLI's JSON writer prints exactly what ``json.dumps(indent=2)``
     prints, including booleans inside a list of ints."""
     assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def assert_reports_match_records(report):
+    """The report texts written from the failure records equal the record
+    path: the JSON document as ``_json_text(report_json(report))`` writes
+    it, and one text line per failure as ``describe()`` words it."""
+    assert_same_text(report_json_text(report), _json_text(report_json(report)))
+    lines = report_text(report).splitlines()
+    count, depth = len(report.records), report.depth
+    assert lines[0].endswith(f" {count} failures")
+    want = ["  " + failure.describe() for failure in report.failures]
+    assert len(want) == count
+    assert_same_text("\n".join(lines[1 + depth : 1 + depth + count]), "\n".join(want))
+    tail = lines[1 + depth + count :]
+    assert tail[-1].startswith("PASS" if report.passed else "FAIL")
+    assert len(tail) == 1 + (report.certificate_detail is not None)
+
+
+#: A depth-1 family whose level-1 table fails the leading property.
+LEVEL1_FAIL = DiceFamily(1, 2, (("2", "4", "8"), ("1", "6", "9"), ("3", "5", "7")))
+
+
+def test_report_writers_match_the_record_path():
+    """On every verification path: the certificate corpus, single faults
+    of paper-3, failed and crowded level-1 tables, and every preset."""
+    families = corpus() + (
+        crowded_block_family(),
+        crowded_over_valid_table_family(),
+        LEVEL1_FAIL,
+        *(generate(preset_stack("uniform", depth)) for depth in range(1, 6)),
+    )
+    later_wins = shared_wins = 0
+    for family in families:
+        report = verify_family(family)
+        assert_reports_match_records(report)
+        later_wins += any(f.expected_winner == f.word_b for f in report.failures)
+        outcomes = {(wins, ties) for *_, wins, ties in report.records}
+        shared_wins += len({wins for wins, _ in outcomes}) < len(outcomes)
+    # a later die favored, and one wins count with and without ties
+    assert later_wins and shared_wins
+
+
+def test_failing_report_with_ties_is_indented_dumps(run_cli, tmp_path):
+    """A depth-4 report at multiplicity 3 whose failures include ties, as
+    the CLI writes it and as ``json.dumps(indent=2)`` writes its document."""
+    doc = dict(tampered_document(), multiplicity=3)
+    report = verify_family(family_from_json(doc))
+    assert any(ties for *_, ties in report.records)
+    want = json.dumps(report_json(report), indent=2) + "\n"
+    assert '"multiplicity": 3' in want
+    assert_same_text(report_json_text(report), want)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--family", str(path), "--format", "json"])
+    assert (code, err) == (1, "")
+    assert_same_text(out, want)

@@ -194,6 +194,11 @@ class TestDieInvariants:
         with pytest.raises(ValueError):
             Die(faces)
 
+    @pytest.mark.parametrize("face", [249, None, 2.5, {2, 4, 9}])
+    def test_face_that_is_not_a_sequence_rejected(self, face):
+        with pytest.raises(ValueError, match="must be a sequence of digits"):
+            Die(((face, 1),))
+
     def test_expand_applies_multiplicity(self):
         assert DIE_A.expand() == ((2,),) * 2 + ((4,),) * 2 + ((9,),) * 2
 

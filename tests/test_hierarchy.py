@@ -189,6 +189,29 @@ def certificate_families():
             yield depth, frozen(faces), False
 
 
+def crowded_block_family():
+    """Uniform depth-3 dice whose level-1 block 0 takes rank-1 faces 2 +
+    the rank-2 tail, which repeats digit 2 across that block's ranks."""
+    faces = [list(die) for die in generate(preset_stack("uniform", 3)).rank_faces]
+    for die in faces[:9]:
+        die[1] = "2" + die[2][1:]
+    return DiceFamily(3, 2, tuple(map(tuple, faces)))
+
+
+def crowded_over_valid_table_family():
+    """A depth-2 family whose level-1 table repeats digit 2 across the
+    ranks of subset 0, above a valid node (0) table that lets D1 beat D2
+    6/9."""
+    crowded = ((2, 2, 9), (1, 6, 8), (3, 5, 7))
+    node0 = ((7, 8, 1), (5, 4, 6), (9, 3, 2))
+    return DiceFamily(2, 2, tree_rank_faces(
+        2,
+        lambda level, prefix: (
+            crowded if level == 1 else node0 if prefix == (0,) else SORTED_ROWS
+        ),
+    ))
+
+
 class TestNumbering:
     def test_examples(self):
         assert die_number((0, 0, 0)) == 1
@@ -209,6 +232,11 @@ class TestNumbering:
     def test_bool_trits_rejected(self):
         with pytest.raises(ValueError, match="trits must be 0, 1 or 2, got True"):
             die_number((True, False))
+
+    @pytest.mark.parametrize("word", [(1.0,), (0, 2.0), (0.0, 0)])
+    def test_float_trits_rejected(self, word):
+        with pytest.raises(ValueError, match="trits must be 0, 1 or 2, got [0-9.]+"):
+            die_number(word)
 
 
 class TestPredictedWinner:
@@ -261,7 +289,7 @@ class TestFaceValue:
         with pytest.raises(ValueError, match="rank must be 0, 1 or 2, got True"):
             face_value((0,), True, preset_stack("paper-1"))
 
-    @pytest.mark.parametrize("word", [(-1,), (True,), (5,)])
+    @pytest.mark.parametrize("word", [(-1,), (True,), (5,), (1.0,)])
     def test_bad_trit_rejected(self, word):
         with pytest.raises(ValueError, match="word trits must be 0, 1 or 2"):
             face_value(word, 0, preset_stack("paper-1"))
@@ -599,10 +627,7 @@ class TestCertificate:
         2 across its ranks, so its level-1 digits settle none of its pairs'
         cross-rank comparisons: every node beneath it is checked pair by
         pair, besides every pair that first differs at level 1."""
-        faces = [list(die) for die in generate(preset_stack("uniform", 3)).rank_faces]
-        for die in faces[:9]:
-            die[1] = "2" + die[2][1:]
-        family = DiceFamily(3, 2, tuple(map(tuple, faces)))
+        family = crowded_block_family()
         assert family.rank_faces[0] == ("222", "299", "999")
         faults = certify(family.rank_faces, 3)
         assert faults.bad_nodes == ({0}, {0}, {0, 1, 2})
@@ -617,14 +642,7 @@ class TestCertificate:
         """Digit 2 at ranks 0 and 1 of level-1 block 0 leaves those ranks'
         cross comparisons to level 2. There node (0)'s table holds, yet it
         makes D1 beat D2 6/9, so the node is checked pair by pair."""
-        crowded = ((2, 2, 9), (1, 6, 8), (3, 5, 7))
-        node0 = ((7, 8, 1), (5, 4, 6), (9, 3, 2))
-        family = DiceFamily(2, 2, tree_rank_faces(
-            2,
-            lambda level, prefix: (
-                crowded if level == 1 else node0 if prefix == (0,) else SORTED_ROWS
-            ),
-        ))
+        family = crowded_over_valid_table_family()
         assert certify(family.rank_faces, 2).bad_nodes == ({0}, {0})
         report = verify_family(family)
         assert report.failures[0].word_a == (0, 0)

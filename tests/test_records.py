@@ -38,7 +38,7 @@ def _report(**changes):
         dice_count=3,
         multiplicity=2,
         pairs_checked=3,
-        failures=(PairFailure((0,), (1,), (0,), WIN),),
+        records=((0, 1, 4, 0),),
         per_level=(LevelSummary(1, 3, 1),),
         elapsed=0.0,
         certificate_detail=None,
@@ -134,7 +134,7 @@ REPRS = {
     "LevelSummary": "LevelSummary(level=1, pairs=27, failures=0)",
     "VerificationReport": (
         "VerificationReport(depth=1, dice_count=3, multiplicity=2, pairs_checked=3,"
-        f" failures=({_FAILURE},), per_level=(LevelSummary(level=1, pairs=3,"
+        " records=((0, 1, 4, 0),), per_level=(LevelSummary(level=1, pairs=3,"
         " failures=1),), elapsed=0.0, certificate_detail=None, method='certificate',"
         " pairs_scanned=0)"
     ),
@@ -245,6 +245,13 @@ def test_derived_values_are_computed_once():
     family = DiceFamily(1, 2, FACES)
     assert family.words is family.words
     assert family.words == ((0,), (1,), (2,))
+
+
+def test_report_decodes_its_records_on_each_read():
+    report = _report()
+    lost = DuelResult(Fraction(4, 9), Fraction(0), Fraction(5, 9))
+    assert report.failures == (PairFailure((0,), (1,), (0,), lost),)
+    assert not report.passed and _report(records=()).passed
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
