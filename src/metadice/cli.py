@@ -4,6 +4,11 @@ Exit codes are a stable contract: 0 for success (verification passed),
 1 for a verification failure, 2 for usage, parse or input errors. Machine
 readable outputs (json, csv, dot) carry no timing, so byte-identical inputs
 give byte-identical outputs; timing appears only in the human text report.
+
+Each command has one writer per format. Every JSON text is
+``json.dumps(doc, indent=2)`` of its record document plus a line break:
+families, reports, points and graphs are written from their rows with one
+f-string per row, and the small documents by ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -13,18 +18,15 @@ import json
 import re
 import sys
 from itertools import product
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from metadice.dice import duel, parse_die, round_robin
 from metadice.export import (
-    build_graph,
     family_csv,
-    full_graph_dot,
-    graph_to_json,
-    normalized_values,
-    points_to_json,
-    to_dot,
+    graph_dot,
+    graph_json_text,
+    graph_rows,
+    points_json_text,
 )
 from metadice.hierarchy import (
     DiceFamily,
@@ -282,9 +284,10 @@ def tables_text(depth: int) -> str:
 
 
 def family_json_text(family: DiceFamily) -> str:
-    """``_json_text(family_to_json(family))``, byte for byte: one f-string
-    per die over its word's trits, written once per family, and its faces,
-    ASCII digits that JSON writes as they are."""
+    """``json.dumps(family_to_json(family), indent=2)`` plus a line break,
+    byte for byte: one f-string per die over its word's trits, written
+    once per family, and its faces, ASCII digits that JSON writes as they
+    are."""
     words = (",\n        ".join(w) for w in product("012", repeat=family.depth))
     dice = ",\n    ".join(
         f'{{\n      "word": [\n        {word}\n      ],\n'
@@ -292,8 +295,8 @@ def family_json_text(family: DiceFamily) -> str:
         f'        "{b}",\n        "{c}"\n      ]\n    }}'
         for n, (word, (a, b, c)) in enumerate(zip(words, family.rank_faces), 1)
     )
-    # the header's text ends "\n}\n": the dice go in before its closing brace
-    head = _json_text(family_header(family))[:-3]
+    # the header's text ends "\n}": the dice go in before its closing brace
+    head = json.dumps(family_header(family), indent=2)[:-2]
     return f'{head},\n  "dice": [\n    {dice}\n  ]\n}}\n'
 
 
@@ -394,10 +397,10 @@ def report_json(report: VerificationReport) -> dict:
 
 
 def report_json_text(report: VerificationReport) -> str:
-    """``_json_text(report_json(report))``, byte for byte, from the
-    report's records: each die's word is written once as its indented
-    list and each (wins, ties) outcome once as its ``observed`` object, so
-    a failure is one f-string over four lookups."""
+    """``json.dumps(report_json(report), indent=2)`` plus a line break,
+    byte for byte, from the report's records: each die's word is written
+    once as its indented list and each (wins, ties) outcome once as its
+    ``observed`` object, so a failure is one f-string over four lookups."""
     failures = "[]"
     if report.records:
         words = [
@@ -416,74 +419,10 @@ def report_json_text(report: VerificationReport) -> str:
             for i, j, winner, key in _failure_rows(report)
         )
         failures = f"[\n    {items}\n  ]"
-    # the header's text ends "\n}\n": the failures go in before its brace
-    head = _json_text(_report_header(report))[:-3]
+    # the header's text ends "\n}": the failures go in before its brace
+    head = json.dumps(_report_header(report), indent=2)[:-2]
     passed = "true" if report.passed else "false"
     return f'{head},\n  "failures": {failures},\n  "passed": {passed}\n}}\n'
-
-
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for documents
-    of dicts with string keys, lists, strings, ints, bools, None and floats.
-
-    CPython's C encoder does not take ``indent``, so ``json.dumps`` would
-    run its pure-Python encoder. This writer joins a list of only ints or
-    only strings in one call; such lists hold most of a family, point or
-    graph document.
-    """
-    out: list[str] = []
-    _write_json(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append ``value``'s indented JSON to ``out``; ``newline`` is a line
-    break plus the indent of the line ``value`` starts on."""
-    if isinstance(value, str):
-        out.append(_json_string(value))
-    elif type(value) is int:
-        out.append(str(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            # strings and ints, most of the values, are written in place
-            if type(item) is str:
-                out.append(f"{sep}{_json_string(key)}: {_json_string(item)}")
-            elif type(item) is int:
-                out.append(f"{sep}{_json_string(key)}: {item}")
-            else:
-                out.append(f"{sep}{_json_string(key)}: ")
-                _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        # bool is an int subclass that JSON spells true/false, so the joins
-        # test the exact type
-        types = set(map(type, value))
-        if types == {int}:
-            items = map(str, value)
-        elif types == {str}:
-            items = map(_json_string, value)
-        else:
-            sep = "[" + inner
-            for item in value:
-                out.append(sep)
-                _write_json(item, inner, out)
-                sep = "," + inner
-            out.append(newline + "]")
-            return
-        out.append(f"[{inner}{(',' + inner).join(items)}{newline}]")
-    else:
-        out.append(json.dumps(value))
 
 
 def cmd_tables(args) -> int:
@@ -493,20 +432,15 @@ def cmd_tables(args) -> int:
 
 def cmd_generate(args) -> int:
     family = _load_family(args)
-    if args.format == "json":
-        _emit(args, family_json_text(family))
-    else:
-        _emit(args, family_listing(family))
+    write = family_json_text if args.format == "json" else family_listing
+    _emit(args, write(family))
     return 0
 
 
 def cmd_verify(args) -> int:
-    family = _load_family(args)
-    report = verify_family(family)
-    if args.format == "json":
-        _emit(args, report_json_text(report))
-    else:
-        _emit(args, report_text(report))
+    report = verify_family(_load_family(args))
+    write = report_json_text if args.format == "json" else report_text
+    _emit(args, write(report))
     return 0 if report.passed else 1
 
 
@@ -520,7 +454,7 @@ def cmd_prob(args) -> int:
             "loss": str(result.loss),
             "decimal": decimals,
         }
-        _emit(args, _json_text(doc))
+        _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         _emit(args, f"{result.win} {result.tie} {result.loss}\n{decimals}\n")
     return 0
@@ -541,31 +475,23 @@ def _parse_team(text: str) -> list[int]:
 def cmd_roundrobin(args) -> int:
     wins_a, wins_b = round_robin(_parse_team(args.team_a), _parse_team(args.team_b))
     if args.format == "json":
-        _emit(args, _json_text({"a": wins_a, "b": wins_b}))
+        _emit(args, json.dumps({"a": wins_a, "b": wins_b}, indent=2) + "\n")
     else:
         _emit(args, f"A:{wins_a} B:{wins_b}\n")
     return 0
 
 
 def cmd_graph(args) -> int:
-    family = _load_family(args)
-    if args.full_graph and args.format == "dot":
-        _emit(args, full_graph_dot(family))
-        return 0
-    graph = build_graph(family, args.level, full=args.full_graph)
-    if args.format == "json":
-        _emit(args, _json_text(graph_to_json(graph)))
-    else:
-        _emit(args, to_dot(graph))
+    graph = graph_rows(_load_family(args), args.level, full=args.full_graph)
+    write = graph_json_text if args.format == "json" else graph_dot
+    _emit(args, write(graph))
     return 0
 
 
 def cmd_normalize(args) -> int:
     family = _load_family(args)
-    if args.format == "json":
-        _emit(args, _json_text(points_to_json(normalized_values(family))))
-    else:
-        _emit(args, family_csv(family))
+    write = points_json_text if args.format == "json" else family_csv
+    _emit(args, write(family))
     return 0
 
 
@@ -585,7 +511,7 @@ def cmd_simulate(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
         }
-        _emit(args, _json_text(doc))
+        _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         _emit(
             args,

@@ -102,9 +102,14 @@ class Die(Value):
     def __init__(self, faces: tuple[tuple[Face, int], ...]):
         if not faces:
             raise ValueError("a die needs at least one face")
+        if not isinstance(faces, Iterable):
+            raise ValueError(f"faces {faces!r} must be (face, multiplicity) pairs")
         merged: dict[Face, int] = {}
         length: int | None = None
-        for face, mult in faces:
+        for entry in faces:
+            if not isinstance(entry, Sequence) or len(entry) != 2:
+                raise ValueError(f"entry {entry!r} must be a (face, multiplicity) pair")
+            face, mult = entry
             if not isinstance(face, Sequence):
                 raise ValueError(f"face {face!r} must be a sequence of digits")
             face = tuple(face)

@@ -13,11 +13,13 @@ failing pairs from :func:`metadice.hierarchy.check_pairs`, the path
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
 
-:func:`full_graph_dot` writes its DOT text from that walk and
-:func:`family_csv` the points' CSV from the rank faces, with no record
-built. The record API, :func:`build_graph`, :func:`normalized_values` and
-their renderers, gives every other output and is the tests' oracle for
-those two.
+Each text has one writer. :func:`graph_rows` gives a graph as its node
+names and (source, target, label) rows, the full view straight from the
+walk, and :func:`graph_dot` and :func:`graph_json_text` write its DOT and
+JSON from them. :func:`family_csv` and :func:`points_json_text` write the
+points from the rank faces. No writer builds a record. The record API,
+:func:`build_graph`, :func:`normalized_values` and their renderers, is the
+tests' oracle for the writers.
 """
 
 from __future__ import annotations
@@ -72,15 +74,7 @@ def build_graph(
     :func:`metadice.hierarchy.check_pairs`, so a certified family compares
     no pair. A level given with ``full`` is refused.
     """
-    if full:
-        if level is not None:
-            raise ValueError("a full graph has no level: it pairs every die")
-        level = family.depth
-    elif level is None:
-        level = 1
-    if not 1 <= level <= family.depth:
-        raise ValueError(f"level {level} outside 1..{family.depth}")
-
+    level = _graph_level(family, level, full)
     if full:
         words = family.words
         ninths = [Fraction(k, 9) for k in range(10)]
@@ -107,6 +101,20 @@ def build_graph(
             edges.append(Edge(head + (s,), head + ((s + 1) % 3,), wins[s]))
     edges.sort(key=lambda e: (e.source, e.target))
     return DominanceGraph(family.depth, level, False, nodes, tuple(edges))
+
+
+def _graph_level(family: DiceFamily, level: int | None, full: bool) -> int:
+    """The level a graph is drawn at: 1 by default, and the depth for a
+    full graph, which refuses a given level."""
+    if full:
+        if level is not None:
+            raise ValueError("a full graph has no level: it pairs every die")
+        return family.depth
+    if level is None:
+        return 1
+    if not 1 <= level <= family.depth:
+        raise ValueError(f"level {level} outside 1..{family.depth}")
+    return level
 
 
 def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
@@ -139,10 +147,32 @@ def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
         yield from ((s, t, labels[ninths]) for t, ninths in sorted(rows))
 
 
-def _graph_rows(graph: DominanceGraph) -> tuple[list[str], list[tuple]]:
-    """The graph's node names in sorted node order, and its edges as
-    (source, target, label) rows over those positions, in (source, target)
-    order."""
+class GraphRows(NamedTuple):
+    """A graph as its writers read it: node names in node order, and edges
+    as (source, target, label) rows over them, in order, read once."""
+
+    depth: int
+    level: int
+    full: bool
+    names: Sequence[str]
+    rows: Iterable[tuple[int, int, str]]
+
+
+def graph_rows(
+    family: DiceFamily, level: int | None = None, *, full: bool = False
+) -> GraphRows:
+    """The rows of ``build_graph(family, level, full=full)``. A full
+    graph's come straight from the walk: no ``Edge`` is built and no edge
+    sorted."""
+    if full:
+        level = _graph_level(family, level, full)
+        names = [f"D{n}" for n in range(1, family.size + 1)]
+        labels = [str(Fraction(k, 9)) for k in range(10)]
+        return GraphRows(family.depth, level, True, names, _full_rows(family, labels))
+    return _graph_rows(build_graph(family, level))
+
+
+def _graph_rows(graph: DominanceGraph) -> GraphRows:
     nodes = sorted(graph.nodes)
     position = {prefix: k for k, prefix in enumerate(nodes)}
     # each probability's text, keyed by the id of its object: the edges
@@ -153,16 +183,18 @@ def _graph_rows(graph: DominanceGraph) -> tuple[list[str], list[tuple]]:
         (position[source], position[target], labels[id(probability)])
         for source, target, probability in graph.edges
     )
-    return [node_name(prefix, graph.depth) for prefix in nodes], rows
+    names = [node_name(prefix, graph.depth) for prefix in nodes]
+    return GraphRows(graph.depth, graph.level, graph.full, names, rows)
 
 
-def _dot(names: Sequence[str], rows: Iterable[tuple[int, int, str]]) -> str:
-    """DOT text of the named nodes and the (source, target, label) rows."""
+def graph_dot(graph: GraphRows) -> str:
+    """DOT text of the named nodes and the rows."""
+    names = graph.names
     lines = ["digraph dominance {"]
     lines.extend(f'  "{name}";' for name in names)
     lines.extend(
         f'  "{names[source]}" -> "{names[target]}" [label="{label}"];'
-        for source, target, label in rows
+        for source, target, label in graph.rows
     )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -170,29 +202,42 @@ def _dot(names: Sequence[str], rows: Iterable[tuple[int, int, str]]) -> str:
 
 def to_dot(graph: DominanceGraph) -> str:
     """Byte-deterministic DOT text: sorted nodes, then sorted edges."""
-    return _dot(*_graph_rows(graph))
-
-
-def full_graph_dot(family: DiceFamily) -> str:
-    """``to_dot(build_graph(family, full=True))``, byte for byte, written
-    from the row walk: no ``Edge`` is built and no edge sorted."""
-    names = [node_name(word, family.depth) for word in family.words]
-    labels = [str(Fraction(k, 9)) for k in range(10)]
-    return _dot(names, _full_rows(family, labels))
+    return graph_dot(_graph_rows(graph))
 
 
 def graph_to_json(graph: DominanceGraph) -> dict:
-    names, rows = _graph_rows(graph)
+    """The graph document. :func:`graph_json_text` writes its text
+    without building it."""
+    depth, level, full, names, rows = _graph_rows(graph)
     return {
-        "depth": graph.depth,
-        "level": graph.level,
-        "full": graph.full,
+        "depth": depth,
+        "level": level,
+        "full": full,
         "nodes": names,
         "edges": [
             {"from": names[source], "to": names[target], "probability": label}
             for source, target, label in rows
         ],
     }
+
+
+def graph_json_text(graph: GraphRows) -> str:
+    """The graph document's indented JSON, as ``json.dumps(indent=2)``
+    writes it, with one f-string per edge. Names and labels need no JSON
+    escapes."""
+    names = graph.names
+    nodes = ",\n    ".join(f'"{name}"' for name in names)
+    edges = ",\n    ".join(
+        f'{{\n      "from": "{names[source]}",\n      "to": "{names[target]}",\n'
+        f'      "probability": "{label}"\n    }}'
+        for source, target, label in graph.rows
+    )
+    full = "true" if graph.full else "false"
+    return (
+        f'{{\n  "depth": {graph.depth},\n  "level": {graph.level},\n'
+        f'  "full": {full},\n  "nodes": [\n    {nodes}\n  ],\n'
+        f'  "edges": [\n    {edges}\n  ]\n}}\n'
+    )
 
 
 class NormalizedPoint(NamedTuple):
@@ -279,6 +324,23 @@ def family_csv(family: DiceFamily) -> str:
         for numerator, denominator in (_lowest_terms(digits, scale),)
     )
     return "".join(rows)
+
+
+def points_json_text(family: DiceFamily) -> str:
+    """``json.dumps(points_to_json(normalized_values(family)), indent=2)``
+    plus a line break, byte for byte, written from the rank faces: no
+    point is built."""
+    scale = 10 ** family.depth
+    words = map("".join, product("012", repeat=family.depth))
+    points = ",\n  ".join(
+        f'{{\n    "word": "{word}",\n    "paper_number": {number},\n'
+        f'    "rank": {rank},\n    "decimal": "0.{digits}",\n'
+        f'    "numerator": {numerator},\n    "denominator": {denominator}\n  }}'
+        for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1)
+        for rank, digits in enumerate(faces)
+        for numerator, denominator in (_lowest_terms(digits, scale),)
+    )
+    return f"[\n  {points}\n]\n"
 
 
 def points_to_json(points: Sequence[NormalizedPoint]) -> list[dict]:

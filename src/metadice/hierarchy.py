@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -358,13 +359,16 @@ def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
         raise ValueError("trials must be at least 1")
     if x.digit_length != y.digit_length:
         raise LengthMismatchError("dice with different face lengths cannot duel")
-    fx = x.expand()
-    fy = y.expand()
-    nx, ny = len(fx), len(fy)
+    # a roll draws an index into the faces as expand() would list them,
+    # which bisecting the running multiplicity totals maps to its face
+    fx, fy = ([face for face, _ in die.faces] for die in (x, y))
+    cx, cy = (list(itertools.accumulate(m for _, m in die.faces)) for die in (x, y))
+    nx, ny = cx[-1], cy[-1]
     rng = random.Random(seed)
     wins = 0
     for _ in range(trials):
-        if fx[rng.randrange(nx)] > fy[rng.randrange(ny)]:
+        roll = fx[bisect_right(cx, rng.randrange(nx))]
+        if roll > fy[bisect_right(cy, rng.randrange(ny))]:
             wins += 1
     return wins / trials
 

@@ -1,7 +1,7 @@
 """The CLI exit-code contract: 2 and an ``error:`` line on malformed input,
 and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout.
-Also the JSON writer's byte identity with ``json.dumps(indent=2)``, and the
-verify reports written from failure records against the record path."""
+Also the verify reports written from failure records against the record
+path."""
 
 import inspect
 import json
@@ -9,13 +9,12 @@ import re
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli_main
 from metadice import cli
 from metadice.cli import (
     DEPTH_CEILING,
-    _json_text,
     report_json,
     report_json_text,
     report_text,
@@ -407,42 +406,12 @@ def test_exit_code_contract_holds_on_fuzzed_input(tmp_path_factory, call):
     assert run_cli_main(argv, stdin)[:2] == (code, out)
 
 
-#: Strings that need escapes: quotes, backslashes, control characters and
-#: text outside ASCII, down to a character outside the basic plane.
-escaped_text = st.text(
-    alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a9\u00e9\u2603\U0001f600')
-)
-json_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), escaped_text
-)
-json_documents = st.recursive(
-    json_leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(st.one_of(st.text(max_size=4), escaped_text), inner, max_size=4),
-        # the lists the writer joins in one call, and near misses of them
-        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
-        st.lists(st.one_of(st.text(max_size=4), escaped_text), max_size=5),
-        st.lists(st.one_of(st.integers(), st.floats(), st.none()), max_size=5),
-    ),
-    max_leaves=24,
-)
-
-
-@given(json_documents)
-@example({"word": [0, True, 2], "paper_number": 2, "faces": ["249", "\u0662\"\\"]})
-@example([[], {}, [1, False], [1.5, 2], ["a", None], {"": -0.0}])
-def test_json_text_is_indented_dumps(doc):
-    """The CLI's JSON writer prints exactly what ``json.dumps(indent=2)``
-    prints, including booleans inside a list of ints."""
-    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
-
-
 def assert_reports_match_records(report):
     """The report texts written from the failure records equal the record
-    path: the JSON document as ``_json_text(report_json(report))`` writes
-    it, and one text line per failure as ``describe()`` words it."""
-    assert_same_text(report_json_text(report), _json_text(report_json(report)))
+    path: the JSON document as ``json.dumps(indent=2)`` writes it, and one
+    text line per failure as ``describe()`` words it."""
+    document = json.dumps(report_json(report), indent=2) + "\n"
+    assert_same_text(report_json_text(report), document)
     lines = report_text(report).splitlines()
     count, depth = len(report.records), report.depth
     assert lines[0].endswith(f" {count} failures")

@@ -185,12 +185,16 @@ class TestDieInvariants:
             ((("\u0662",), 1),),  # Arabic-Indic two
             (((10,), 1),),
             (((-1,), 1),),
+            (249, 1),  # entries that are not (face, multiplicity) pairs
+            (((2,), 1, 1),),
+            ("249",),
+            5,  # no entries at all
         ],
     )
     def test_nothing_is_converted(self, faces):
         """Digits are ints in 0..9 and multiplicities ints of at least 1,
-        taken as given: a float, bool or string is refused, not truncated
-        or parsed."""
+        in (face, multiplicity) pairs, taken as given: a float, bool or
+        string is refused, not truncated or parsed."""
         with pytest.raises(ValueError):
             Die(faces)
 

@@ -20,11 +20,15 @@ from metadice.export import (
     Edge,
     build_graph,
     family_csv,
-    full_graph_dot,
+    graph_dot,
+    graph_json_text,
+    graph_rows,
     graph_to_json,
     node_name,
     normalized_values,
+    points_json_text,
     points_to_csv,
+    points_to_json,
     to_dot,
 )
 from metadice.hierarchy import (
@@ -120,6 +124,8 @@ class TestBuildGraph:
         --level and --full-graph exclude each other."""
         with pytest.raises(ValueError, match="full graph has no level"):
             build_graph(PAPER2, level, full=True)
+        with pytest.raises(ValueError, match="full graph has no level"):
+            graph_rows(PAPER2, level, full=True)
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
@@ -250,7 +256,7 @@ def test_full_graph_matches_the_sweep_on_every_path():
             family.depth, family.depth, True, family.words,
             tuple(Edge(*edge) for edge in edges),
         )
-        assert_same_text(full_graph_dot(family), to_dot(oracle))
+        assert_same_text(graph_dot(graph_rows(family, full=True)), to_dot(oracle))
         assert graph_to_json(graph) == graph_to_json(oracle)
         pairs = check_pairs(family)
         methods.add(pairs.method)
@@ -260,15 +266,28 @@ def test_full_graph_matches_the_sweep_on_every_path():
     assert flipped and tied
 
 
+def indented(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class TestOnePassWriters:
-    """The family document and the CSV, written from the rank faces, are
-    the record path's text byte for byte."""
+    """The family document and the points, written from the rank faces,
+    and the graphs, written from their rows, are the record path's text
+    byte for byte: the graphs at every sibling level and in full."""
 
     @staticmethod
     def assert_match_records(family):
-        text = json.dumps(family_to_json(family), indent=2) + "\n"
-        assert_same_text(family_json_text(family), text)
-        assert_same_text(family_csv(family), points_to_csv(normalized_values(family)))
+        assert_same_text(family_json_text(family), indented(family_to_json(family)))
+        points = normalized_values(family)
+        assert_same_text(family_csv(family), points_to_csv(points))
+        assert_same_text(points_json_text(family), indented(points_to_json(points)))
+        scopes = [(level, False) for level in range(1, family.depth + 1)]
+        for level, full in scopes + [(None, True)]:
+            graph = build_graph(family, level, full=full)
+            dot = graph_dot(graph_rows(family, level, full=full))
+            assert_same_text(dot, to_dot(graph))
+            text = graph_json_text(graph_rows(family, level, full=full))
+            assert_same_text(text, indented(graph_to_json(graph)))
 
     def test_corpus(self):
         for family in corpus():
@@ -277,6 +296,14 @@ class TestOnePassWriters:
     @given(valid_stacks(max_depth=5), st.integers(1, 3))
     def test_random_stacks(self, stack, multiplicity):
         self.assert_match_records(generate(stack, multiplicity))
+
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("paper-1", None), ("paper-2", None), ("paper-3", None)]
+        + [("uniform", depth) for depth in range(1, 6)],
+    )
+    def test_presets(self, name, depth):
+        self.assert_match_records(generate(preset_stack(name, depth)))
 
 
 class TestDot:

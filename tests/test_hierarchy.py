@@ -762,6 +762,39 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(Die.from_values([1]), Die.from_values([2]), 0, 0)
 
+    @staticmethod
+    def expanded_estimate(x, y, trials, seed):
+        """The estimate drawn over every physical face listed out."""
+        fx, fy = x.expand(), y.expand()
+        rng = random.Random(seed)
+        wins = sum(
+            fx[rng.randrange(len(fx))] > fy[rng.randrange(len(fy))]
+            for _ in range(trials)
+        )
+        return wins / trials
+
+    def test_matches_the_expanded_faces(self):
+        """Rolls map through the running multiplicity totals to the face
+        the listed-out faces hold at the same index, so every estimate
+        is the one drawn from ``expand()``."""
+        rng = random.Random(5)
+        for _ in range(200):
+            x, y = (
+                Die(tuple(((rng.randrange(10),), rng.randint(1, 7)) for _ in range(3)))
+                for _ in range(2)
+            )
+            seed = rng.randrange(2 ** 32)
+            assert monte_carlo(x, y, 50, seed) == self.expanded_estimate(x, y, 50, seed)
+
+    def test_lists_no_faces(self, monkeypatch):
+        def refuse(die):
+            raise AssertionError("monte_carlo listed every face")
+
+        monkeypatch.setattr(Die, "expand", refuse)
+        x = Die.from_values([2, 4, 9], 2)
+        y = Die.from_values([1, 6, 8], 2)
+        assert 0 < monte_carlo(x, y, 100, 3) < 1
+
 
 class TestFamilyJson:
     def test_round_trip_with_stack(self):
