@@ -5,7 +5,8 @@ words, where the rock-paper-scissors dominance cycle recurs at every
 nesting level: any two distinct dice duel at exactly 5/9 in the direction
 given by their first differing trit. Everything is exact rational
 arithmetic; ``verify_family`` proves a family's structure from its node
-tables and checks the pairs they cannot vouch for (see ``metadice.sweep``).
+tables and checks the pairs they cannot vouch for (see ``metadice.sweep``),
+and ``verify_stack`` proves a validated stack from its depth alone.
 
 The record classes are ``NamedTuple``s or ``dice.Value`` subclasses with
 an explicit ``__init__``, not the standard library's record decorator:
@@ -53,6 +54,7 @@ from metadice.hierarchy import (
     monte_carlo,
     predicted_winner,
     verify_family,
+    verify_stack,
     word_of,
 )
 from metadice.loshu import (
@@ -128,5 +130,6 @@ __all__ = [
     "validate_leading",
     "validate_rankwise",
     "verify_family",
+    "verify_stack",
     "word_of",
 ]

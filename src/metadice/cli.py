@@ -38,14 +38,16 @@ from metadice.hierarchy import (
     generate,
     monte_carlo,
     verify_family,
+    verify_stack,
 )
 from metadice.loshu import AssignmentStack, parse_stack, preset_stack
 from metadice.sweep import outcome
 
-#: Depth accepted without --allow-large. It bounds the memory of generating
-#: 3^k dice, the length of a failure list, and the scan of every pair that
-#: first differs at level 1 when a family's level-1 table fails (14,348,907
-#: pairs at depth 8).
+#: Depth accepted without --allow-large. It guards generation and the dice
+#: path: the memory of 3^k dice, the length of a failure list, and the scan
+#: of every pair that first differs at level 1 when a family's level-1 table
+#: fails (14,348,907 pairs at depth 8). ``verify`` of a stack reads no die
+#: but keeps the ceiling, so exit codes do not depend on the command.
 DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
@@ -93,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help=(
-            "prove every pair duels at exactly 5/9 the right way, from the"
+            "prove every pair duels at exactly 5/9 the right way: a validated"
+            " stack from its depth without reading a die, a family from its"
             " node tables and by checking the pairs they cannot vouch for"
         ),
     )
@@ -184,7 +187,9 @@ def _check_depth(depth: int, allow_large: bool) -> None:
         )
 
 
-def _load_family(args) -> DiceFamily:
+def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
+    """The validated stack or family the arguments name, with its face
+    multiplicity."""
     use_stdin = getattr(args, "stdin", False)
     picked = [
         name
@@ -227,12 +232,19 @@ def _load_family(args) -> DiceFamily:
     # a stack is checked before generate builds its 3^depth dice
     _check_depth(source.depth, args.allow_large)
     if isinstance(source, AssignmentStack):
-        return generate(source, multiplicity)
+        return source, multiplicity
     if args.multiplicity not in (None, source.multiplicity):
         raise ValueError(
             f"--multiplicity {multiplicity} does not match the {noun}'s"
             f" multiplicity {source.multiplicity}"
         )
+    return source, source.multiplicity
+
+
+def _load_family(args) -> DiceFamily:
+    source, multiplicity = _load_source(args)
+    if isinstance(source, AssignmentStack):
+        return generate(source, multiplicity)
     return source
 
 
@@ -438,7 +450,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_family(_load_family(args))
+    # a validated stack is proven from its depth; a family's faces are read
+    source, multiplicity = _load_source(args)
+    if isinstance(source, AssignmentStack):
+        report = verify_stack(source, multiplicity)
+    else:
+        report = verify_family(source)
     write = report_json_text if args.format == "json" else report_text
     _emit(args, write(report))
     return 0 if report.passed else 1

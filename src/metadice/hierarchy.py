@@ -22,7 +22,9 @@ graphs.
 
 ``verify_family`` proves that claim for a concrete family, by the node-table
 certificate or by checking the pairs it cannot vouch for; the
-:mod:`metadice.sweep` docstring describes the two paths.
+:mod:`metadice.sweep` docstring describes the two paths. ``verify_stack``
+proves it for a validated stack from its depth alone: every family it
+generates passes the certificate, so its report is built without a die.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import itertools
 import random
 import time
 from bisect import bisect_right
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -327,13 +328,14 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     pairs = check_pairs(family)
     checked = level_pairs(family.depth)
     sizes = [3 ** (family.depth - p - 1) for p in range(family.depth)]
-    fail_levels = Counter(
-        next(p for p, size in enumerate(sizes) if i // size != j // size)
-        for i, j, _, _ in pairs.failures
-    )
+    fail_levels = [0] * family.depth
+    for i, j, _, _ in pairs.failures:
+        for p, size in enumerate(sizes):
+            if i // size != j // size:
+                fail_levels[p] += 1
+                break
     per_level = tuple(
-        LevelSummary(p + 1, checked[p], fail_levels.get(p, 0))
-        for p in range(family.depth)
+        LevelSummary(p + 1, checked[p], fail_levels[p]) for p in range(family.depth)
     )
     return VerificationReport(
         depth=family.depth,
@@ -346,6 +348,36 @@ def verify_family(family: DiceFamily) -> VerificationReport:
         certificate_detail=pairs.faults.reason,
         method=pairs.method,
         pairs_scanned=pairs.scanned,
+    )
+
+
+def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationReport:
+    """The report :func:`verify_family` gives ``generate(stack, multiplicity)``,
+    built from the stack's depth alone, with no dice.
+
+    A stack is validated when it is built: its level-1 table has nine
+    distinct digits and is leading, and every deeper table, each of whose
+    rotations keeps its same-rank counts, is rank-wise with nine distinct
+    digits. :func:`generate` puts every die on its blocks' digits, so the
+    certificate proves each family of the stack and no pair is read.
+    """
+    start = time.perf_counter()
+    if multiplicity < 1:
+        raise ValueError("face multiplicity must be positive")
+    checked = level_pairs(stack.depth)
+    return VerificationReport(
+        depth=stack.depth,
+        dice_count=3 ** stack.depth,
+        multiplicity=multiplicity,
+        pairs_checked=sum(checked),
+        records=(),
+        per_level=tuple(
+            LevelSummary(p + 1, pairs, 0) for p, pairs in enumerate(checked)
+        ),
+        elapsed=time.perf_counter() - start,
+        certificate_detail=None,
+        method="certificate",
+        pairs_scanned=0,
     )
 
 

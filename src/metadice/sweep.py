@@ -30,7 +30,10 @@ steps and records each die that leaves its block and each node whose pairs
 no table vouches for. Verification then takes one of two paths:
 
 - ``certificate``: no die strays and every table holds, so every pair
-  passes and none is read;
+  passes and none is read. A validated stack is proven from its depth
+  without reading a die: its tables hold by validation and ``generate``
+  puts every die on its blocks' digits, so ``hierarchy.verify_stack``
+  builds this report with no dice and no call here;
 - ``localized``: ``scan_suspects`` checks only the pairs with a stray die
   at or above their first differing level, or under such a node.
 

@@ -7,12 +7,13 @@ import inspect
 import json
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli_main
-from metadice import cli
+from metadice import cli, hierarchy
 from metadice.cli import (
     DEPTH_CEILING,
     report_json,
@@ -26,9 +27,10 @@ from metadice.hierarchy import (
     generate,
     verify_family,
 )
-from metadice.loshu import preset_stack
+from metadice.loshu import parse_stack, preset_stack
+from metadice.sweep import level_pairs
 from test_export import assert_same_text, corpus
-from test_golden import tampered_document
+from test_golden import ROTATED_STACK, tampered_document
 from test_hierarchy import crowded_block_family, crowded_over_valid_table_family
 
 PAPER1 = family_to_json(generate(preset_stack("paper-1")))
@@ -163,6 +165,9 @@ DEPTH_REFUSALS = {
         ["generate", "--preset", "uniform", "--depth", "9"], None, "ceiling"
     ),
     "stack too deep": (["generate", "--stack", "{deep_stack}"], None, "ceiling"),
+    "verified stack too deep": (
+        ["verify", "--stack", "{deep_stack}"], None, "ceiling"
+    ),
 }
 
 
@@ -461,3 +466,89 @@ def test_failing_report_with_ties_is_indented_dumps(run_cli, tmp_path):
     code, out, err = run_cli(["verify", "--family", str(path), "--format", "json"])
     assert (code, err) == (1, "")
     assert_same_text(out, want)
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("the verify path called a function it must not reach")
+
+
+def test_verify_proves_a_stack_without_dice(run_cli, monkeypatch, tmp_path):
+    """``verify --preset`` and ``--stack`` neither generate the family nor
+    certify it, and write what the family path writes."""
+    path = tmp_path / "rotated.txt"
+    path.write_text(ROTATED_STACK)
+    cases = [
+        (["--preset", "paper-3"], preset_stack("paper-3"), 2),
+        (["--preset", "uniform", "--depth", "5"], preset_stack("uniform", 5), 2),
+        (
+            ["--stack", str(path), "--multiplicity", "3"],
+            parse_stack(ROTATED_STACK),
+            3,
+        ),
+    ]
+    expected = [
+        report_json_text(verify_family(generate(stack, multiplicity)))
+        for _, stack, multiplicity in cases
+    ]
+    monkeypatch.setattr(cli, "generate", unreachable)
+    monkeypatch.setattr(hierarchy, "generate", unreachable)
+    monkeypatch.setattr(hierarchy, "certify", unreachable)
+    for (argv, *_), want in zip(cases, expected):
+        code, out, err = run_cli(["verify", *argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert_same_text(out, want)
+        code, out, err = run_cli(["verify", *argv])
+        assert (code, err) == (0, "")
+        assert re.fullmatch(r"PASS \(\d+\.\d{3}s, certificate\)", out.splitlines()[-1])
+
+
+def test_verify_reads_the_faces_of_a_family(run_cli, monkeypatch, tmp_path):
+    """``--family``, with or without a stack echo, and ``--stdin`` go through
+    ``verify_family``: a tampered document keeps its localized report."""
+    calls = []
+
+    def counted(family):
+        calls.append(family.depth)
+        return verify_family(family)
+
+    echo, stackless = tmp_path / "echo.json", tmp_path / "stackless.json"
+    doc = tampered_document()
+    echo.write_text(json.dumps(PAPER2))
+    stackless.write_text(json.dumps(doc))
+    want = report_json_text(verify_family(family_from_json(doc)))
+    listing = "D1 2 4 8\nD2 1 6 9\nD3 3 5 7\n"
+    monkeypatch.setattr(cli, "verify_family", counted)
+    monkeypatch.setattr(cli, "verify_stack", unreachable)
+    code, out, err = run_cli(["verify", "--family", str(echo)])
+    assert (code, err, calls) == (0, "", [2])
+    assert out.splitlines()[-1].endswith(", certificate)")
+    code, out, err = run_cli(["verify", "--family", str(stackless), "--format", "json"])
+    assert (code, err, calls) == (1, "", [2, 4])
+    assert_same_text(out, want)
+    code, out, err = run_cli(["verify", "--family", str(stackless)])
+    assert (code, calls) == (1, [2, 4, 4])
+    assert out.splitlines()[-1].endswith(", localized)")
+    code, out, err = run_cli(["verify", "--stdin"], listing)
+    assert (code, calls) == (1, [2, 4, 4, 1])
+    assert out.splitlines()[-1].endswith(", localized)")
+
+
+def test_verify_a_deep_stack_from_its_depth(run_cli, monkeypatch):
+    """A depth-40 stack is proven at once; the ceiling still refuses depth
+    9 without --allow-large. Building its 3^40 dice would exhaust memory,
+    so generating them fails the test instead."""
+    monkeypatch.setattr(cli, "generate", unreachable)
+    monkeypatch.setattr(hierarchy, "generate", unreachable)
+    argv = ["verify", "--preset", "uniform", "--depth", "40", "--allow-large"]
+    start = time.perf_counter()
+    code, out, err = run_cli([*argv, "--format", "json"])
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] and doc["failures"] == []
+    assert doc["dice"] == 3 ** 40
+    assert doc["pairs_checked"] == (9 ** 40 - 3 ** 40) // 2
+    assert [level["pairs"] for level in doc["per_level"]] == level_pairs(40)
+    assert all(level["failures"] == 0 for level in doc["per_level"])
+    code, out, err = run_cli(["verify", "--preset", "uniform", "--depth", "9"])
+    assert (code, out) == (2, "") and "ceiling" in err

@@ -36,9 +36,10 @@ from metadice.hierarchy import (
     monte_carlo,
     predicted_winner,
     verify_family,
+    verify_stack,
     word_of,
 )
-from metadice.loshu import SORTED_ROWS, preset_stack
+from metadice.loshu import SORTED_ROWS, parse_stack, preset_stack
 from metadice.sweep import certify, sweep_pairs
 
 FIVE_NINTHS = Fraction(5, 9)
@@ -690,6 +691,53 @@ class TestCertificate:
         words = {family.words[i] for i in altered}
         for failure in report.failures:
             assert {failure.word_a, failure.word_b} & words
+
+
+#: Stacks beside the presets: the Lo Shu tables with digit 1 lowered to 0,
+#: which keeps every comparison, and rotated deeper levels.
+ZERO_DIGIT_STACK = parse_stack(
+    "2,4,9;0,6,8;3,5,7\n"
+    "2,8,5;9,6,3;4,0,7 rot=w1\n"
+    "2,9,4;0,8,6;3,7,5 rot=w2\n"
+    "2,4,9;0,6,8;3,5,7 rot=w1\n",
+    allow_zero=True,
+)
+
+
+def assert_stack_report_is_the_familys(stack, multiplicity):
+    """``verify_stack`` gives what ``verify_family`` finds on the generated
+    family, time aside, and the all-pairs sweep finds no failure there."""
+    family = generate(stack, multiplicity)
+    report = verify_stack(stack, multiplicity)
+    assert report.elapsed >= 0
+    assert report._replace(elapsed=0) == verify_family(family)._replace(elapsed=0)
+    assert sweep_pairs(family.rank_faces, family.depth)[1] == []
+
+
+class TestVerifyStack:
+    @given(valid_stacks(max_depth=5), st.integers(1, 3))
+    @settings(max_examples=40)
+    def test_random_stacks_match_the_family_path(self, stack, multiplicity):
+        assert_stack_report_is_the_familys(stack, multiplicity)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [preset_stack(name) for name in ("paper-1", "paper-2", "paper-3")]
+        + [preset_stack("uniform", depth) for depth in range(1, 7)]
+        + [ZERO_DIGIT_STACK],
+        ids=[f"paper-{k}" for k in (1, 2, 3)]
+        + [f"uniform-{depth}" for depth in range(1, 7)]
+        + ["zero-digit-4"],
+    )
+    def test_presets_match_the_family_path(self, stack):
+        for multiplicity in (1, 2, 3):
+            assert_stack_report_is_the_familys(stack, multiplicity)
+
+    def test_bad_multiplicity(self):
+        stack = preset_stack("paper-2")
+        for multiplicity in (0, -1):
+            with pytest.raises(ValueError, match="multiplicity must be positive"):
+                verify_stack(stack, multiplicity)
 
 
 class TestDecomposition:
