@@ -8,7 +8,12 @@ give byte-identical outputs; timing appears only in the human text report.
 Each command has one writer per format. Every JSON text is
 ``json.dumps(doc, indent=2)`` of its record document plus a line break:
 families, reports, points and graphs are written from their rows with one
-f-string per row, and the small documents by ``json.dumps`` itself.
+f-string per row, and the small documents by ``json.dumps`` itself. A
+writer is a generator of text pieces, one per die, row, edge or failure,
+and :func:`_emit` joins and writes them ``_BATCH`` at a time: a command
+holds its family and its failure records in memory, never its whole output.
+Nothing is written before the source has loaded, so a command that exits 2
+writes nothing.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ import argparse
 import json
 import re
 import sys
-from itertools import product
+from contextlib import nullcontext
+from itertools import islice, product
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from metadice.dice import duel, parse_die, round_robin
 from metadice.export import (
@@ -26,6 +33,7 @@ from metadice.export import (
     graph_dot,
     graph_json_text,
     graph_rows,
+    joined,
     points_json_text,
 )
 from metadice.hierarchy import (
@@ -44,10 +52,11 @@ from metadice.loshu import AssignmentStack, parse_stack, preset_stack
 from metadice.sweep import outcome
 
 #: Depth accepted without --allow-large. It guards generation and the dice
-#: path: the memory of 3^k dice, the length of a failure list, and the scan
-#: of every pair that first differs at level 1 when a family's level-1 table
-#: fails (14,348,907 pairs at depth 8). ``verify`` of a stack reads no die
-#: but keeps the ceiling, so exit codes do not depend on the command.
+#: path: the memory of 3^k dice, the failure records held in memory (their
+#: text is streamed, not held), and the scan of every pair that first
+#: differs at level 1 when a family's level-1 table fails (14,348,907 pairs
+#: at depth 8). ``verify`` of a stack reads no die but keeps the ceiling, so
+#: exit codes do not depend on the command.
 DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
@@ -263,78 +272,89 @@ def _family_from_listing(text: str, multiplicity: int) -> DiceFamily:
     return family_from_rows(rows, multiplicity)
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+#: Pieces joined per write. A writer yields one piece per die, row, edge
+#: or failure, so one batch is at most a few hundred lines of text.
+_BATCH = 256
 
 
-def tables_text(depth: int) -> str:
-    family = generate(preset_stack(f"paper-{depth}"))
+def _emit(args, pieces: Iterable[str]) -> None:
+    """Write a writer's pieces to ``--output`` or stdout, ``_BATCH`` at a
+    time. Commands call it once their source has loaded, so a file is
+    opened only when the command will write it."""
+    pieces = iter(pieces)
+    target = open(args.output, "w") if args.output else nullcontext(sys.stdout)
+    with target as out:
+        while batch := list(islice(pieces, _BATCH)):
+            out.write("".join(batch))
+
+
+def tables_text(family: DiceFamily) -> Iterator[str]:
+    """The listing of a depth-1, 2 or 3 reference family, one line per
+    piece, with its subsets' colors."""
     faces = [" ".join(triple) for triple in family.rank_faces]
-    lines: list[str] = []
-    if depth == 1:
+    if family.depth == 1:
         for label, row in zip("ABC", faces):
-            lines.append(f"Die {label} {row}")
-    elif depth == 2:
+            yield f"Die {label} {row}\n"
+    elif family.depth == 2:
         for n, row in enumerate(faces, start=1):
             if n % 3 == 1:
-                lines.append(f"# {SUBSET_COLORS[(n - 1) // 3]} dice")
-            lines.append(f"Die {n} {row}")
+                yield f"# {SUBSET_COLORS[(n - 1) // 3]} dice\n"
+            yield f"Die {n} {row}\n"
     else:
         for n, row in enumerate(faces, start=1):
             if n % 9 == 1:
                 circle = (n - 1) // 9
-                lines.append(
-                    f"# {SUBSET_COLORS[circle]} circle: D{9 * circle + 1}-D{9 * circle + 9}"
+                yield (
+                    f"# {SUBSET_COLORS[circle]} circle:"
+                    f" D{9 * circle + 1}-D{9 * circle + 9}\n"
                 )
             elif n % 3 == 1:
-                lines.append("")
-            lines.append(f"D{n} {row}")
-    return "\n".join(lines) + "\n"
+                yield "\n"
+            yield f"D{n} {row}\n"
 
 
-def family_json_text(family: DiceFamily) -> str:
+def family_json_text(family: DiceFamily) -> Iterator[str]:
     """``json.dumps(family_to_json(family), indent=2)`` plus a line break,
-    byte for byte: one f-string per die over its word's trits, written
-    once per family, and its faces, ASCII digits that JSON writes as they
-    are."""
+    byte for byte, one die per piece: one f-string per die over its word's
+    trits, written once per family, and its faces, ASCII digits that JSON
+    writes as they are."""
     words = (",\n        ".join(w) for w in product("012", repeat=family.depth))
-    dice = ",\n    ".join(
-        f'{{\n      "word": [\n        {word}\n      ],\n'
-        f'      "paper_number": {n},\n      "faces": [\n        "{a}",\n'
-        f'        "{b}",\n        "{c}"\n      ]\n    }}'
-        for n, (word, (a, b, c)) in enumerate(zip(words, family.rank_faces), 1)
-    )
     # the header's text ends "\n}": the dice go in before its closing brace
     head = json.dumps(family_header(family), indent=2)[:-2]
-    return f'{head},\n  "dice": [\n    {dice}\n  ]\n}}\n'
+    yield f'{head},\n  "dice": [\n    '
+    yield from joined(
+        (
+            f'{{\n      "word": [\n        {word}\n      ],\n'
+            f'      "paper_number": {n},\n      "faces": [\n        "{a}",\n'
+            f'        "{b}",\n        "{c}"\n      ]\n    }}'
+            for n, (word, (a, b, c)) in enumerate(zip(words, family.rank_faces), 1)
+        ),
+        ",\n    ",
+    )
+    yield "\n  ]\n}\n"
 
 
-def family_listing(family: DiceFamily) -> str:
-    lines = [
-        f"D{n} " + " ".join(triple)
-        for n, triple in enumerate(family.rank_faces, start=1)
-    ]
-    return "\n".join(lines) + "\n"
+def family_listing(family: DiceFamily) -> Iterator[str]:
+    """One ``D<n> <faces>`` line per die, one line per piece."""
+    for n, (a, b, c) in enumerate(family.rank_faces, start=1):
+        yield f"D{n} {a} {b} {c}\n"
 
 
-def report_text(report: VerificationReport) -> str:
-    """The human report: counts, one line per failure, the certificate's
-    complaint and the verdict with its time and method.
+def report_text(report: VerificationReport) -> Iterator[str]:
+    """The human report, one line per piece: counts, one line per failure,
+    the certificate's complaint and the verdict with its time and method.
 
     Each failure line is ``"  " + failure.describe()``, written from the
     report's records: each die's ``D<n> (<trits>)`` label and each
     (wins, ties) outcome's text are written once.
     """
-    lines = [
+    yield (
         f"depth {report.depth}, {report.dice_count} dice,"
-        f" {report.pairs_checked} pairs, {len(report.records)} failures"
-    ]
+        f" {report.pairs_checked} pairs, {len(report.records)} failures\n"
+    )
     for level in report.per_level:
-        lines.append(
-            f"level {level.level}: {level.pairs} pairs, {level.failures} failures"
+        yield (
+            f"level {level.level}: {level.pairs} pairs, {level.failures} failures\n"
         )
     if report.records:
         labels = [
@@ -342,19 +362,18 @@ def report_text(report: VerificationReport) -> str:
             for n, word in enumerate(product("012", repeat=report.depth), 1)
         ]
         observed = {
-            key: f"observed win {r.win} tie {r.tie} loss {r.loss}"
+            key: f"observed win {r.win} tie {r.tie} loss {r.loss}\n"
             for key, r in _outcomes(report).items()
         }
-        lines += [
-            f"  {labels[i]} vs {labels[j]}: expected {labels[winner]} to win 5/9,"
-            f" {observed[key]}"
-            for i, j, winner, key in _failure_rows(report)
-        ]
+        for i, j, winner, key in _failure_rows(report):
+            yield (
+                f"  {labels[i]} vs {labels[j]}:"
+                f" expected {labels[winner]} to win 5/9, {observed[key]}"
+            )
     if report.certificate_detail is not None:
-        lines.append(f"certificate: {report.certificate_detail}")
+        yield f"certificate: {report.certificate_detail}\n"
     status = "PASS" if report.passed else "FAIL"
-    lines.append(f"{status} ({report.elapsed:.3f}s, {report.method})")
-    return "\n".join(lines) + "\n"
+    yield f"{status} ({report.elapsed:.3f}s, {report.method})\n"
 
 
 def _outcomes(report: VerificationReport) -> dict:
@@ -369,7 +388,9 @@ def _failure_rows(report: VerificationReport):
     right after its own."""
     sizes = [3 ** e for e in reversed(range(report.depth))]
     for i, j, wins, ties in report.records:
-        size = next(s for s in sizes if i // s != j // s)
+        for size in sizes:
+            if i // size != j // size:
+                break
         yield i, j, i if j // size - i // size == 1 else j, (wins, ties)
 
 
@@ -408,37 +429,42 @@ def report_json(report: VerificationReport) -> dict:
     return doc
 
 
-def report_json_text(report: VerificationReport) -> str:
+def report_json_text(report: VerificationReport) -> Iterator[str]:
     """``json.dumps(report_json(report), indent=2)`` plus a line break,
-    byte for byte, from the report's records: each die's word is written
-    once as its indented list and each (wins, ties) outcome once as its
-    ``observed`` object, so a failure is one f-string over four lookups."""
-    failures = "[]"
-    if report.records:
-        words = [
-            "[\n        " + ",\n        ".join(word) + "\n      ]"
-            for word in product("012", repeat=report.depth)
-        ]
-        observed = {
-            key: f'{{\n        "win": "{r.win}",\n        "tie": "{r.tie}",\n'
-            f'        "loss": "{r.loss}"\n      }}'
-            for key, r in _outcomes(report).items()
-        }
-        items = ",\n    ".join(
+    byte for byte, from the report's records, one failure per piece: each
+    die's word is written once as its indented list and each (wins, ties)
+    outcome once as its ``observed`` object, so a failure is one f-string
+    over four lookups."""
+    # the header's text ends "\n}": the failures go in before its brace
+    head = json.dumps(_report_header(report), indent=2)[:-2]
+    passed = "true" if report.passed else "false"
+    if not report.records:
+        yield f'{head},\n  "failures": [],\n  "passed": {passed}\n}}\n'
+        return
+    words = [
+        "[\n        " + ",\n        ".join(word) + "\n      ]"
+        for word in product("012", repeat=report.depth)
+    ]
+    observed = {
+        key: f'{{\n        "win": "{r.win}",\n        "tie": "{r.tie}",\n'
+        f'        "loss": "{r.loss}"\n      }}'
+        for key, r in _outcomes(report).items()
+    }
+    yield f'{head},\n  "failures": [\n    '
+    yield from joined(
+        (
             f'{{\n      "word_a": {words[i]},\n      "word_b": {words[j]},\n'
             f'      "expected_winner": {words[winner]},\n'
             f'      "observed": {observed[key]}\n    }}'
             for i, j, winner, key in _failure_rows(report)
-        )
-        failures = f"[\n    {items}\n  ]"
-    # the header's text ends "\n}": the failures go in before its brace
-    head = json.dumps(_report_header(report), indent=2)[:-2]
-    passed = "true" if report.passed else "false"
-    return f'{head},\n  "failures": {failures},\n  "passed": {passed}\n}}\n'
+        ),
+        ",\n    ",
+    )
+    yield f'\n  ],\n  "passed": {passed}\n}}\n'
 
 
 def cmd_tables(args) -> int:
-    _emit(args, tables_text(args.depth))
+    _emit(args, tables_text(generate(preset_stack(f"paper-{args.depth}"))))
     return 0
 
 
@@ -471,9 +497,9 @@ def cmd_prob(args) -> int:
             "loss": str(result.loss),
             "decimal": decimals,
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, (json.dumps(doc, indent=2) + "\n",))
     else:
-        _emit(args, f"{result.win} {result.tie} {result.loss}\n{decimals}\n")
+        _emit(args, (f"{result.win} {result.tie} {result.loss}\n{decimals}\n",))
     return 0
 
 
@@ -492,9 +518,9 @@ def _parse_team(text: str) -> list[int]:
 def cmd_roundrobin(args) -> int:
     wins_a, wins_b = round_robin(_parse_team(args.team_a), _parse_team(args.team_b))
     if args.format == "json":
-        _emit(args, json.dumps({"a": wins_a, "b": wins_b}, indent=2) + "\n")
+        _emit(args, (json.dumps({"a": wins_a, "b": wins_b}, indent=2) + "\n",))
     else:
-        _emit(args, f"A:{wins_a} B:{wins_b}\n")
+        _emit(args, (f"A:{wins_a} B:{wins_b}\n",))
     return 0
 
 
@@ -528,12 +554,14 @@ def cmd_simulate(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, (json.dumps(doc, indent=2) + "\n",))
     else:
         _emit(
             args,
-            f"estimate {estimate:.6f}\nexact {exact} = {float(exact):.6f}\n"
-            f"trials {args.trials} seed {args.seed}\n",
+            (
+                f"estimate {estimate:.6f}\nexact {exact} = {float(exact):.6f}\n"
+                f"trials {args.trials} seed {args.seed}\n",
+            ),
         )
     return 0
 

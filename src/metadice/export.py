@@ -13,13 +13,16 @@ failing pairs from :func:`metadice.hierarchy.check_pairs`, the path
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
 
-Each text has one writer. :func:`graph_rows` gives a graph as its node
-names and (source, target, label) rows, the full view straight from the
-walk, and :func:`graph_dot` and :func:`graph_json_text` write its DOT and
-JSON from them. :func:`family_csv` and :func:`points_json_text` write the
-points from the rank faces. No writer builds a record. The record API,
-:func:`build_graph`, :func:`normalized_values` and their renderers, is the
-tests' oracle for the writers.
+Each text has one writer, a generator of text pieces: one per node, edge
+or point, with the separators that make the joined pieces the whole text.
+The CLI writes them a batch at a time, so no output is ever held whole.
+:func:`graph_rows` gives a graph as its node names and (source, target,
+label) rows, the full view straight from the walk, and :func:`graph_dot`
+and :func:`graph_json_text` write its DOT and JSON from them.
+:func:`family_csv` and :func:`points_json_text` write the points from the
+rank faces. No writer builds a record. The record API, :func:`build_graph`,
+:func:`normalized_values` and their renderers, which return whole strings
+and documents, is the tests' oracle for the writers.
 """
 
 from __future__ import annotations
@@ -187,22 +190,29 @@ def _graph_rows(graph: DominanceGraph) -> GraphRows:
     return GraphRows(graph.depth, graph.level, graph.full, names, rows)
 
 
-def graph_dot(graph: GraphRows) -> str:
-    """DOT text of the named nodes and the rows."""
+def joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    """The pieces of ``sep.join(items)``: each item, the separator in front
+    of every item but the first."""
+    items = iter(items)
+    yield next(items, "")
+    for item in items:
+        yield sep + item
+
+
+def graph_dot(graph: GraphRows) -> Iterator[str]:
+    """DOT text of the named nodes and the rows, one line per piece."""
     names = graph.names
-    lines = ["digraph dominance {"]
-    lines.extend(f'  "{name}";' for name in names)
-    lines.extend(
-        f'  "{names[source]}" -> "{names[target]}" [label="{label}"];'
-        for source, target, label in graph.rows
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "digraph dominance {\n"
+    for name in names:
+        yield f'  "{name}";\n'
+    for source, target, label in graph.rows:
+        yield f'  "{names[source]}" -> "{names[target]}" [label="{label}"];\n'
+    yield "}\n"
 
 
 def to_dot(graph: DominanceGraph) -> str:
     """Byte-deterministic DOT text: sorted nodes, then sorted edges."""
-    return graph_dot(_graph_rows(graph))
+    return "".join(graph_dot(_graph_rows(graph)))
 
 
 def graph_to_json(graph: DominanceGraph) -> dict:
@@ -221,23 +231,27 @@ def graph_to_json(graph: DominanceGraph) -> dict:
     }
 
 
-def graph_json_text(graph: GraphRows) -> str:
+def graph_json_text(graph: GraphRows) -> Iterator[str]:
     """The graph document's indented JSON, as ``json.dumps(indent=2)``
-    writes it, with one f-string per edge. Names and labels need no JSON
-    escapes."""
+    writes it, with one f-string per node and per edge. Names and labels
+    need no JSON escapes."""
     names = graph.names
-    nodes = ",\n    ".join(f'"{name}"' for name in names)
-    edges = ",\n    ".join(
-        f'{{\n      "from": "{names[source]}",\n      "to": "{names[target]}",\n'
-        f'      "probability": "{label}"\n    }}'
-        for source, target, label in graph.rows
-    )
     full = "true" if graph.full else "false"
-    return (
+    yield (
         f'{{\n  "depth": {graph.depth},\n  "level": {graph.level},\n'
-        f'  "full": {full},\n  "nodes": [\n    {nodes}\n  ],\n'
-        f'  "edges": [\n    {edges}\n  ]\n}}\n'
+        f'  "full": {full},\n  "nodes": [\n    '
     )
+    yield from joined((f'"{name}"' for name in names), ",\n    ")
+    yield '\n  ],\n  "edges": [\n    '
+    yield from joined(
+        (
+            f'{{\n      "from": "{names[source]}",\n      "to": "{names[target]}",\n'
+            f'      "probability": "{label}"\n    }}'
+            for source, target, label in graph.rows
+        ),
+        ",\n    ",
+    )
+    yield "\n  ]\n}\n"
 
 
 class NormalizedPoint(NamedTuple):
@@ -311,36 +325,37 @@ def points_to_csv(points: Sequence[NormalizedPoint]) -> str:
     return "".join(rows)
 
 
-def family_csv(family: DiceFamily) -> str:
+def family_csv(family: DiceFamily) -> Iterator[str]:
     """``points_to_csv(normalized_values(family))``, byte for byte, written
-    from the rank faces: no point is built."""
+    from the rank faces, one row per piece: no point is built."""
     scale = 10 ** family.depth
     words = map("".join, product("012", repeat=family.depth))
-    rows = [_CSV_HEADER]
-    rows.extend(
-        f"{word},{number},{rank},0.{digits},{numerator},{denominator}\n"
-        for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1)
-        for rank, digits in enumerate(faces)
-        for numerator, denominator in (_lowest_terms(digits, scale),)
-    )
-    return "".join(rows)
+    yield _CSV_HEADER
+    for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1):
+        for rank, digits in enumerate(faces):
+            numerator, denominator = _lowest_terms(digits, scale)
+            yield f"{word},{number},{rank},0.{digits},{numerator},{denominator}\n"
 
 
-def points_json_text(family: DiceFamily) -> str:
+def points_json_text(family: DiceFamily) -> Iterator[str]:
     """``json.dumps(points_to_json(normalized_values(family)), indent=2)``
-    plus a line break, byte for byte, written from the rank faces: no
-    point is built."""
+    plus a line break, byte for byte, written from the rank faces, one
+    point per piece: no point is built."""
     scale = 10 ** family.depth
     words = map("".join, product("012", repeat=family.depth))
-    points = ",\n  ".join(
-        f'{{\n    "word": "{word}",\n    "paper_number": {number},\n'
-        f'    "rank": {rank},\n    "decimal": "0.{digits}",\n'
-        f'    "numerator": {numerator},\n    "denominator": {denominator}\n  }}'
-        for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1)
-        for rank, digits in enumerate(faces)
-        for numerator, denominator in (_lowest_terms(digits, scale),)
+    yield "[\n  "
+    yield from joined(
+        (
+            f'{{\n    "word": "{word}",\n    "paper_number": {number},\n'
+            f'    "rank": {rank},\n    "decimal": "0.{digits}",\n'
+            f'    "numerator": {numerator},\n    "denominator": {denominator}\n  }}'
+            for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1)
+            for rank, digits in enumerate(faces)
+            for numerator, denominator in (_lowest_terms(digits, scale),)
+        ),
+        ",\n  ",
     )
-    return f"[\n  {points}\n]\n"
+    yield "\n]\n"
 
 
 def points_to_json(points: Sequence[NormalizedPoint]) -> list[dict]:

@@ -3,11 +3,13 @@ and on any input an exit code in {0, 1, 2}, no traceback, repeatable stdout.
 Also the verify reports written from failure records against the record
 path."""
 
+import argparse
 import inspect
 import json
 import re
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from metadice.cli import (
     report_json_text,
     report_text,
 )
+from metadice.export import build_graph, to_dot
 from metadice.hierarchy import (
     DiceFamily,
     family_from_json,
@@ -29,7 +32,7 @@ from metadice.hierarchy import (
 )
 from metadice.loshu import parse_stack, preset_stack
 from metadice.sweep import level_pairs
-from test_export import assert_same_text, corpus
+from test_export import assert_same_text, corpus, level1_failed_family
 from test_golden import ROTATED_STACK, tampered_document
 from test_hierarchy import crowded_block_family, crowded_over_valid_table_family
 
@@ -416,8 +419,8 @@ def assert_reports_match_records(report):
     path: the JSON document as ``json.dumps(indent=2)`` writes it, and one
     text line per failure as ``describe()`` words it."""
     document = json.dumps(report_json(report), indent=2) + "\n"
-    assert_same_text(report_json_text(report), document)
-    lines = report_text(report).splitlines()
+    assert_same_text("".join(report_json_text(report)), document)
+    lines = "".join(report_text(report)).splitlines()
     count, depth = len(report.records), report.depth
     assert lines[0].endswith(f" {count} failures")
     want = ["  " + failure.describe() for failure in report.failures]
@@ -460,7 +463,7 @@ def test_failing_report_with_ties_is_indented_dumps(run_cli, tmp_path):
     assert any(ties for *_, ties in report.records)
     want = json.dumps(report_json(report), indent=2) + "\n"
     assert '"multiplicity": 3' in want
-    assert_same_text(report_json_text(report), want)
+    assert_same_text("".join(report_json_text(report)), want)
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(["verify", "--family", str(path), "--format", "json"])
@@ -487,7 +490,7 @@ def test_verify_proves_a_stack_without_dice(run_cli, monkeypatch, tmp_path):
         ),
     ]
     expected = [
-        report_json_text(verify_family(generate(stack, multiplicity)))
+        "".join(report_json_text(verify_family(generate(stack, multiplicity))))
         for _, stack, multiplicity in cases
     ]
     monkeypatch.setattr(cli, "generate", unreachable)
@@ -515,7 +518,7 @@ def test_verify_reads_the_faces_of_a_family(run_cli, monkeypatch, tmp_path):
     doc = tampered_document()
     echo.write_text(json.dumps(PAPER2))
     stackless.write_text(json.dumps(doc))
-    want = report_json_text(verify_family(family_from_json(doc)))
+    want = "".join(report_json_text(verify_family(family_from_json(doc))))
     listing = "D1 2 4 8\nD2 1 6 9\nD3 3 5 7\n"
     monkeypatch.setattr(cli, "verify_family", counted)
     monkeypatch.setattr(cli, "verify_stack", unreachable)
@@ -552,3 +555,147 @@ def test_verify_a_deep_stack_from_its_depth(run_cli, monkeypatch):
     assert all(level["failures"] == 0 for level in doc["per_level"])
     code, out, err = run_cli(["verify", "--preset", "uniform", "--depth", "9"])
     assert (code, out) == (2, "") and "ceiling" in err
+
+
+#: Calls that exit 2, with their stdin and the family document a
+#: ``{doc}`` argument names: every bad document and depth refusal above,
+#: and refusals of dice, teams, options and input files.
+REFUSED_CALLS = {
+    **{
+        f"{name}-{command}": ([command, "--family", "{doc}"], None, doc)
+        for name, doc in BAD_DOCUMENTS.items()
+        for command in ("verify", "graph")
+    },
+    **{name: (argv, stdin, None) for name, (argv, stdin, _) in DEPTH_REFUSALS.items()},
+    "non-ASCII die": (["prob", "\u0662,4,9", "1,6,8"], None, None),
+    "non-ASCII team": (["roundrobin", "4,9,\u0662", "3,5,7"], None, None),
+    "non-ASCII listing": (
+        ["verify", "--stdin", "--format", "json"], "D1 \u0662 4 9\n", None
+    ),
+    "zero trials": (["simulate", "2,4,9", "1,6,8", "--trials", "0"], None, None),
+    "no source": (["normalize"], None, None),
+    "two sources": (
+        ["normalize", "--preset", "paper-1", "--stack", "{stack}"], None, None
+    ),
+    "missing family file": (["generate", "--family", "{missing}"], None, None),
+    "level outside the family": (
+        ["graph", "--preset", "paper-2", "--level", "3"], None, None
+    ),
+    "level with full graph": (
+        ["graph", "--preset", "paper-2", "--full-graph", "--level", "1"], None, None
+    ),
+    "no such table": (["tables", "--depth", "4"], None, None),
+    "preset too deep": (
+        ["graph", "--preset", "uniform", "--depth", "9", "--full-graph"], None, None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CALLS.values(), ids=REFUSED_CALLS.keys())
+def test_refused_call_writes_nothing(run_cli, tmp_path, case):
+    """Every error is raised before the first piece is written: a call that
+    exits 2 writes nothing to stdout and leaves an existing ``--output``
+    file as it was."""
+    argv, stdin, doc = case
+    files = {
+        "stack": "2,4,9;1,6,8;3,5,7\n",
+        "family": json.dumps(PAPER1),
+        "deep_stack": "2,4,9;1,6,8;3,5,7\n" * 9,
+        "doc": json.dumps(doc),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    names = {name: str(tmp_path / name) for name in [*files, "missing"]}
+    argv = [arg.format(**names) for arg in argv]
+    earlier = b"earlier output\n"
+    output = tmp_path / "output"
+    output.write_bytes(earlier)
+    code, out, err = run_cli([*argv, "--output", str(output)], stdin)
+    assert (code, out) == (2, "")
+    assert "error: " in err and "Traceback" not in err
+    assert output.read_bytes() == earlier
+    assert run_cli(argv, stdin) == (code, out, err)
+
+
+UNIFORM5 = ["--preset", "uniform", "--depth", "5"]
+
+#: One call per streamed writer; verify reads a failing family document.
+WRITER_CALLS = {
+    "tables": ["tables", "--depth", "3"],
+    "generate-json": ["generate", *UNIFORM5],
+    "generate-text": ["generate", *UNIFORM5, "--format", "text"],
+    "verify-json": ["verify", "--family", "{failing}", "--format", "json"],
+    "verify-text": ["verify", "--family", "{failing}"],
+    "graph-dot": ["graph", "--preset", "paper-3", "--full-graph"],
+    "graph-json": ["graph", *UNIFORM5, "--level", "5", "--format", "json"],
+    "normalize-csv": ["normalize", *UNIFORM5],
+    "normalize-json": ["normalize", *UNIFORM5, "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", WRITER_CALLS.values(), ids=WRITER_CALLS.keys())
+def test_output_file_holds_the_stdout_bytes(run_cli, monkeypatch, tmp_path, argv):
+    """``--output`` receives exactly the bytes stdout does, and the batch
+    size changes no byte: with one piece per batch, a few, or the default."""
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(tampered_document()))
+    argv = [arg.format(failing=failing) for arg in argv]
+    output = tmp_path / "output"
+    code, out, err = run_cli(argv)
+    assert code in (0, 1) and err == ""
+    # the verify text report's last line carries its time
+    timed = re.compile(r"\(\d+\.\d{3}s, ")
+    for batch in (cli._BATCH, 7, 1):
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        assert run_cli([*argv, "--output", str(output)]) == (code, "", "")
+        got = output.read_bytes().decode("ascii")
+        assert_same_text(timed.sub("(", got), timed.sub("(", out))
+
+
+class ByteCounter:
+    """A stdout that counts the bytes written to it and keeps none."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+
+def traced_peak(call) -> int:
+    """The most memory ``call()`` held at once, as ``tracemalloc`` saw it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_holds_the_family_not_its_edges(monkeypatch):
+    """The depth-5 full graph, 29,403 edges, is written holding its 243
+    dice and a batch of lines: a quarter of its text is more than enough."""
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["graph", "--preset", "uniform", "--depth", "5", "--full-graph"]
+    cli.main(["graph", "--preset", "paper-1", "--full-graph"])  # imports, once
+    sink.bytes = 0
+    peak = traced_peak(lambda: cli.main(argv))
+    graph = build_graph(generate(preset_stack("uniform", 5)), full=True)
+    assert sink.bytes == len(to_dot(graph))
+    assert peak < sink.bytes / 4
+
+
+@pytest.mark.parametrize("writer", [report_json_text, report_text])
+def test_failing_report_holds_its_records_not_its_text(monkeypatch, writer):
+    """A report of 6,561 failures is written holding the records, each
+    die's word and a batch of failures, not the text of every failure."""
+    report = verify_family(level1_failed_family(5))
+    assert len(report.records) == 6561
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    args = argparse.Namespace(output=None)
+    peak = traced_peak(lambda: cli._emit(args, writer(report)))
+    assert sink.bytes == len("".join(writer(report)))
+    assert peak < sink.bytes / 4
