@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 for success (verification passed),
-1 for a verification failure, 2 for usage, parse or input errors. Machine
+1 for a verification failure, 2 for usage, parse or input errors. A reader
+that closes stdout early, as ``head`` does, changes no exit code. Machine
 readable outputs (json, csv, dot) carry no timing, so byte-identical inputs
 give byte-identical outputs; timing appears only in the human text report.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -280,12 +282,22 @@ _BATCH = 256
 def _emit(args, pieces: Iterable[str]) -> None:
     """Write a writer's pieces to ``--output`` or stdout, ``_BATCH`` at a
     time. Commands call it once their source has loaded, so a file is
-    opened only when the command will write it."""
+    opened only when the command will write it.
+
+    A reader that closes stdout early, as ``head`` does, wants no more:
+    the rest goes to the null device, so neither this write nor the flush
+    at exit fails, and the command keeps its exit code."""
     pieces = iter(pieces)
     target = open(args.output, "w") if args.output else nullcontext(sys.stdout)
-    with target as out:
-        while batch := list(islice(pieces, _BATCH)):
-            out.write("".join(batch))
+    try:
+        with target as out:
+            while batch := list(islice(pieces, _BATCH)):
+                out.write("".join(batch))
+            out.flush()
+    except BrokenPipeError:
+        if args.output:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def tables_text(family: DiceFamily) -> Iterator[str]:

@@ -5,10 +5,10 @@ prefixes as nodes, each trio of siblings wired into its 3-cycle) and the
 full view (every pair of dice, one edge per pair). Sibling edges follow the
 cycle and carry the source's exact win probability, so on a failing family
 one can point from a loser; full-view edges point from winner to loser.
-A sibling trio's win counts come from a sweep of its three representative
-dice; the full view's edges come from one integer walk, which takes the
-failing pairs from :func:`metadice.hierarchy.check_pairs`, the path
-``verify`` runs, and every other pair duels exactly 5/9 the cycle's way.
+Each view is one integer walk in (source, target) order. A sibling trio's
+win counts come from a sweep of its three representative dice; the full
+view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
+the path ``verify`` runs, and every other pair duels 5/9 the cycle's way.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
@@ -17,12 +17,12 @@ Each text has one writer, a generator of text pieces: one per node, edge
 or point, with the separators that make the joined pieces the whole text.
 The CLI writes them a batch at a time, so no output is ever held whole.
 :func:`graph_rows` gives a graph as its node names and (source, target,
-label) rows, the full view straight from the walk, and :func:`graph_dot`
-and :func:`graph_json_text` write its DOT and JSON from them.
+label) rows straight from its walk, and :func:`graph_dot` and
+:func:`graph_json_text` write its DOT and JSON from them.
 :func:`family_csv` and :func:`points_json_text` write the points from the
-rank faces. No writer builds a record. The record API, :func:`build_graph`,
-:func:`normalized_values` and their renderers, which return whole strings
-and documents, is the tests' oracle for the writers.
+rank faces. No writer builds a record. The record API, :func:`build_graph`
+(the same walks, labeled with fractions), :func:`normalized_values` and
+their renderers, returning whole strings and documents, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import Face
-from metadice.hierarchy import DiceFamily, Word, check_pairs, die_number
-from metadice.sweep import outcome, sweep_pairs
+from metadice.hierarchy import DiceFamily, Word, die_number, verify_family
+from metadice.sweep import sweep_pairs
 
 Prefix = tuple[int, ...]
 
@@ -74,36 +74,15 @@ def build_graph(
     mode emits one edge per unordered pair of dice, winner to loser, in
     (source, target) order; a pair with no strict winner keeps word order
     and its win probability. It reads the failing pairs from
-    :func:`metadice.hierarchy.check_pairs`, so a certified family compares
-    no pair. A level given with ``full`` is refused.
+    :func:`metadice.hierarchy.verify_family`, so a certified family
+    compares no pair. A level given with ``full`` is refused.
     """
     level = _graph_level(family, level, full)
-    if full:
-        words = family.words
-        ninths = [Fraction(k, 9) for k in range(10)]
-        edges = tuple(
-            Edge(words[s], words[t], p) for s, t, p in _full_rows(family, ninths)
-        )
-        return DominanceGraph(family.depth, level, True, words, edges)
-
     nodes = tuple(product((0, 1, 2), repeat=level))
-    stride = 3 ** (family.depth - level)
-    edges = []
-    for n, head in enumerate(product((0, 1, 2), repeat=level - 1)):
-        trio = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
-        # (i, j) -> die i's (wins, ties) for the pairs that miss the cycle's
-        # exact outcome; every other pair is won 5 to 4 the cycle's way
-        missed = {(i, j): (w, t) for i, j, w, t in sweep_pairs(trio, 1)[1]}
-        # win probability of sibling s over sibling s + 1 around the cycle
-        wins = (
-            outcome(*missed.get((0, 1), (5, 0))).win,
-            outcome(*missed.get((1, 2), (5, 0))).win,
-            outcome(*missed.get((0, 2), (4, 0))).loss,
-        )
-        for s in range(3):
-            edges.append(Edge(head + (s,), head + ((s + 1) % 3,), wins[s]))
-    edges.sort(key=lambda e: (e.source, e.target))
-    return DominanceGraph(family.depth, level, False, nodes, tuple(edges))
+    ninths = [Fraction(k, 9) for k in range(10)]
+    rows = _edge_rows(family, level, full, ninths)
+    edges = tuple(Edge(nodes[s], nodes[t], p) for s, t, p in rows)
+    return DominanceGraph(family.depth, level, full, nodes, edges)
 
 
 def _graph_level(family: DiceFamily, level: int | None, full: bool) -> int:
@@ -120,6 +99,31 @@ def _graph_level(family: DiceFamily, level: int | None, full: bool) -> int:
     return level
 
 
+def _edge_rows(
+    family: DiceFamily, level: int, full: bool, labels: Sequence
+) -> Iterator[tuple]:
+    """Every edge as a (source, target, ``labels[k]``) row over node indices,
+    in (source, target) order, where k/9 is the source's win probability."""
+    if full:
+        return _full_rows(family, labels)
+    return _sibling_rows(family, level, labels)
+
+
+def _sibling_rows(family: DiceFamily, level: int, labels: Sequence) -> Iterator[tuple]:
+    """The sibling edges at ``level``: sibling s of a trio points to sibling
+    s + 1 around the cycle, so the rows come in (source, target) order."""
+    stride = 3 ** (family.depth - level)
+    for n in range(3 ** (level - 1)):
+        trio = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
+        # (i, j) -> die i's (wins, ties) for the pairs that miss the cycle's
+        # exact outcome; every other pair is won 5 to 4 the cycle's way
+        missed = {(i, j): (w, t) for i, j, w, t in sweep_pairs(trio, 1)[1]}
+        wins_02, ties_02 = missed.get((0, 2), (4, 0))
+        yield 3 * n, 3 * n + 1, labels[missed.get((0, 1), (5, 0))[0]]
+        yield 3 * n + 1, 3 * n + 2, labels[missed.get((1, 2), (5, 0))[0]]
+        yield 3 * n + 2, 3 * n, labels[9 - wins_02 - ties_02]
+
+
 def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
     """Every full-graph edge as a (source, target, label) row, dice by
     index, in (source, target) order; ``labels[k]`` labels a win of k/9.
@@ -130,7 +134,7 @@ def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
     """
     moved: dict[int, list[tuple[int, int]]] = {}  # source -> (target, wins)
     failed: dict[int, set[int]] = {}  # die -> the dice it fails against
-    for i, j, wins, ties in check_pairs(family).failures:
+    for i, j, wins, ties in verify_family(family).records:
         loss = 9 - wins - ties
         source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
         moved.setdefault(source, []).append((target, ninths))
@@ -164,26 +168,21 @@ class GraphRows(NamedTuple):
 def graph_rows(
     family: DiceFamily, level: int | None = None, *, full: bool = False
 ) -> GraphRows:
-    """The rows of ``build_graph(family, level, full=full)``. A full
-    graph's come straight from the walk: no ``Edge`` is built and no edge
-    sorted."""
-    if full:
-        level = _graph_level(family, level, full)
-        names = [f"D{n}" for n in range(1, family.size + 1)]
-        labels = [str(Fraction(k, 9)) for k in range(10)]
-        return GraphRows(family.depth, level, True, names, _full_rows(family, labels))
-    return _graph_rows(build_graph(family, level))
+    """The rows of ``build_graph(family, level, full=full)``, straight from
+    the walk: no ``Edge`` is built and no edge sorted."""
+    level = _graph_level(family, level, full)
+    nodes = product((0, 1, 2), repeat=level)
+    names = [node_name(prefix, family.depth) for prefix in nodes]
+    labels = [str(Fraction(k, 9)) for k in range(10)]
+    rows = _edge_rows(family, level, full, labels)
+    return GraphRows(family.depth, level, full, names, rows)
 
 
 def _graph_rows(graph: DominanceGraph) -> GraphRows:
     nodes = sorted(graph.nodes)
     position = {prefix: k for k, prefix in enumerate(nodes)}
-    # each probability's text, keyed by the id of its object: the edges
-    # share a few Fraction objects, which are slow to hash and to print
-    shared = {id(e.probability): e.probability for e in graph.edges}
-    labels = {key: str(probability) for key, probability in shared.items()}
     rows = sorted(
-        (position[source], position[target], labels[id(probability)])
+        (position[source], position[target], str(probability))
         for source, target, probability in graph.edges
     )
     names = [node_name(prefix, graph.depth) for prefix in nodes]
@@ -308,18 +307,13 @@ def normalized_values(family: DiceFamily) -> tuple[NormalizedPoint, ...]:
 _CSV_HEADER = "word,paper_number,rank,decimal,numerator,denominator\n"
 
 
-def _word_texts(points: Sequence[NormalizedPoint]) -> dict[Word, str]:
-    """Each distinct word's trits as text, written once for its three points."""
-    return {w: "".join(map(str, w)) for w in dict.fromkeys(p.word for p in points)}
-
-
 def points_to_csv(points: Sequence[NormalizedPoint]) -> str:
     """One row per point; no field can hold a comma, quote or line break,
     so rows need no CSV quoting."""
-    words = _word_texts(points)
     rows = [_CSV_HEADER]
     rows.extend(
-        f"{words[word]},{number},{rank},0.{digits},{numerator},{denominator}\n"
+        f"{''.join(map(str, word))},{number},{rank},0.{digits},{numerator},"
+        f"{denominator}\n"
         for word, number, rank, digits, numerator, denominator in points
     )
     return "".join(rows)
@@ -359,10 +353,9 @@ def points_json_text(family: DiceFamily) -> Iterator[str]:
 
 
 def points_to_json(points: Sequence[NormalizedPoint]) -> list[dict]:
-    words = _word_texts(points)
     return [
         {
-            "word": words[word],
+            "word": "".join(map(str, word)),
             "paper_number": number,
             "rank": rank,
             "decimal": "0." + digits,

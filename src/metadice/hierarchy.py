@@ -17,8 +17,8 @@ Shu digit per nesting level, as the documents write it; for equal lengths
 string order is the positional digit order. Words follow from the depth and
 are derived on first use. No ``Die`` is ever built from a family: its node
 tables or integer win counts over the 3x3 face grid settle verification,
-and :func:`check_pairs` hands the same failing pairs to the dominance
-graphs.
+and the full dominance graph reads its failing pairs from
+:func:`verify_family`'s report.
 
 ``verify_family`` proves that claim for a concrete family, by the node-table
 certificate or by checking the pairs it cannot vouch for; the
@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 from metadice.dice import Die, DuelResult, LengthMismatchError, Value
 from metadice.dice import is_digit_string, is_int
 from metadice.loshu import AssignmentStack, parse_stack
-from metadice.sweep import Failure, Faults, certify, level_pairs, outcome, scan_suspects
+from metadice.sweep import Failure, certify, level_pairs, outcome, scan_suspects
 
 Word = tuple[int, ...]
 
@@ -282,72 +282,44 @@ class VerificationReport(NamedTuple):
         return not self.records
 
 
-class PairCheck(NamedTuple):
-    """The pairs of a family that miss the exact (5/9, 0, 4/9) outcome, and
-    how :func:`check_pairs` found them.
-
-    ``failures`` are (i, j, wins of i, ties) records in (i, j) order, as
-    :func:`metadice.sweep.sweep_pairs` returns them; ``scanned`` counts the
-    pairs compared.
-    """
-
-    faults: Faults
-    method: str
-    failures: list[Failure]
-    scanned: int
-
-
-def check_pairs(family: DiceFamily) -> PairCheck:
-    """Run the certificate and then the path it leaves: no pair on a proof,
-    otherwise the pairs the node tables cannot vouch for (see the
-    :mod:`metadice.sweep` docstring).
-    """
-    faults = certify(family.rank_faces, family.depth)
-    if faults.reason is None:
-        return PairCheck(faults, "certificate", [], 0)
-    failures, scanned = scan_suspects(family.rank_faces, family.depth, faults)
-    return PairCheck(faults, "localized", failures, scanned)
-
-
 def verify_family(family: DiceFamily) -> VerificationReport:
     """Check that every pair duels at exactly (5/9, 0, 4/9) in favor of
     :func:`predicted_winner`.
 
-    :func:`check_pairs` runs the certificate first and then the path it
-    leaves. Every path reports the same counts and failures; ``method``
-    says which ran and ``pairs_scanned`` how many pairs it compared.
+    The certificate runs first; when it cannot prove the family, the
+    localized scan checks the pairs the node tables cannot vouch for (see
+    the :mod:`metadice.sweep` docstring). Every path reports the same
+    counts and failures; ``method`` says which ran and ``pairs_scanned``
+    how many pairs it compared.
 
     Failures are data, not errors. The report carries them as the scan's
     integer records in lexicographic word-pair order, together with a
     per-level summary, so it is the same regardless of how the independent
-    pair checks are scheduled. A failure's level is the largest block size
-    that separates its two dice, as in :func:`metadice.sweep.sweep_pairs`;
-    no failure is decoded here.
+    pair checks are scheduled. The scan counts each failure at its level
+    as it finds it; no failure is decoded here.
     """
     start = time.perf_counter()
-    pairs = check_pairs(family)
+    faults = certify(family.rank_faces, family.depth)
+    records, scanned, fail_levels = [], 0, [0] * family.depth
+    if faults.reason is not None:
+        records, scanned, fail_levels = scan_suspects(
+            family.rank_faces, family.depth, faults
+        )
     checked = level_pairs(family.depth)
-    sizes = [3 ** (family.depth - p - 1) for p in range(family.depth)]
-    fail_levels = [0] * family.depth
-    for i, j, _, _ in pairs.failures:
-        for p, size in enumerate(sizes):
-            if i // size != j // size:
-                fail_levels[p] += 1
-                break
-    per_level = tuple(
-        LevelSummary(p + 1, checked[p], fail_levels[p]) for p in range(family.depth)
-    )
     return VerificationReport(
         depth=family.depth,
         dice_count=family.size,
         multiplicity=family.multiplicity,
         pairs_checked=sum(checked),
-        records=tuple(pairs.failures),
-        per_level=per_level,
+        records=tuple(records),
+        per_level=tuple(
+            LevelSummary(p + 1, pairs, failures)
+            for p, (pairs, failures) in enumerate(zip(checked, fail_levels))
+        ),
         elapsed=time.perf_counter() - start,
-        certificate_detail=pairs.faults.reason,
-        method=pairs.method,
-        pairs_scanned=pairs.scanned,
+        certificate_detail=faults.reason,
+        method="certificate" if faults.reason is None else "localized",
+        pairs_scanned=scanned,
     )
 
 
@@ -517,26 +489,13 @@ def family_from_rows(
     """Build a family from face-string rows in die-number order.
 
     Used for the plain text listing format, where the construction is not
-    recorded: row n holds the three faces of die n.
+    recorded: row n holds the three faces of die n. The first face's length
+    is the depth; :class:`DiceFamily` refuses every other fault.
     """
-    rank_faces = []
-    depth = None
-    for pos, row in enumerate(face_rows):
-        if len(row) != 3:
-            raise FamilyFormatError(f"row {pos + 1}: expected 3 faces")
-        if not all(map(is_digit_string, row)):
-            raise FamilyFormatError(f"row {pos + 1}: faces must be digit strings")
-        if depth is None:
-            depth = len(row[0])
-        rank_faces.append(tuple(row))
-    if depth is None or depth < 1:
+    rank_faces = tuple(map(tuple, face_rows))
+    if not rank_faces:
         raise FamilyFormatError("listing contains no dice")
-    size = len(rank_faces)
-    k = 0
-    while 3 ** k < size:
-        k += 1
-    if 3 ** k != size or k != depth:
-        raise FamilyFormatError(
-            f"{size} dice with {depth}-digit faces do not form a complete family"
-        )
-    return DiceFamily(depth, multiplicity, tuple(rank_faces))
+    first = rank_faces[0][:1]
+    if not (first and is_digit_string(first[0])):
+        raise FamilyFormatError("row 1: faces must be digit strings")
+    return DiceFamily(len(first[0]), multiplicity, rank_faces)

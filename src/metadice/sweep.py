@@ -275,19 +275,23 @@ def _disagreement(
 
 def scan_suspects(
     rank_faces: Sequence[Faces], depth: int, faults: Faults
-) -> tuple[list[Failure], int]:
+) -> tuple[list[Failure], int, list[int]]:
     """Check only the pairs that ``faults`` leaves the node tables unable to
     vouch for.
 
     A pair (i, j) first differing at level p under node N is checked when
     die i or die j strays at a level <= p, or when N is in
     ``faults.bad_nodes[p]``. Returns the failures as :func:`sweep_pairs`
-    would, in (i, j) order, and the number of pairs compared.
+    would, in (i, j) order, the number of pairs compared and the number of
+    failures per first-difference level (0-based): the pairs compared at
+    level p are exactly those that first differ there.
     """
     faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
     failures: list[Failure] = []
     scanned = 0
+    fail_levels = []
     for p, bad in enumerate(faults.bad_nodes):
+        found = len(failures)
         size = 3 ** (depth - p - 1)
         span = 3 * size
         for node in bad:  # every pair across the node's child blocks
@@ -319,8 +323,9 @@ def scan_suspects(
                     _scan(faces[i], faces, i, first, stop, expected, backward)
                     failures.extend((j, i, 9 - w - t, t) for _, j, w, t in backward)
                     scanned += stop - first
+        fail_levels.append(len(failures) - found)
     failures.sort()
-    return failures, scanned
+    return failures, scanned, fail_levels
 
 
 def _gaps(lo: int, hi: int, skip: list[int]) -> Iterator[tuple[int, int]]:

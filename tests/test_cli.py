@@ -6,16 +6,19 @@ path."""
 import argparse
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli_main
-from metadice import cli, hierarchy
+from metadice import cli, export, hierarchy
 from metadice.cli import (
     DEPTH_CEILING,
     report_json,
@@ -36,6 +39,7 @@ from test_export import assert_same_text, corpus, level1_failed_family
 from test_golden import ROTATED_STACK, tampered_document
 from test_hierarchy import crowded_block_family, crowded_over_valid_table_family
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 PAPER1 = family_to_json(generate(preset_stack("paper-1")))
 PAPER2 = family_to_json(generate(preset_stack("paper-2")))
 
@@ -662,6 +666,9 @@ class ByteCounter:
         self.bytes += len(text.encode())
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def traced_peak(call) -> int:
     """The most memory ``call()`` held at once, as ``tracemalloc`` saw it."""
@@ -699,3 +706,59 @@ def test_failing_report_holds_its_records_not_its_text(monkeypatch, writer):
     peak = traced_peak(lambda: cli._emit(args, writer(report)))
     assert sink.bytes == len("".join(writer(report)))
     assert peak < sink.bytes / 4
+
+
+def test_graph_writers_build_no_edge_record(run_cli, monkeypatch):
+    """``graph`` writes every level and the full graph from the integer
+    walks: with ``build_graph`` and ``Edge`` unreachable, each call writes
+    what it wrote before."""
+    scopes = [["--level", "1"], ["--level", "2"], ["--level", "3"], ["--full-graph"]]
+    calls = [
+        ["graph", "--preset", "paper-3", *scope, "--format", fmt]
+        for scope in scopes
+        for fmt in ("dot", "json")
+    ]
+    wants = [run_cli(argv) for argv in calls]
+    monkeypatch.setattr(export, "build_graph", unreachable)
+    monkeypatch.setattr(export, "Edge", unreachable)
+    for argv, want in zip(calls, wants):
+        assert want[0] == 0
+        assert run_cli(argv) == want
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["graph", "--preset", "uniform", "--depth", "6", "--full-graph"], 0),
+        (["verify", "--family", "{failing}"], 1),
+    ],
+    ids=["graph", "failing-verify"],
+)
+def test_closed_pipe_keeps_the_exit_code(tmp_path, argv, code):
+    """A reader that takes one line and closes the pipe, as ``head -1``
+    does, leaves the command its own exit code and an empty stderr."""
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(family_to_json(level1_failed_family(5))))
+    argv = [arg.format(failing=failing) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metadice", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (code, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_write_error_exits_2(run_cli):
+    """A write that fails on ``--output`` is an input error, not a closed
+    reader."""
+    code, out, err = run_cli(
+        ["normalize", "--preset", "paper-3", "--output", "/dev/full"]
+    )
+    assert (code, out) == (2, "")
+    assert "No space left on device" in err

@@ -34,12 +34,12 @@ from metadice.export import (
 from metadice.hierarchy import (
     DiceFamily,
     FamilyFormatError,
-    check_pairs,
     die_number,
     family_from_rows,
     family_to_json,
     generate,
     predicted_winner,
+    verify_family,
 )
 from metadice.loshu import preset_stack
 from metadice.sweep import sweep_pairs
@@ -135,8 +135,9 @@ class TestBuildGraph:
 
 
 def test_graphs_match_duel_oracle_on_random_families():
-    """Both graph modes against duel() on the dice themselves. Faces use
-    digits 1-3 only, so ties and edges against the cycle occur."""
+    """Both graph modes against duel() on the dice themselves, and the
+    sibling rows the writers read too. Faces use digits 1-3 only, so ties
+    and edges against the cycle occur."""
     ties = reversed_edges = 0
     for depth in (1, 2, 3, 4):
         rng = random.Random(321 + depth)
@@ -171,6 +172,20 @@ def test_graphs_match_duel_oracle_on_random_families():
                 assert edge.target == edge.source[:-1] + ((edge.source[-1] + 1) % 3,)
                 rep = [die_number(p + pad) - 1 for p in (edge.source, edge.target)]
                 assert edge.probability == duel(dice[rep[0]], dice[rep[1]]).win
+            prefixes = list(product((0, 1, 2), repeat=level))
+            rows = graph_rows(family, level)
+            if level == depth:
+                assert rows.names == [f"D{die_number(p)}" for p in prefixes]
+            else:
+                assert rows.names == ["".join(map(str, p)) for p in prefixes]
+            # one edge out of every node, in node order, around its cycle
+            rows = list(rows.rows)
+            assert [source for source, _, _ in rows] == list(range(3 ** level))
+            for source, target, label in rows:
+                a, b = prefixes[source], prefixes[target]
+                assert b == a[:-1] + ((a[-1] + 1) % 3,)
+                rep = [die_number(p + pad) - 1 for p in (a, b)]
+                assert label == str(duel(dice[rep[0]], dice[rep[1]]).win)
     assert ties and reversed_edges
 
 
@@ -259,10 +274,10 @@ def test_full_graph_matches_the_sweep_on_every_path():
         dot = "".join(graph_dot(graph_rows(family, full=True)))
         assert_same_text(dot, to_dot(oracle))
         assert graph_to_json(graph) == graph_to_json(oracle)
-        pairs = check_pairs(family)
-        methods.add(pairs.method)
+        report = verify_family(family)
+        methods.add(report.method)
         flipped += sum(predicted_winner(w, v) != w for w, v, _ in want)
-        tied += sum(ties > 0 for _, _, _, ties in pairs.failures)
+        tied += sum(ties > 0 for _, _, _, ties in report.records)
     assert methods == {"certificate", "localized"}
     assert flipped and tied
 

@@ -928,3 +928,20 @@ class TestFamilyFromRows:
         rows = [["2", "4", "9"]] * 9  # 9 dice but 1-digit faces
         with pytest.raises(FamilyFormatError):
             family_from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "listing contains no dice"),
+            ([[249, "168", "357"]], "faces must be digit strings"),
+            ([[]], "faces must be digit strings"),
+            ([["2", "4"], ["1", "6", "8"], ["3", "5", "7"]], "3 distinct faces"),
+            ([["24", "4", "9"]] * 9, "not 2 digits"),
+            ([["2", "4", "9"], ["1", "6", "8"]], "depth-1 family needs exactly 3"),
+        ],
+    )
+    def test_every_fault_is_a_format_error(self, rows, message):
+        """The first face's length is the depth; ``DiceFamily`` refuses
+        the rest, and nothing raises a ``TypeError``."""
+        with pytest.raises(FamilyFormatError, match=message):
+            family_from_rows(rows)
