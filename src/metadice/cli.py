@@ -24,7 +24,7 @@ import json
 import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import islice, product
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -172,11 +172,12 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_family_source(p: argparse.ArgumentParser, *, stdin: bool = False) -> None:
-    p.add_argument("--preset", choices=PRESET_CHOICES)
-    p.add_argument("--stack", metavar="FILE", help="assignment stack file")
-    p.add_argument("--family", metavar="FILE", help="family JSON document")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_CHOICES)
+    source.add_argument("--stack", metavar="FILE", help="assignment stack file")
+    source.add_argument("--family", metavar="FILE", help="family JSON document")
     if stdin:
-        p.add_argument(
+        source.add_argument(
             "--stdin",
             action="store_true",
             help="read a plain listing (as printed by tables/generate)",
@@ -200,23 +201,14 @@ def _check_depth(depth: int, allow_large: bool) -> None:
 
 def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
     """The validated stack or family the arguments name, with its face
-    multiplicity."""
-    use_stdin = getattr(args, "stdin", False)
-    picked = [
-        name
-        for name, given in (
-            ("--preset", args.preset is not None),
-            ("--stack", args.stack is not None),
-            ("--family", args.family is not None),
-            ("--stdin", use_stdin),
-        )
-        if given
-    ]
-    if len(picked) != 1:
-        raise ValueError(
-            "choose exactly one family source (--preset, --stack, --family"
-            + (", --stdin)" if hasattr(args, "stdin") else ")")
-        )
+    multiplicity.
+
+    The parser has picked exactly one source, and each reader checks its
+    own input: ``parse_stack`` a stack, ``family_from_json`` a document's
+    fields and word order, and :class:`DiceFamily` the dice of a document
+    or listing. This checks the options against the source: the depth
+    ceiling, and a given --depth or --multiplicity against its own.
+    """
     # 2 when unset; a family document keeps its own, which a given one must match
     multiplicity = 2 if args.multiplicity is None else args.multiplicity
     if multiplicity < 1:
@@ -495,8 +487,24 @@ def cmd_verify(args) -> int:
     else:
         report = verify_family(source)
     write = report_json_text if args.format == "json" else report_text
-    _emit(args, write(report))
+    with _unlimited_int_digits():
+        _emit(args, write(report))
     return 0 if report.passed else 1
+
+
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift CPython's limit on an int's decimal digits, which guards parsing
+    input, while the program writes its own counts: a depth-k stack has
+    3^(2k-p-1) pairs at level p, over 4,300 digits from depth 4,507 on."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_prob(args) -> int:

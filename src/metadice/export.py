@@ -6,8 +6,8 @@ full view (every pair of dice, one edge per pair). Sibling edges follow the
 cycle and carry the source's exact win probability, so on a failing family
 one can point from a loser; full-view edges point from winner to loser.
 Each view is one integer walk in (source, target) order. A sibling trio's
-win counts come from a sweep of its three representative dice; the full
-view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
+win counts are read off its three representative dice's 3x3 face grids; the
+full view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
 the path ``verify`` runs, and every other pair duels 5/9 the cycle's way.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
@@ -34,7 +34,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import Face
 from metadice.hierarchy import DiceFamily, Word, die_number, verify_family
-from metadice.sweep import sweep_pairs
 
 Prefix = tuple[int, ...]
 
@@ -68,19 +67,18 @@ def build_graph(
     Sibling mode (default) at level m: nodes are the 3^m prefixes; each
     group of three siblings gets its cycle edges, labeled with the win
     probability of the source's representative die (its prefix padded with
-    zeros) over the target's. A trio's representatives are a depth-1
-    family, so one small sweep settles it; for a valid family every
-    cross-group pair duels alike, so the label is the group claim. Full
-    mode emits one edge per unordered pair of dice, winner to loser, in
-    (source, target) order; a pair with no strict winner keeps word order
-    and its win probability. It reads the failing pairs from
-    :func:`metadice.hierarchy.verify_family`, so a certified family
-    compares no pair. A level given with ``full`` is refused.
+    zeros) over the target's, counted over the 3x3 grid of their faces;
+    for a valid family every cross-group pair duels alike, so the label is
+    the group claim. Full mode emits one edge per unordered pair of dice,
+    winner to loser, in (source, target) order; a pair with no strict
+    winner keeps word order and its win probability. It reads the failing
+    pairs from :func:`metadice.hierarchy.verify_family`, so a certified
+    family compares no pair. A level given with ``full`` is refused.
     """
     level = _graph_level(family, level, full)
     nodes = tuple(product((0, 1, 2), repeat=level))
     ninths = [Fraction(k, 9) for k in range(10)]
-    rows = _edge_rows(family, level, full, ninths)
+    rows = _full_rows(family, ninths) if full else _sibling_rows(family, level, ninths)
     edges = tuple(Edge(nodes[s], nodes[t], p) for s, t, p in rows)
     return DominanceGraph(family.depth, level, full, nodes, edges)
 
@@ -99,29 +97,17 @@ def _graph_level(family: DiceFamily, level: int | None, full: bool) -> int:
     return level
 
 
-def _edge_rows(
-    family: DiceFamily, level: int, full: bool, labels: Sequence
-) -> Iterator[tuple]:
-    """Every edge as a (source, target, ``labels[k]``) row over node indices,
-    in (source, target) order, where k/9 is the source's win probability."""
-    if full:
-        return _full_rows(family, labels)
-    return _sibling_rows(family, level, labels)
-
-
 def _sibling_rows(family: DiceFamily, level: int, labels: Sequence) -> Iterator[tuple]:
-    """The sibling edges at ``level``: sibling s of a trio points to sibling
-    s + 1 around the cycle, so the rows come in (source, target) order."""
+    """The sibling edges at ``level`` as (source, target, ``labels[k]``) rows
+    over node indices, where k/9 is the source's win probability: sibling s
+    of a trio points to sibling s + 1 around the cycle, so the rows come in
+    (source, target) order. Equal-length faces compare as their values."""
     stride = 3 ** (family.depth - level)
     for n in range(3 ** (level - 1)):
-        trio = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
-        # (i, j) -> die i's (wins, ties) for the pairs that miss the cycle's
-        # exact outcome; every other pair is won 5 to 4 the cycle's way
-        missed = {(i, j): (w, t) for i, j, w, t in sweep_pairs(trio, 1)[1]}
-        wins_02, ties_02 = missed.get((0, 2), (4, 0))
-        yield 3 * n, 3 * n + 1, labels[missed.get((0, 1), (5, 0))[0]]
-        yield 3 * n + 1, 3 * n + 2, labels[missed.get((1, 2), (5, 0))[0]]
-        yield 3 * n + 2, 3 * n, labels[9 - wins_02 - ties_02]
+        a, b, c = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
+        yield 3 * n, 3 * n + 1, labels[sum(x > y for x in a for y in b)]
+        yield 3 * n + 1, 3 * n + 2, labels[sum(x > y for x in b for y in c)]
+        yield 3 * n + 2, 3 * n, labels[sum(x > y for x in c for y in a)]
 
 
 def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
@@ -174,7 +160,7 @@ def graph_rows(
     nodes = product((0, 1, 2), repeat=level)
     names = [node_name(prefix, family.depth) for prefix in nodes]
     labels = [str(Fraction(k, 9)) for k in range(10)]
-    rows = _edge_rows(family, level, full, labels)
+    rows = _full_rows(family, labels) if full else _sibling_rows(family, level, labels)
     return GraphRows(family.depth, level, full, names, rows)
 
 

@@ -397,13 +397,15 @@ def family_to_json(family: DiceFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> DiceFamily:
-    """Rebuild a family from its document form, validating the schema.
+    """Rebuild a family from its document form.
 
-    The stack echo, when present, is re-parsed, re-validated and must
-    generate exactly the listed dice; dice are checked for completeness and
-    consistent numbering either way, so third-party families can be
-    verified without a construction. Every schema fault raises
-    :class:`FamilyFormatError`.
+    This checks the document: its fields, each entry's shape, and that
+    entry n lists the n-th word of the lexicographic walk and paper number
+    n + 1, when it gives one. :class:`DiceFamily` checks the dice: their
+    count, and three distinct faces of ``depth`` ASCII digits each. The
+    stack echo, when present, is re-parsed, re-validated and must generate
+    exactly the listed dice; without one, third-party families are verified
+    from their faces. Every fault raises :class:`FamilyFormatError`.
     """
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
@@ -426,6 +428,11 @@ def family_from_json(doc: dict) -> DiceFamily:
             )
     if not isinstance(entries, list):
         raise FamilyFormatError("dice must be a list")
+    # a document may claim any depth: DiceFamily refuses one below 1 or
+    # above the entry count, so its walk is never built
+    walk = None
+    if 1 <= depth <= len(entries):
+        walk = itertools.product((0, 1, 2), repeat=depth)
     rank_faces = []
     for pos, entry in enumerate(entries):
         if not (
@@ -437,37 +444,29 @@ def family_from_json(doc: dict) -> DiceFamily:
                 f"dice entry {pos} is malformed: need an object with"
                 " word and faces lists"
             )
-        word = tuple(_int_field(t, "a trit", pos) for t in entry["word"])
-        if any(t not in (0, 1, 2) for t in word):
-            raise FamilyFormatError(f"dice entry {pos} has a bad trit")
-        word_number = die_number(word)
-        number = entry.get("paper_number")
-        if number is not None and _int_field(
-            number, "paper_number", pos
-        ) != word_number:
-            raise FamilyFormatError(
-                f"dice entry {pos}: paper_number {number} does not match"
-                f" word {list(word)}"
-            )
-        if len(word) != depth or word_number != pos + 1:
+        word = tuple([_int_field(t, "a trit", pos) for t in entry["word"]])
+        if walk is not None and word != next(walk, None):
             raise FamilyFormatError(
                 f"words must cover all of them in lexicographic order;"
                 f" entry {pos} is {word}"
             )
-        faces = tuple(entry["faces"])
-        if not all(map(is_digit_string, faces)):
-            raise FamilyFormatError(f"dice entry {pos}: faces must be digit strings")
-        rank_faces.append(faces)
+        number = entry.get("paper_number")
+        if number is not None and _int_field(number, "paper_number", pos) != pos + 1:
+            raise FamilyFormatError(
+                f"dice entry {pos}: paper_number {number} does not match"
+                f" word {list(word)}"
+            )
+        rank_faces.append(tuple(entry["faces"]))
     family = DiceFamily(depth, multiplicity, tuple(rank_faces), stack)
     if stack is not None:
         built = generate(stack, multiplicity).rank_faces
-        for n, (faces, echo) in enumerate(zip(family.rank_faces, built), 1):
-            if faces != echo:
-                raise FamilyFormatError(
-                    f"die {face_word_label(word_of(n, depth))} has faces"
-                    f" {' '.join(faces)} but the stack echo"
-                    f" generates {' '.join(echo)}"
-                )
+        if built != family.rank_faces:
+            n = next(n for n, echo in enumerate(built) if echo != family.rank_faces[n])
+            raise FamilyFormatError(
+                f"die {face_word_label(word_of(n + 1, depth))} has faces"
+                f" {' '.join(family.rank_faces[n])} but the stack echo"
+                f" generates {' '.join(built[n])}"
+            )
     return family
 
 

@@ -38,8 +38,7 @@ no table vouches for. Verification then takes one of two paths:
   at or above their first differing level, or under such a node.
 
 Both report the same per-level pair counts and the same failures.
-``sweep_pairs`` checks every pair; it is the tests' oracle and settles
-a trio of sibling dice for the dominance graphs.
+``sweep_pairs`` checks every pair; it is the tests' oracle.
 """
 
 from __future__ import annotations

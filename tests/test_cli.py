@@ -84,6 +84,12 @@ BAD_DOCUMENTS = {
     "stack echo differs": paper1_with(stack=["1,6,8;3,5,7;2,4,9"]),
     "non-ASCII face digit": paper1_with(first=first_entry(faces=["\u0662", "4", "9"])),
     "entries out of order": entries_swapped(),
+    "boolean trit": paper1_with(first=first_entry(word=[False])),
+    "float trit": paper1_with(first=first_entry(word=[0.0])),
+    "boolean paper_number": paper1_with(first=first_entry(paper_number=True)),
+    "trit of 3": paper1_with(first=first_entry(word=[3])),
+    "depth 10**18, three dice": without_stack(paper1_with(depth=10**18)),
+    "depth 0, paper-1 dice": without_stack(paper1_with(depth=0)),
 }
 
 
@@ -96,6 +102,31 @@ def test_bad_family_document_exits_2(run_cli, tmp_path, command, doc):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_digit_string_integers_load_and_verify(run_cli, tmp_path):
+    """Every integer field may be a string of ASCII digits."""
+    doc = paper1_with(depth="1", multiplicity="2")
+    for n, entry in enumerate(doc["dice"], 1):
+        entry["word"] = [str(t) for t in entry["word"]]
+        entry["paper_number"] = str(n)
+    assert family_from_json(doc) == family_from_json(PAPER1)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--family", str(path)])
+    assert (code, err) == (0, "") and out.splitlines()[-1].startswith("PASS")
+
+
+def test_source_is_one_required_choice(run_cli, tmp_path):
+    """The parser refuses a missing or second source with its usage error."""
+    stack = tmp_path / "stack"
+    stack.write_text("2,4,9;1,6,8;3,5,7\n")
+    code, out, err = run_cli(["verify", "--depth", "1"])
+    assert (code, out) == (2, "")
+    assert "one of the arguments --preset --stack --family --stdin is required" in err
+    code, out, err = run_cli(["generate", "--preset", "paper-1", "--stack", str(stack)])
+    assert (code, out) == (2, "")
+    assert "argument --stack: not allowed with argument --preset" in err
 
 
 def test_deeply_nested_document_exits_2(run_cli, tmp_path):
@@ -559,6 +590,26 @@ def test_verify_a_deep_stack_from_its_depth(run_cli, monkeypatch):
     assert all(level["failures"] == 0 for level in doc["per_level"])
     code, out, err = run_cli(["verify", "--preset", "uniform", "--depth", "9"])
     assert (code, out) == (2, "") and "ceiling" in err
+
+
+def test_verify_writes_pair_counts_past_the_int_digit_limit(run_cli, tmp_path):
+    """From depth 4,507 on, the pairs first differing at level 1 number
+    over 4,300 digits, CPython's limit for writing an int as text. A
+    document's depth of 5,000 digits is still refused on input."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["verify", "--preset", "uniform", "--depth", "4507", "--allow-large"]
+    code, out, err = run_cli([*argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.endswith('"failures": [],\n  "passed": true\n}\n')
+    assert len(out.split('"pairs_checked": ')[1].split(",")[0]) > 4300
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("PASS")
+    path = tmp_path / "family.json"
+    path.write_text('{"depth": 1' + "0" * 4999 + ', "dice": []}')
+    code, out, err = run_cli(["verify", "--family", str(path)])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 #: Calls that exit 2, with their stdin and the family document a
