@@ -209,10 +209,9 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
     or listing. This checks the options against the source: the depth
     ceiling, and a given --depth or --multiplicity against its own.
     """
-    # 2 when unset; a family document keeps its own, which a given one must match
+    # 2 when unset; a family document keeps its own, which a given one must
+    # match. generate, verify_stack and DiceFamily each refuse one below 1.
     multiplicity = 2 if args.multiplicity is None else args.multiplicity
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be at least 1")
     if args.preset is not None:
         if args.depth is not None:  # before a uniform stack of that depth is built
             _check_depth(args.depth, args.allow_large)
@@ -224,6 +223,8 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
             doc = json.loads(Path(args.family).read_text())
         except RecursionError:
             raise FamilyFormatError("family document nests too deeply") from None
+        if isinstance(doc, dict) and type(doc.get("depth")) is int:
+            _check_depth(doc["depth"], args.allow_large)  # before the dice are read
         source, noun = family_from_json(doc), "family"
     else:
         source = _family_from_listing(sys.stdin.read(), multiplicity)

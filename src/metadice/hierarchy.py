@@ -237,10 +237,6 @@ class LevelSummary(NamedTuple):
     pairs: int
     failures: int
 
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
 
 class VerificationReport(NamedTuple):
     """What :func:`verify_family` found.

@@ -35,7 +35,9 @@ no table vouches for. Verification then takes one of two paths:
   puts every die on its blocks' digits, so ``hierarchy.verify_stack``
   builds this report with no dice and no call here;
 - ``localized``: ``scan_suspects`` checks only the pairs with a stray die
-  at or above their first differing level, or under such a node.
+  at or above their first differing level, or under such a node. A bad
+  node's pairs are the forward scans, as in ``sweep_pairs``, of the dice
+  in its first two child blocks; a stray die scans forward and back.
 
 Both report the same per-level pair counts and the same failures.
 ``sweep_pairs`` checks every pair; it is the tests' oracle.
@@ -47,6 +49,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from metadice.dice import DuelResult
@@ -293,25 +296,15 @@ def scan_suspects(
         found = len(failures)
         size = 3 ** (depth - p - 1)
         span = 3 * size
-        for node in bad:  # every pair across the node's child blocks
-            a, b, c = node * span, node * span + size, node * span + 2 * size
-            for i in range(a, b):
-                _scan(faces[i], faces, i, b, c, 5, failures)
-                _scan(faces[i], faces, i, c, c + size, 4, failures)
-            for i in range(b, c):
-                _scan(faces[i], faces, i, c, c + size, 5, failures)
-            scanned += 3 * size * size
         suspects = sorted(
             i for i, level in faults.deviations.items()
             if level <= p and i // span not in bad
         )
+        members = (i for n in bad for i in range(n * span, n * span + 2 * size))
+        for i in chain(suspects, members):
+            scanned += _forward(faces, i, size, failures)
         for i in suspects:
             lo, trit = i - i % size, i // size % 3
-            # later siblings, suspect or not, as in sweep_pairs
-            for start, expected in ((1, 5), (2, 4))[: 2 - trit]:
-                first = lo + start * size
-                _scan(faces[i], faces, i, first, first + size, expected, failures)
-                scanned += size
             # earlier siblings but the suspects, whose own scan covered the
             # pair; i's block loses 4/9 to its predecessor and beats the block
             # before that 5/9
@@ -325,6 +318,18 @@ def scan_suspects(
         fail_levels.append(len(failures) - found)
     failures.sort()
     return failures, scanned, fail_levels
+
+
+def _forward(
+    faces: list[tuple[int, int, int]], i: int, size: int, failures: list[Failure]
+) -> int:
+    """Check die i against its later sibling blocks of ``size`` dice, as
+    :func:`sweep_pairs` does, and return the number of pairs compared."""
+    lo, trit = i - i % size, i // size % 3
+    for start, expected in ((1, 5), (2, 4))[: 2 - trit]:
+        first = lo + start * size
+        _scan(faces[i], faces, i, first, first + size, expected, failures)
+    return (2 - trit) * size
 
 
 def _gaps(lo: int, hi: int, skip: list[int]) -> Iterator[tuple[int, int]]:

@@ -206,7 +206,12 @@ DEPTH_REFUSALS = {
     "verified stack too deep": (
         ["verify", "--stack", "{deep_stack}"], None, "ceiling"
     ),
+    "family too deep": (["verify", "--family", "{deep_family}"], None, "ceiling"),
 }
+
+#: Paper-1's dice under a depth one over the ceiling: the ceiling refuses
+#: it before ``DiceFamily`` would refuse its dice count.
+DEEP_FAMILY = json.dumps(without_stack(paper1_with(depth=DEPTH_CEILING + 1)))
 
 
 @pytest.mark.parametrize("case", DEPTH_REFUSALS.values(), ids=DEPTH_REFUSALS.keys())
@@ -216,6 +221,7 @@ def test_depth_refused_for_every_source(run_cli, tmp_path, case):
         "stack": "2,4,9;1,6,8;3,5,7\n",
         "family": json.dumps(PAPER1),
         "deep_stack": "2,4,9;1,6,8;3,5,7\n" * 9,
+        "deep_family": DEEP_FAMILY,
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -252,6 +258,65 @@ def test_preset_depth_over_the_ceiling_refused_before_the_stack(
         assert calls == [depth]
         calls.clear()
     assert run_cli([command, "--preset", "uniform", "--depth", "2"])[0] == 0
+
+
+def test_family_over_the_ceiling_refused_before_its_dice(
+    run_cli, monkeypatch, tmp_path
+):
+    """A document whose depth is a JSON integer over the ceiling is refused
+    before ``family_from_json`` reads its dice; a digit-string depth is
+    checked once the document has loaded."""
+    doc = "".join(cli.family_json_text(generate(preset_stack("uniform", 9))))
+    path, digits = tmp_path / "uniform9.json", tmp_path / "digits9.json"
+    path.write_text(doc)
+    digits.write_text(json.dumps(dict(json.loads(doc), depth="9")))
+    ceiling = (
+        f"error: depth 9 exceeds the default ceiling of {DEPTH_CEILING}"
+        " (pass --allow-large to run anyway)\n"
+    )
+    assert run_cli(["verify", "--family", str(digits)]) == (2, "", ceiling)
+    monkeypatch.setattr(cli, "family_from_json", unreachable)
+    for command in ("verify", "generate", "graph", "normalize"):
+        assert run_cli([command, "--family", str(path)]) == (2, "", ceiling)
+
+
+def test_allow_large_lets_a_deep_document_reach_its_dice(run_cli, tmp_path):
+    """Past the ceiling, ``DiceFamily`` refuses a depth its entries cannot
+    fill."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(BAD_DOCUMENTS["depth 10**18, three dice"]))
+    depth = 10**18
+    code, out, err = run_cli(["verify", "--family", str(path), "--allow-large"])
+    assert (code, out) == (2, "")
+    assert err == f"error: a depth-{depth} family needs exactly 3^{depth} dice\n"
+
+
+@pytest.mark.parametrize("multiplicity", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, source, stdin",
+    [
+        (command, source, None)
+        for command in ("generate", "verify")
+        for source in (
+            ["--preset", "paper-2"], ["--stack", "{stack}"], ["--family", "{family}"]
+        )
+    ]
+    + [("verify", ["--stdin"], "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n")],
+)
+def test_multiplicity_below_one_refused(
+    run_cli, tmp_path, multiplicity, command, source, stdin
+):
+    """Whoever builds or checks the dice refuses a multiplicity below 1:
+    ``generate`` and ``verify_stack`` for a stack, ``DiceFamily`` for a
+    listing, and the match with a family document's own."""
+    files = {"stack": "2,4,9;1,6,8;3,5,7\n", "family": json.dumps(PAPER1)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    names = {name: str(tmp_path / name) for name in files}
+    argv = [command, *(arg.format(**names) for arg in source)]
+    code, out, err = run_cli([*argv, "--multiplicity", multiplicity], stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "multiplicity" in err
 
 
 @pytest.mark.parametrize("depth", ["0", "-2"])
@@ -656,6 +721,7 @@ def test_refused_call_writes_nothing(run_cli, tmp_path, case):
         "stack": "2,4,9;1,6,8;3,5,7\n",
         "family": json.dumps(PAPER1),
         "deep_stack": "2,4,9;1,6,8;3,5,7\n" * 9,
+        "deep_family": DEEP_FAMILY,
         "doc": json.dumps(doc),
     }
     for name, text in files.items():

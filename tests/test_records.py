@@ -272,3 +272,28 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert "dataclasses" not in out and "inspect" not in out
     for layer in ("dice", "loshu", "sweep", "hierarchy", "export"):
         assert f"metadice.{layer}" in out
+
+
+def test_package_root_imports_no_module():
+    """Every name is imported from its module: ``import metadice`` loads no
+    ``metadice.`` module, and ``python -m metadice`` still runs."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import metadice, sys;"
+        "print(*sorted(m for m in sys.modules if m.startswith('metadice.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "\n"
+    help_run = subprocess.run(
+        [sys.executable, "-S", "-m", "metadice", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert help_run.returncode == 0 and help_run.stdout.startswith("usage: metadice")
