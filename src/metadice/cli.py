@@ -29,7 +29,7 @@ from itertools import islice, product
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from metadice.dice import duel, parse_die, round_robin
+from metadice.dice import NINTHS, duel, parse_die, round_robin
 from metadice.export import (
     family_csv,
     graph_dot,
@@ -51,7 +51,6 @@ from metadice.hierarchy import (
     verify_stack,
 )
 from metadice.loshu import AssignmentStack, parse_stack, preset_stack
-from metadice.sweep import outcome
 
 #: Depth accepted without --allow-large. It guards generation and the dice
 #: path: the memory of 3^k dice, the failure records held in memory (their
@@ -367,8 +366,8 @@ def report_text(report: VerificationReport) -> Iterator[str]:
             for n, word in enumerate(product("012", repeat=report.depth), 1)
         ]
         observed = {
-            key: f"observed win {r.win} tie {r.tie} loss {r.loss}\n"
-            for key, r in _outcomes(report).items()
+            key: f"observed win {win} tie {tie} loss {loss}\n"
+            for key, (win, tie, loss) in _outcomes(report).items()
         }
         for i, j, winner, key in _failure_rows(report):
             yield (
@@ -382,21 +381,30 @@ def report_text(report: VerificationReport) -> Iterator[str]:
 
 
 def _outcomes(report: VerificationReport) -> dict:
-    """The duel of each (wins, ties) count among the report's failures."""
-    return {(wins, ties): outcome(wins, ties) for _, _, wins, ties in report.records}
+    """The (win, tie, loss) text of each (wins, ties) count among the
+    report's failures, as ``str`` writes the duel's fractions."""
+    return {
+        (wins, ties): (NINTHS[wins], NINTHS[ties], NINTHS[9 - wins - ties])
+        for _, _, wins, ties in report.records
+    }
 
 
 def _failure_rows(report: VerificationReport):
     """Per failure record: i, j, the index of the die the cycle favors and
     the (wins, ties) key. Dice i < j sit in sibling blocks of the largest
     block size that separates them, and i wins when j's block is the one
-    right after its own."""
+    right after its own. The records come in (i, j) order, so for one i
+    that size only grows with j: it is searched upwards from the last, and
+    i's successor block is found once per size."""
     sizes = [3 ** e for e in reversed(range(report.depth))]
+    last = p = None
     for i, j, wins, ties in report.records:
-        for size in sizes:
-            if i // size != j // size:
-                break
-        yield i, j, i if j // size - i // size == 1 else j, (wins, ties)
+        if i != last:  # start from single dice, the deepest blocks
+            last, p, size, after = i, len(sizes) - 1, 1, i + 1
+        while p and i // sizes[p - 1] != j // sizes[p - 1]:
+            p -= 1
+            size, after = sizes[p], i // sizes[p] + 1
+        yield i, j, i if j // size == after else j, (wins, ties)
 
 
 def _report_header(report: VerificationReport) -> dict:
@@ -451,9 +459,9 @@ def report_json_text(report: VerificationReport) -> Iterator[str]:
         for word in product("012", repeat=report.depth)
     ]
     observed = {
-        key: f'{{\n        "win": "{r.win}",\n        "tie": "{r.tie}",\n'
-        f'        "loss": "{r.loss}"\n      }}'
-        for key, r in _outcomes(report).items()
+        key: f'{{\n        "win": "{win}",\n        "tie": "{tie}",\n'
+        f'        "loss": "{loss}"\n      }}'
+        for key, (win, tie, loss) in _outcomes(report).items()
     }
     yield f'{head},\n  "failures": [\n    '
     yield from joined(

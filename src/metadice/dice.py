@@ -3,17 +3,26 @@
 A face is a fixed-length digit sequence compared positionally (most
 significant digit first), so families of any nesting depth never need
 big-integer arithmetic. All probabilities are exact ``fractions.Fraction``
-values; nothing in this module touches floating point. The module also
-hosts :class:`Value`, the value protocol the library's immutable classes share.
+values; nothing in this module touches floating point. :func:`duel`
+imports ``fractions`` when it runs, not when the module loads, so a
+command that computes no exact duel never loads it: the text of a family's
+duels, k/9 each, is :data:`NINTHS`. The module also hosts :class:`Value`,
+the value protocol the library's immutable classes share.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Face = tuple[int, ...]
+
+#: ``NINTHS[k]`` is ``str(Fraction(k, 9))``, k in 0..9: the text of every
+#: probability of a duel between two dice of three faces at one multiplicity.
+NINTHS = ("0", "1/9", "2/9", "1/3", "4/9", "5/9", "2/3", "7/9", "8/9", "1")
 
 #: Digits are ASCII only: ``str.isdigit()``, ``\d`` and ``int()`` also take
 #: other scripts' digits (Arabic-Indic two reads as 2), so every parser
@@ -240,6 +249,8 @@ def duel(x: Die, y: Die) -> DuelResult:
     Every face pair is weighted by the product of its multiplicities; the
     result is reduced to lowest terms by the Fraction arithmetic.
     """
+    from fractions import Fraction
+
     if x.digit_length != y.digit_length:
         raise LengthMismatchError(
             "dice with different face lengths cannot duel"

@@ -27,13 +27,15 @@ their renderers, returning whole strings and documents, is the tests' oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, product, repeat
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from metadice.dice import Face
+from metadice.dice import NINTHS, Face
 from metadice.hierarchy import DiceFamily, Word, die_number, verify_family
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Prefix = tuple[int, ...]
 
@@ -75,6 +77,8 @@ def build_graph(
     pairs from :func:`metadice.hierarchy.verify_family`, so a certified
     family compares no pair. A level given with ``full`` is refused.
     """
+    from fractions import Fraction
+
     level = _graph_level(family, level, full)
     nodes = tuple(product((0, 1, 2), repeat=level))
     ninths = [Fraction(k, 9) for k in range(10)]
@@ -159,8 +163,7 @@ def graph_rows(
     level = _graph_level(family, level, full)
     nodes = product((0, 1, 2), repeat=level)
     names = [node_name(prefix, family.depth) for prefix in nodes]
-    labels = [str(Fraction(k, 9)) for k in range(10)]
-    rows = _full_rows(family, labels) if full else _sibling_rows(family, level, labels)
+    rows = _full_rows(family, NINTHS) if full else _sibling_rows(family, level, NINTHS)
     return GraphRows(family.depth, level, full, names, rows)
 
 
@@ -261,6 +264,8 @@ class NormalizedPoint(NamedTuple):
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
     @property

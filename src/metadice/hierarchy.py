@@ -30,6 +30,7 @@ generates passes the certificate, so its report is built without a die.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from bisect import bisect_right
@@ -139,22 +140,8 @@ class DiceFamily(Value):
             raise FamilyFormatError(
                 f"a depth-{depth} family needs exactly 3^{depth} dice"
             )
-        for n, faces in enumerate(rank_faces, start=1):
-            # shape and face types before set(), which hashes the faces
-            shaped = isinstance(faces, (tuple, list)) and len(faces) == 3
-            strings = shaped and all(map(is_digit_string, faces))
-            if not shaped or (strings and len(set(faces)) != 3):
-                raise FamilyFormatError(
-                    f"die {face_word_label(word_of(n, depth))}"
-                    " needs 3 distinct faces"
-                )
-            if not strings or not (
-                len(faces[0]) == len(faces[1]) == len(faces[2]) == depth
-            ):
-                raise FamilyFormatError(
-                    f"die {face_word_label(word_of(n, depth))} has a face"
-                    f" that is not {depth} digits from 0..9"
-                )
+        if not _dice_sound(rank_faces, depth):
+            _check_each_die(rank_faces, depth)
         self._set(
             depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
         )
@@ -178,6 +165,47 @@ class DiceFamily(Value):
         return len(self.rank_faces)
 
 
+def _dice_sound(rank_faces: Sequence, depth: int) -> bool:
+    """True when every die is a tuple or list of three distinct strings of
+    ``depth`` ASCII digits, checked over all faces at once. False may also
+    mean a subclass that the per-die checks accept."""
+    if set(map(type, rank_faces)) - {tuple, list} or set(map(len, rank_faces)) != {3}:
+        return False
+    columns = tuple(zip(*rank_faces))
+    faces = list(itertools.chain.from_iterable(columns))
+    if set(map(type, faces)) != {str} or set(map(len, faces)) != {depth}:
+        return False
+    text = "".join(faces)
+    first, second, third = columns
+    return (
+        text.isascii()
+        and text.isdigit()
+        and all(map(operator.ne, first, second))
+        and all(map(operator.ne, second, third))
+        and all(map(operator.ne, first, third))
+    )
+
+
+def _check_each_die(rank_faces: Sequence, depth: int) -> None:
+    """Raise :class:`FamilyFormatError` naming the first die that is not
+    three distinct faces of ``depth`` ASCII digits."""
+    for n, faces in enumerate(rank_faces, start=1):
+        # shape and face types before set(), which hashes the faces
+        shaped = isinstance(faces, (tuple, list)) and len(faces) == 3
+        strings = shaped and all(map(is_digit_string, faces))
+        if not shaped or (strings and len(set(faces)) != 3):
+            raise FamilyFormatError(
+                f"die {face_word_label(word_of(n, depth))} needs 3 distinct faces"
+            )
+        if not strings or not (
+            len(faces[0]) == len(faces[1]) == len(faces[2]) == depth
+        ):
+            raise FamilyFormatError(
+                f"die {face_word_label(word_of(n, depth))} has a face"
+                f" that is not {depth} digits from 0..9"
+            )
+
+
 def face_word_label(word: Word) -> str:
     """Human label for a word: its D-number plus the trits."""
     return f"D{die_number(word)} ({''.join(str(t) for t in word)})"
@@ -189,7 +217,10 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     The walk goes node by node, a level at a time: every die of the level
     above spawns three, one per subset of its node's table, and their rank
     faces append that subset's digits. Each node's table is read once, so
-    a depth-k family costs (3^k - 1) / 2 table lookups.
+    a depth-k family costs (3^k - 1) / 2 table lookups. The faces of each
+    rank are kept as one column, which a level replaces one rank at a
+    time, and are zipped into the dice once at the end: the walk holds one
+    column of the level above beside the family, not a whole level.
 
     Stack validity is established at stack construction; this walk only
     reads tables. Every die is valid by construction, so this is the one
@@ -201,16 +232,20 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     """
     if multiplicity < 1:
         raise ValueError("face multiplicity must be positive")
-    rank_faces = [("", "", "")]
+    columns = [[""], [""], [""]]
     for level in range(1, stack.depth + 1):
         # the dice so far are the nodes of this level, in prefix order
         prefixes = itertools.product((0, 1, 2), repeat=level - 1)
-        rank_faces = [
-            (f0 + str(a), f1 + str(b), f2 + str(c))
-            for (f0, f1, f2), prefix in zip(rank_faces, prefixes)
-            for a, b, c in stack.assignment_at(level, prefix).subsets
-        ]
-    return DiceFamily._trusted(stack.depth, multiplicity, tuple(rank_faces), stack)
+        tables = [stack.assignment_at(level, prefix).subsets for prefix in prefixes]
+        for rank in range(3):
+            # indexing gives each digit's one shared string; str() makes one a face
+            columns[rank] = [
+                face + "0123456789"[subset[rank]]
+                for face, table in zip(columns[rank], tables)
+                for subset in table
+            ]
+    rank_faces = tuple(zip(*columns))
+    return DiceFamily._trusted(stack.depth, multiplicity, rank_faces, stack)
 
 
 class PairFailure(NamedTuple):

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
@@ -77,6 +76,8 @@ def outcome(wins: int, ties: int) -> DuelResult:
     the exact duel probabilities times 9, so only 55 outcomes exist; each
     is built, and checked, once.
     """
+    from fractions import Fraction
+
     return DuelResult(
         Fraction(wins, 9), Fraction(ties, 9), Fraction(9 - wins - ties, 9)
     )

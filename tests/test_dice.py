@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import die_pair
 from metadice.dice import (
+    NINTHS,
     Die,
     DieParseError,
     DuelResult,
@@ -215,6 +216,10 @@ class TestDuelResult:
     def test_components_in_range(self):
         with pytest.raises(ValueError):
             DuelResult(Fraction(3, 2), Fraction(0), Fraction(-1, 2))
+
+
+def test_ninths_are_the_fractions_text():
+    assert NINTHS == tuple(str(Fraction(k, 9)) for k in range(10))
 
 
 class TestDigitString:

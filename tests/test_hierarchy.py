@@ -2,6 +2,8 @@
 localized scan against the all-pairs sweep, Monte Carlo."""
 
 import random
+import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,7 +11,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     LEADING_POOL,
@@ -360,6 +362,20 @@ class TestGenerate:
             stack.depth, multiplicity, family.rank_faces, stack
         )
 
+    def test_walk_holds_little_beside_the_family(self):
+        """The walk replaces one rank column of faces at a time and zips the
+        dice once, so it peaks at no more than a fifth above the family it
+        returns; building each level's dice from the last took a quarter."""
+        stack = preset_stack("uniform", 8)
+        tracemalloc.start()
+        try:
+            family = generate(stack)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert family.size == 3 ** 8
+        assert peak - held <= held / 5, (held, peak)
+
     @given(valid_stacks(max_depth=5))
     @settings(max_examples=60)
     def test_matches_per_word_reference(self, stack):
@@ -417,6 +433,52 @@ class TestFamilyInvariants:
         rank_faces = (("1", "6", "8"), die, ("3", "5", "7"))
         with pytest.raises(FamilyFormatError, match=r"die D2 \(1\) needs 3"):
             DiceFamily(1, 2, rank_faces)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 8),
+                st.integers(0, 2),
+                st.sampled_from(
+                    ["", "1", "123", "1\u0663", "\u00b2\u00b2", " 1", "1\n"]
+                    + [12, b"12", None, ["12"], "sibling", "die"]
+                ),
+            ),
+            max_size=3,
+        )
+    )
+    @example([(4, 0, "sibling")])
+    @example([(4, 1, "sibling")])
+    @example([(4, 2, "sibling")])
+    def test_faces_checked_at_once_as_die_by_die(self, changes):
+        """The constructor checks all faces at once and walks the dice only
+        to name a bad one: it refuses a family exactly when some die is not
+        three distinct strings of ``depth`` ASCII digits."""
+        dice = [list(faces) for faces in generate(preset_stack("paper-2")).rank_faces]
+        for n, rank, new in changes:
+            if len(dice[n]) < 3:  # already cut short
+                continue
+            if new == "sibling":  # a repeated face
+                new = dice[n][(rank + 1) % 3]
+            if new == "die":  # a die that is not three faces
+                dice[n] = dice[n][:rank]
+            else:
+                dice[n][rank] = new
+        rank_faces = tuple(
+            tuple(faces) if n % 2 else faces for n, faces in enumerate(dice)
+        )
+
+        def sound(faces):
+            face = re.compile("[0-9]{2}")
+            digits = all(isinstance(f, str) and face.fullmatch(f) for f in faces)
+            return len(faces) == 3 and digits and len(set(faces)) == 3
+
+        if all(map(sound, rank_faces)):
+            assert DiceFamily(2, 2, rank_faces).rank_faces == rank_faces
+        else:
+            first = next(n for n, faces in enumerate(rank_faces, 1) if not sound(faces))
+            with pytest.raises(FamilyFormatError, match=rf"^die D{first} "):
+                DiceFamily(2, 2, rank_faces)
 
     @pytest.mark.parametrize(
         "depth, multiplicity, message",

@@ -1,6 +1,7 @@
 """The record classes: value semantics, and what a CLI process imports."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -254,12 +255,17 @@ def test_report_decodes_its_records_on_each_read():
     assert not report.passed and _report(records=()).passed
 
 
+#: Standard modules a CLI process does without: ``fractions`` loads
+#: ``decimal`` and ``numbers``, and only an exact duel builds a ``Fraction``.
+SKIPPED = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # every CLI command pays its imports again (ROADMAP: "Start-up is now ...")
     code = (
         "import metadice.cli, sys;"
         "print(*sorted(m for m in sys.modules"
-        " if m in ('dataclasses', 'inspect') or m.startswith('metadice.')))"
+        f" if m in {SKIPPED!r} or m.startswith('metadice.')))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -269,9 +275,48 @@ def test_cli_import_skips_dataclasses_and_inspect():
         text=True,
         check=True,
     ).stdout.split()
-    assert "dataclasses" not in out and "inspect" not in out
+    assert not set(SKIPPED) & set(out)
     for layer in ("dice", "loshu", "sweep", "hierarchy", "export"):
         assert f"metadice.{layer}" in out
+
+
+def test_only_exact_duels_load_fractions(tmp_path):
+    """Each command runs in one process, in turn, and the process says
+    whether ``fractions`` is loaded after it: only ``prob``, which runs
+    last, builds a ``Fraction``."""
+    stack = tmp_path / "stack.txt"
+    stack.write_text("2,4,9;1,6,8;3,5,7\n" * 3)
+    altered = tmp_path / "altered.json"
+    dice = [{"word": [n], "faces": list(faces)} for n, faces in enumerate(FACES)]
+    dice[0]["faces"][0] = "1"  # D1 ties D2 on its lowest face
+    altered.write_text(json.dumps({"depth": 1, "dice": dice}))
+    runs = [
+        (["verify", "--stack", str(stack), "--format", "json"], 0),
+        (["verify", "--family", str(altered)], 1),
+        (["verify", "--family", str(altered), "--format", "json"], 1),
+        (["generate", "--preset", "uniform", "--depth", "3"], 0),
+        (["normalize", "--preset", "uniform", "--depth", "3"], 0),
+        (["graph", "--family", str(altered), "--full-graph"], 0),
+        (["graph", "--preset", "paper-2", "--level", "2", "--format", "json"], 0),
+        (["tables", "--depth", "3"], 0),
+        (["prob", "2x2,4x2,9x2", "1x2,6x2,8x2"], 0),
+    ]
+    code = (
+        "import sys\n"
+        "from metadice.cli import main\n"
+        f"for n, argv in enumerate({[argv for argv, _ in runs]!r}):\n"
+        "    code = main([*argv, '--output', f'{sys.argv[1]}/{n}.out'])\n"
+        "    print(code, 'fractions' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out == [f"{exit_code} {argv[0] == 'prob'}" for argv, exit_code in runs]
 
 
 def test_package_root_imports_no_module():
