@@ -8,7 +8,7 @@ their first differing trit. Each name is imported from its module:
   ``AssignmentStack``, ``parse_stack``, ``preset_stack``, the validators;
 - ``hierarchy``: ``DiceFamily``, ``generate``, ``verify_family``,
   ``verify_stack``, ``VerificationReport``, the family documents;
-- ``sweep``: ``certify``, ``scan_suspects`` and the ``sweep_pairs`` oracle;
+- ``sweep``: ``certify`` and the ``sweep_pairs`` oracle;
 - ``export``: the dominance graph's ``graph_rows`` and the normalized points;
 - ``cli``: ``main`` and one streamed writer per command and format.
 """

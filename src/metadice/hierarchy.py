@@ -20,9 +20,10 @@ tables or integer win counts over the 3x3 face grid settle verification,
 and the full dominance graph reads its failing pairs from
 :func:`verify_family`'s report.
 
-``verify_family`` proves that claim for a concrete family, by the node-table
-certificate or by checking the pairs it cannot vouch for; the
-:mod:`metadice.sweep` docstring describes the two paths. ``verify_stack``
+``verify_family`` proves that claim for a concrete family in one walk of its
+levels, by the node-table certificate or by checking, level by level, the
+pairs the tables cannot vouch for; the :mod:`metadice.sweep` docstring
+describes the two paths. ``verify_stack``
 proves it for a validated stack from its depth alone: every family it
 generates passes the certificate, so its report is built without a die.
 """
@@ -40,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 from metadice.dice import Die, DuelResult, LengthMismatchError, Value
 from metadice.dice import is_digit_string, is_int
 from metadice.loshu import AssignmentStack, parse_stack
-from metadice.sweep import Failure, certify, level_pairs, outcome, scan_suspects
+from metadice.sweep import Failure, certify, level_pairs, outcome
 
 Word = tuple[int, ...]
 
@@ -317,11 +318,11 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     """Check that every pair duels at exactly (5/9, 0, 4/9) in favor of
     :func:`predicted_winner`.
 
-    The certificate runs first; when it cannot prove the family, the
-    localized scan checks the pairs the node tables cannot vouch for (see
-    the :mod:`metadice.sweep` docstring). Every path reports the same
-    counts and failures; ``method`` says which ran and ``pairs_scanned``
-    how many pairs it compared.
+    One walk of the family's levels tries the certificate and, where it
+    cannot prove the family, checks the pairs the node tables cannot vouch
+    for as it goes (see the :mod:`metadice.sweep` docstring). Every path
+    reports the same counts and failures; ``method`` says which ran and
+    ``pairs_scanned`` how many pairs it compared.
 
     Failures are data, not errors. The report carries them as the scan's
     integer records in lexicographic word-pair order, together with a
@@ -330,28 +331,8 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     as it finds it; no failure is decoded here.
     """
     start = time.perf_counter()
-    faults = certify(family.rank_faces, family.depth)
-    records, scanned, fail_levels = [], 0, [0] * family.depth
-    if faults.reason is not None:
-        records, scanned, fail_levels = scan_suspects(
-            family.rank_faces, family.depth, faults
-        )
-    checked = level_pairs(family.depth)
-    return VerificationReport(
-        depth=family.depth,
-        dice_count=family.size,
-        multiplicity=family.multiplicity,
-        pairs_checked=sum(checked),
-        records=tuple(records),
-        per_level=tuple(
-            LevelSummary(p + 1, pairs, failures)
-            for p, (pairs, failures) in enumerate(zip(checked, fail_levels))
-        ),
-        elapsed=time.perf_counter() - start,
-        certificate_detail=faults.reason,
-        method="certificate" if faults.reason is None else "localized",
-        pairs_scanned=scanned,
-    )
+    found = certify(family.rank_faces, family.depth)
+    return _report(family.depth, family.multiplicity, start, found)
 
 
 def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationReport:
@@ -367,20 +348,30 @@ def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationR
     start = time.perf_counter()
     if multiplicity < 1:
         raise ValueError("face multiplicity must be positive")
-    checked = level_pairs(stack.depth)
+    proof = (None, (), 0, [0] * stack.depth)
+    return _report(stack.depth, multiplicity, start, proof)
+
+
+def _report(depth: int, multiplicity: int, start: float, found) -> VerificationReport:
+    """The report on a depth-``depth`` family whose check began at
+    ``start``, from ``found``, the (reason, failures, pairs compared,
+    failures per level) that :func:`certify` returns."""
+    reason, records, scanned, fail_levels = found
+    checked = level_pairs(depth)
     return VerificationReport(
-        depth=stack.depth,
-        dice_count=3 ** stack.depth,
+        depth=depth,
+        dice_count=3 ** depth,
         multiplicity=multiplicity,
         pairs_checked=sum(checked),
-        records=(),
+        records=tuple(records),
         per_level=tuple(
-            LevelSummary(p + 1, pairs, 0) for p, pairs in enumerate(checked)
+            LevelSummary(p + 1, pairs, failures)
+            for p, (pairs, failures) in enumerate(zip(checked, fail_levels))
         ),
         elapsed=time.perf_counter() - start,
-        certificate_detail=None,
-        method="certificate",
-        pairs_scanned=0,
+        certificate_detail=reason,
+        method="certificate" if reason is None else "localized",
+        pairs_scanned=scanned,
     )
 
 

@@ -16,7 +16,7 @@ them tie; ``outcome`` reads such counts as a duel.
 
 Pairs are mutually independent; the sweep runs single-threaded and emits
 failures in (i, j) order, which is lexicographic word-pair order, so
-reports are deterministic. ``bench/run.py`` times it end to end.
+reports are deterministic.
 
 The same block layout carries a proof that reads no pair, and it decides
 which pairs are checked at all. A pair that first differs at level p >= 2
@@ -25,19 +25,21 @@ their child blocks' digits at levels 1..p; deeper digits cannot change it.
 When the three digits of the pair's level-1 block are distinct, they settle
 the six cross-rank comparisons, three wins each way, and N's table settles
 the three same-rank ones. At level 1 the level-1 table settles all nine.
-``certify`` recovers every node's table from its child blocks in O(3^k·k)
-steps and records each die that leaves its block and each node whose pairs
-no table vouches for. Verification then takes one of two paths:
+``certify`` walks the levels once, in O(3^k·k) steps when every table
+holds. At each level it recovers every node's table from its child blocks,
+finds each die that leaves its block and each node whose pairs no table
+vouches for, and compares those pairs there and then. Verification so
+takes one of two paths:
 
 - ``certificate``: no die strays and every table holds, so every pair
   passes and none is read. A validated stack is proven from its depth
   without reading a die: its tables hold by validation and ``generate``
   puts every die on its blocks' digits, so ``hierarchy.verify_stack``
   builds this report with no dice and no call here;
-- ``localized``: ``scan_suspects`` checks only the pairs with a stray die
-  at or above their first differing level, or under such a node. A bad
-  node's pairs are the forward scans, as in ``sweep_pairs``, of the dice
-  in its first two child blocks; a stray die scans forward and back.
+- ``localized``: only the pairs with a stray die at or above their first
+  differing level, or under a node no table vouches for, are compared. A
+  bad node's pairs are the forward scans, as in ``sweep_pairs``, of the
+  dice in its first two child blocks; a stray die scans forward and back.
 
 Both report the same per-level pair counts and the same failures.
 ``sweep_pairs`` checks every pair; it is the tests' oracle.
@@ -49,7 +51,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cache
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from metadice.dice import DuelResult
 from metadice.loshu import (
@@ -102,22 +104,14 @@ def sweep_pairs(rank_faces: Sequence[Faces], depth: int) -> SweepResult:
     if depth < 1 or len(rank_faces) != 3 ** depth:
         raise ValueError(f"a depth-{depth} sweep needs exactly 3^{depth} dice")
     faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
-    checked = level_pairs(depth)
-    sizes = [3 ** (depth - p - 1) for p in range(depth)]
+    sizes = [3 ** q for q in range(depth)]
     failures: list[Failure] = []
-    for i, die in enumerate(faces):
-        # deepest level first, so the later dice j come in increasing order
-        for size in reversed(sizes):
-            trit = i // size % 3
-            if trit == 2:
-                continue
-            # i's block beats its successor block 5/9 and loses 4/9 to the one
-            # after it, which only a trit-0 block has as a later sibling
-            nxt = i - i % size + size
-            _scan(die, faces, i, nxt, nxt + size, 5, failures)
-            if trit == 0:
-                _scan(die, faces, i, nxt + size, nxt + 2 * size, 4, failures)
-    return checked, failures
+    for i in range(len(faces)):
+        # block sizes of the deepest level first, so the later dice j come
+        # in increasing order
+        for size in sizes:
+            _forward(faces, i, size, failures)
+    return level_pairs(depth), failures
 
 
 def _scan(
@@ -146,24 +140,11 @@ def _scan(
             failures.append((i, j, wins, ties))
 
 
-class Faults(NamedTuple):
-    """Where :func:`certify` found a family's node tables wanting.
-
-    ``reason`` is the first fault in walk order, level by level and a
-    stray die before a failed table, or None when the family is proven.
-    ``deviations`` maps each die that leaves its child block's reference
-    digits to the first (0-based) level where it does. ``bad_nodes[p]``
-    holds the nodes of level p whose pairs no table vouches for.
-    """
-
-    reason: str | None
-    deviations: dict[int, int]
-    bad_nodes: tuple[frozenset[int], ...]
-
-
-def certify(rank_faces: Sequence[Faces], depth: int) -> Faults:
+def certify(
+    rank_faces: Sequence[Faces], depth: int
+) -> tuple[str | None, list[Failure], int, list[int]]:
     """Prove from its node tables that every pair duels 5/9 the cycle's way,
-    or locate every fault that stops the proof.
+    or check every pair the tables cannot vouch for.
 
     At level p (1-based) each block of 3^(depth-p+1) dice is a node, and
     digit p of its three child blocks' faces, rank by rank, is the node's
@@ -179,15 +160,25 @@ def certify(rank_faces: Sequence[Faces], depth: int) -> Faults:
     whose dice disagree, and validates each distinct table of a level once.
 
     The certificate is sufficient, not necessary: a family it cannot prove
-    may still pass. The module docstring says which pairs are then checked.
+    may still pass. So at each level the walk compares the pairs first
+    differing there that the tables leave open: those with a die that
+    strays at that level or above, and those under a node whose table
+    fails or whose level-1 block repeats a digit across its ranks.
+
+    Returns (reason, failures, pairs compared, failures per level). The
+    reason is the first fault in walk order, level by level and a stray die
+    before a failed table, or None when the family is proven. The failures
+    are :func:`sweep_pairs`'s records of the compared pairs, in (i, j)
+    order, and each is counted at its (0-based) first-difference level.
     """
     if depth < 1 or len(rank_faces) != 3 ** depth:
         raise ValueError(f"a depth-{depth} certificate needs exactly 3^{depth} dice")
     # columns[r][p]: digit p of the rank-r face of every die, in die order
     columns = [tuple(zip(*(faces[r] for faces in rank_faces))) for r in range(3)]
-    reason = None
-    deviations: dict[int, int] = {}
-    bad_nodes = []
+    reason, faces = None, None
+    failures: list[Failure] = []
+    scanned, fail_levels = 0, []
+    strayed: set[int] = set()  # the dice that stray at this level or above
     for p in range(depth):
         size = 3 ** (depth - p - 1)
         digits = [column[p] for column in columns]
@@ -197,8 +188,7 @@ def certify(rank_faces: Sequence[Faces], depth: int) -> Faults:
             if any(col[offset::size] != heads for offset in range(1, size)):
                 heads = _block_majorities(col, size, strays)
             refs.append(heads)
-        for i in strays:
-            deviations.setdefault(i, p)
+        strayed |= strays
         if strays and reason is None:
             reason = _disagreement(digits, refs, min(strays), size, p, depth)
         check = validate_leading if p == 0 else validate_rankwise
@@ -224,8 +214,29 @@ def certify(rank_faces: Sequence[Faces], depth: int) -> Faults:
                         f" {';'.join(map(','.join, table))}:"
                         f" {verdicts[table]}"
                     )
-        bad_nodes.append(frozenset(bad))
-    return Faults(reason, deviations, tuple(bad_nodes))
+        found = len(failures)
+        if (strayed or bad) and faces is None:
+            faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
+        span = 3 * size
+        suspects = sorted(i for i in strayed if i // span not in bad)
+        members = (i for n in bad for i in range(n * span, n * span + 2 * size))
+        for i in chain(suspects, members):
+            scanned += _forward(faces, i, size, failures)
+        for i in suspects:
+            lo, trit = i - i % size, i // size % 3
+            # earlier siblings but the suspects, whose own scan covered the
+            # pair; i's block loses 4/9 to its predecessor and beats the block
+            # before that 5/9
+            for start, expected in ((1, 4), (2, 5))[:trit]:
+                block = lo - start * size, lo - (start - 1) * size
+                for first, stop in _gaps(*block, suspects):
+                    backward: list[Failure] = []
+                    _scan(faces[i], faces, i, first, stop, expected, backward)
+                    failures.extend((j, i, 9 - w - t, t) for _, j, w, t in backward)
+                    scanned += stop - first
+        fail_levels.append(len(failures) - found)
+    failures.sort()
+    return reason, failures, scanned, fail_levels
 
 
 def _block_majorities(
@@ -276,57 +287,14 @@ def _disagreement(
     )
 
 
-def scan_suspects(
-    rank_faces: Sequence[Faces], depth: int, faults: Faults
-) -> tuple[list[Failure], int, list[int]]:
-    """Check only the pairs that ``faults`` leaves the node tables unable to
-    vouch for.
-
-    A pair (i, j) first differing at level p under node N is checked when
-    die i or die j strays at a level <= p, or when N is in
-    ``faults.bad_nodes[p]``. Returns the failures as :func:`sweep_pairs`
-    would, in (i, j) order, the number of pairs compared and the number of
-    failures per first-difference level (0-based): the pairs compared at
-    level p are exactly those that first differ there.
-    """
-    faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
-    failures: list[Failure] = []
-    scanned = 0
-    fail_levels = []
-    for p, bad in enumerate(faults.bad_nodes):
-        found = len(failures)
-        size = 3 ** (depth - p - 1)
-        span = 3 * size
-        suspects = sorted(
-            i for i, level in faults.deviations.items()
-            if level <= p and i // span not in bad
-        )
-        members = (i for n in bad for i in range(n * span, n * span + 2 * size))
-        for i in chain(suspects, members):
-            scanned += _forward(faces, i, size, failures)
-        for i in suspects:
-            lo, trit = i - i % size, i // size % 3
-            # earlier siblings but the suspects, whose own scan covered the
-            # pair; i's block loses 4/9 to its predecessor and beats the block
-            # before that 5/9
-            for start, expected in ((1, 4), (2, 5))[:trit]:
-                block = lo - start * size, lo - (start - 1) * size
-                for first, stop in _gaps(*block, suspects):
-                    backward: list[Failure] = []
-                    _scan(faces[i], faces, i, first, stop, expected, backward)
-                    failures.extend((j, i, 9 - w - t, t) for _, j, w, t in backward)
-                    scanned += stop - first
-        fail_levels.append(len(failures) - found)
-    failures.sort()
-    return failures, scanned, fail_levels
-
-
 def _forward(
     faces: list[tuple[int, int, int]], i: int, size: int, failures: list[Failure]
 ) -> int:
-    """Check die i against its later sibling blocks of ``size`` dice, as
-    :func:`sweep_pairs` does, and return the number of pairs compared."""
+    """Check die i against its later sibling blocks of ``size`` dice and
+    return the number of pairs compared."""
     lo, trit = i - i % size, i // size % 3
+    # i's block beats its successor block 5/9 and loses 4/9 to the one
+    # after it, which only a trit-0 block has as a later sibling
     for start, expected in ((1, 5), (2, 4))[: 2 - trit]:
         first = lo + start * size
         _scan(faces[i], faces, i, first, first + size, expected, failures)

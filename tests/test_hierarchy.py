@@ -42,7 +42,7 @@ from metadice.hierarchy import (
     word_of,
 )
 from metadice.loshu import SORTED_ROWS, parse_stack, preset_stack
-from metadice.sweep import certify, sweep_pairs
+from metadice.sweep import sweep_pairs
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)
@@ -190,6 +190,23 @@ def certificate_families():
                     if rng.random() < rate:
                         face[pos] = str(rng.randint(1, high))
             yield depth, frozen(faces), False
+
+
+def level1_table_fails(rank_faces):
+    """Whether the level-1 table, each level-1 block's most common leading
+    digit at each rank (the first seen on a tie), is not nine distinct
+    digits that win 5 of 9 around the cycle."""
+    size = len(rank_faces) // 3
+    table = [
+        [
+            Counter(faces[rank][0] for faces in rank_faces[lo : lo + size])
+            .most_common(1)[0][0]
+            for rank in range(3)
+        ]
+        for lo in range(0, 3 * size, size)
+    ]
+    digits = {digit for row in table for digit in row}
+    return len(digits) < 9 or naive_leading_counts(table) != [5, 5, 5]
 
 
 def crowded_block_family():
@@ -622,20 +639,21 @@ class TestCertificate:
                 family = DiceFamily(depth, 2, rank_faces)
             except FamilyFormatError:
                 continue  # an altered digit repeated a face
-            faults = certify(family.rank_faces, depth)
             report, sweep_report = verify_family(family), sweep_only_report(family)
-            assert report.certificate_detail == faults.reason
-            assert faults.reason is None or not must_prove, faults.reason
-            if faults.reason is None:
+            reason = report.certificate_detail
+            assert reason is None or not must_prove, reason
+            if reason is None:
                 assert report.method == "certificate"
                 assert report.pairs_scanned == 0
                 assert sweep_report.passed
             else:
                 assert report.method == "localized"
                 assert 0 < report.pairs_scanned <= report.pairs_checked
-            assert faults.reason is None or faults.reason.startswith("level ")
+            assert reason is None or reason.startswith("level ")
             assert_same_outcome(report, sweep_report)
-            methods.append((report.method, report.passed, bool(faults.bad_nodes[0])))
+            methods.append(
+                (report.method, report.passed, level1_table_fails(rank_faces))
+            )
         # every combination but a certified failure shows up, and a failed
         # level-1 table both passes and fails
         assert set(methods) == {
@@ -662,6 +680,10 @@ class TestCertificate:
                     continue  # the altered face repeats another
                 report = verify_family(family)
                 assert_same_outcome(report, sweep_only_report(family))
+                if pos < 2:
+                    # the altered die strays at level pos + 1 and is compared
+                    # once with each die that shares its first pos trits
+                    assert report.pairs_scanned == 3 ** (3 - pos) - 1
                 methods[report.method] += 1
         # no altered face repeats, and no single digit outvotes a level-1
         # block of nine dice; 27 alterations leave every table valid
@@ -692,11 +714,10 @@ class TestCertificate:
         pair, besides every pair that first differs at level 1."""
         family = crowded_block_family()
         assert family.rank_faces[0] == ("222", "299", "999")
-        faults = certify(family.rank_faces, 3)
-        assert faults.bad_nodes == ({0}, {0}, {0, 1, 2})
-        assert faults.deviations == {}
         report = verify_family(family)
         assert report.method == "localized"
+        # every level-1 pair, then all pairs under block 0 at levels 2 and 3:
+        # node (0) and nodes (00), (01), (02), with no stray die
         assert report.pairs_scanned == 243 + 27 + 9
         assert [s.failures for s in report.per_level] == [81, 18, 6]
         assert_same_outcome(report, sweep_only_report(family))
@@ -706,8 +727,10 @@ class TestCertificate:
         cross comparisons to level 2. There node (0)'s table holds, yet it
         makes D1 beat D2 6/9, so the node is checked pair by pair."""
         family = crowded_over_valid_table_family()
-        assert certify(family.rank_faces, 2).bad_nodes == ({0}, {0})
         report = verify_family(family)
+        # the pairs that first differ at level 1, and those under node (0)
+        assert report.pairs_scanned == 27 + 3
+        assert [s.failures for s in report.per_level] == [9, 1]
         assert report.failures[0].word_a == (0, 0)
         assert report.failures[0].word_b == (0, 1)
         assert report.failures[0].observed.win == Fraction(6, 9)
@@ -716,7 +739,8 @@ class TestCertificate:
     def test_disagreeing_die_named(self):
         faces = [list(die) for die in PAPER3.rank_faces]
         faces[13][1] = faces[13][1][0] + "0" + faces[13][1][2]
-        assert certify(tuple(map(tuple, faces)), 3).reason == (
+        report = verify_family(DiceFamily(3, 2, tuple(map(tuple, faces))))
+        assert report.certificate_detail == (
             "level 2, prefix (1): D14 (111) has digit 0 at rank 1"
             f" where D13 (110) has {faces[12][1][1]}"
         )
