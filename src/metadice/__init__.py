@@ -6,8 +6,9 @@ their first differing trit. Each name is imported from its module:
 - ``dice``: ``Die``, ``parse_die``, ``duel``, ``DuelResult``, ``round_robin``;
 - ``loshu``: ``SQUARE``, ``DigitAssignment``, ``LevelRule``,
   ``AssignmentStack``, ``parse_stack``, ``preset_stack``, the validators;
-- ``hierarchy``: ``DiceFamily``, ``generate``, ``verify_family``,
-  ``verify_stack``, ``VerificationReport``, the family documents;
+- ``hierarchy``: ``DiceFamily``, ``walk_dice``, ``generate``,
+  ``verify_family``, ``verify_stack``, ``VerificationReport``, the family
+  documents;
 - ``sweep``: ``certify`` and the ``sweep_pairs`` oracle;
 - ``export``: the dominance graph's ``graph_rows`` and the normalized points;
 - ``cli``: ``main`` and one streamed writer per command and format.

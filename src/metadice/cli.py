@@ -12,7 +12,10 @@ families, reports, points and graphs are written from their rows with one
 f-string per row, and the small documents by ``json.dumps`` itself. A
 writer is a generator of text pieces, one per die, row, edge or failure,
 and :func:`_emit` joins and writes them ``_BATCH`` at a time: a command
-holds its family and its failure records in memory, never its whole output.
+never holds its whole output. ``generate``, ``normalize`` and ``tables``
+write a stack's dice as :func:`~metadice.hierarchy.walk_dice` yields them,
+so they hold one block of 729 dice, not the family; a loaded document's
+family, ``verify``'s failure records and ``graph``'s family are held whole.
 Nothing is written before the source has loaded, so a command that exits 2
 writes nothing.
 """
@@ -27,7 +30,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from itertools import islice, product
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from metadice.dice import NINTHS, duel, parse_die, round_robin
 from metadice.export import (
@@ -42,6 +45,7 @@ from metadice.hierarchy import (
     DiceFamily,
     FamilyFormatError,
     VerificationReport,
+    document_depth,
     family_from_json,
     family_from_rows,
     family_header,
@@ -49,15 +53,18 @@ from metadice.hierarchy import (
     monte_carlo,
     verify_family,
     verify_stack,
+    walk_dice,
 )
 from metadice.loshu import AssignmentStack, parse_stack, preset_stack
 
-#: Depth accepted without --allow-large. It guards generation and the dice
-#: path: the memory of 3^k dice, the failure records held in memory (their
-#: text is streamed, not held), and the scan of every pair that first
-#: differs at level 1 when a family's level-1 table fails (14,348,907 pairs
-#: at depth 8). ``verify`` of a stack reads no die but keeps the ceiling, so
-#: exit codes do not depend on the command.
+#: Depth accepted without --allow-large. It guards the dice path: the
+#: memory of a loaded family's 3^k dice, the failure records held in memory
+#: (their text is streamed, not held), and the scan of every pair that
+#: first differs at level 1 when a family's level-1 table fails (14,348,907
+#: pairs at depth 8). ``verify`` of a stack reads no die, and ``generate``
+#: and ``normalize`` of a stack hold one block of its dice, but both keep
+#: the ceiling: the time and the output still grow as 3^k, and exit codes
+#: do not depend on the command.
 DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
@@ -209,7 +216,8 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
     ceiling, and a given --depth or --multiplicity against its own.
     """
     # 2 when unset; a family document keeps its own, which a given one must
-    # match. generate, verify_stack and DiceFamily each refuse one below 1.
+    # match. A stack's is refused below 1 here, before a walk is written,
+    # and DiceFamily refuses a listing's.
     multiplicity = 2 if args.multiplicity is None else args.multiplicity
     if args.preset is not None:
         if args.depth is not None:  # before a uniform stack of that depth is built
@@ -222,8 +230,7 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
             doc = json.loads(Path(args.family).read_text())
         except RecursionError:
             raise FamilyFormatError("family document nests too deeply") from None
-        if isinstance(doc, dict) and type(doc.get("depth")) is int:
-            _check_depth(doc["depth"], args.allow_large)  # before the dice are read
+        _check_depth(document_depth(doc), args.allow_large)  # before the dice
         source, noun = family_from_json(doc), "family"
     else:
         source = _family_from_listing(sys.stdin.read(), multiplicity)
@@ -232,9 +239,11 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
         raise ValueError(
             f"--depth {args.depth} does not match the {noun}'s depth {source.depth}"
         )
-    # a stack is checked before generate builds its 3^depth dice
+    # a stack is checked before any of its 3^depth dice is built
     _check_depth(source.depth, args.allow_large)
     if isinstance(source, AssignmentStack):
+        if multiplicity < 1:
+            raise ValueError("face multiplicity must be positive")
         return source, multiplicity
     if args.multiplicity not in (None, source.multiplicity):
         raise ValueError(
@@ -249,6 +258,15 @@ def _load_family(args) -> DiceFamily:
     if isinstance(source, AssignmentStack):
         return generate(source, multiplicity)
     return source
+
+
+def _load_dice(args) -> tuple[int, int, AssignmentStack | None, Iterable]:
+    """The depth, multiplicity, stack and dice of the source the arguments
+    name: a stack's dice as its walk yields them, a family's rank faces."""
+    source, multiplicity = _load_source(args)
+    if isinstance(source, AssignmentStack):
+        return source.depth, multiplicity, source, walk_dice(source)
+    return source.depth, multiplicity, source.stack, source.rank_faces
 
 
 def _family_from_listing(text: str, multiplicity: int) -> DiceFamily:
@@ -292,14 +310,14 @@ def _emit(args, pieces: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def tables_text(family: DiceFamily) -> Iterator[str]:
-    """The listing of a depth-1, 2 or 3 reference family, one line per
-    piece, with its subsets' colors."""
-    faces = [" ".join(triple) for triple in family.rank_faces]
-    if family.depth == 1:
+def tables_text(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]:
+    """The listing of a depth-1, 2 or 3 reference family's dice, one line
+    per piece, with its subsets' colors."""
+    faces = map(" ".join, dice)
+    if depth == 1:
         for label, row in zip("ABC", faces):
             yield f"Die {label} {row}\n"
-    elif family.depth == 2:
+    elif depth == 2:
         for n, row in enumerate(faces, start=1):
             if n % 3 == 1:
                 yield f"# {SUBSET_COLORS[(n - 1) // 3]} dice\n"
@@ -317,30 +335,37 @@ def tables_text(family: DiceFamily) -> Iterator[str]:
             yield f"D{n} {row}\n"
 
 
-def family_json_text(family: DiceFamily) -> Iterator[str]:
+def family_json_text(
+    depth: int,
+    multiplicity: int,
+    stack: AssignmentStack | None,
+    dice: Iterable[Sequence[str]],
+) -> Iterator[str]:
     """``json.dumps(family_to_json(family), indent=2)`` plus a line break,
-    byte for byte, one die per piece: one f-string per die over its word's
-    trits, written once per family, and its faces, ASCII digits that JSON
-    writes as they are."""
-    words = (",\n        ".join(w) for w in product("012", repeat=family.depth))
+    byte for byte, for the family of these fields whose rank faces ``dice``
+    yields in word order, one die per piece: one f-string per die over its
+    word's trits, written once per family, and its faces, ASCII digits that
+    JSON writes as they are."""
+    words = (",\n        ".join(w) for w in product("012", repeat=depth))
     # the header's text ends "\n}": the dice go in before its closing brace
-    head = json.dumps(family_header(family), indent=2)[:-2]
+    head = json.dumps(family_header(depth, multiplicity, stack), indent=2)[:-2]
     yield f'{head},\n  "dice": [\n    '
     yield from joined(
         (
             f'{{\n      "word": [\n        {word}\n      ],\n'
             f'      "paper_number": {n},\n      "faces": [\n        "{a}",\n'
             f'        "{b}",\n        "{c}"\n      ]\n    }}'
-            for n, (word, (a, b, c)) in enumerate(zip(words, family.rank_faces), 1)
+            for n, (word, (a, b, c)) in enumerate(zip(words, dice), 1)
         ),
         ",\n    ",
     )
     yield "\n  ]\n}\n"
 
 
-def family_listing(family: DiceFamily) -> Iterator[str]:
-    """One ``D<n> <faces>`` line per die, one line per piece."""
-    for n, (a, b, c) in enumerate(family.rank_faces, start=1):
+def family_listing(dice: Iterable[Sequence[str]]) -> Iterator[str]:
+    """One ``D<n> <faces>`` line per die of ``dice``, the rank faces in word
+    order, one line per piece."""
+    for n, (a, b, c) in enumerate(dice, start=1):
         yield f"D{n} {a} {b} {c}\n"
 
 
@@ -477,14 +502,17 @@ def report_json_text(report: VerificationReport) -> Iterator[str]:
 
 
 def cmd_tables(args) -> int:
-    _emit(args, tables_text(generate(preset_stack(f"paper-{args.depth}"))))
+    dice = walk_dice(preset_stack(f"paper-{args.depth}"))
+    _emit(args, tables_text(args.depth, dice))
     return 0
 
 
 def cmd_generate(args) -> int:
-    family = _load_family(args)
-    write = family_json_text if args.format == "json" else family_listing
-    _emit(args, write(family))
+    depth, multiplicity, stack, dice = _load_dice(args)
+    if args.format == "json":
+        _emit(args, family_json_text(depth, multiplicity, stack, dice))
+    else:
+        _emit(args, family_listing(dice))
     return 0
 
 
@@ -561,9 +589,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    family = _load_family(args)
+    depth, _, _, dice = _load_dice(args)
     write = points_json_text if args.format == "json" else family_csv
-    _emit(args, write(family))
+    _emit(args, write(depth, dice))
     return 0
 
 

@@ -19,8 +19,9 @@ The CLI writes them a batch at a time, so no output is ever held whole.
 :func:`graph_rows` gives a graph as its node names and (source, target,
 label) rows straight from its walk, and :func:`graph_dot` and
 :func:`graph_json_text` write its DOT and JSON from them.
-:func:`family_csv` and :func:`points_json_text` write the points from the
-rank faces. No writer builds a record. The record API, :func:`build_graph`
+:func:`family_csv` and :func:`points_json_text` write the points from a
+family's rank faces as they come, a loaded family's or a stack's walk.
+No writer builds a record. The record API, :func:`build_graph`
 (the same walks, labeled with fractions), :func:`normalized_values` and
 their renderers, returning whole strings and documents, is the tests' oracle.
 """
@@ -310,31 +311,33 @@ def points_to_csv(points: Sequence[NormalizedPoint]) -> str:
     return "".join(rows)
 
 
-def family_csv(family: DiceFamily) -> Iterator[str]:
+def family_csv(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]:
     """``points_to_csv(normalized_values(family))``, byte for byte, written
-    from the rank faces, one row per piece: no point is built."""
-    scale = 10 ** family.depth
-    words = map("".join, product("012", repeat=family.depth))
+    from ``dice``, the depth-``depth`` family's rank faces in word order,
+    one row per piece: no point is built."""
+    scale = 10 ** depth
+    words = map("".join, product("012", repeat=depth))
     yield _CSV_HEADER
-    for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1):
+    for number, (word, faces) in enumerate(zip(words, dice), 1):
         for rank, digits in enumerate(faces):
             numerator, denominator = _lowest_terms(digits, scale)
             yield f"{word},{number},{rank},0.{digits},{numerator},{denominator}\n"
 
 
-def points_json_text(family: DiceFamily) -> Iterator[str]:
+def points_json_text(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]:
     """``json.dumps(points_to_json(normalized_values(family)), indent=2)``
-    plus a line break, byte for byte, written from the rank faces, one
-    point per piece: no point is built."""
-    scale = 10 ** family.depth
-    words = map("".join, product("012", repeat=family.depth))
+    plus a line break, byte for byte, written from ``dice``, the
+    depth-``depth`` family's rank faces in word order, one point per piece:
+    no point is built."""
+    scale = 10 ** depth
+    words = map("".join, product("012", repeat=depth))
     yield "[\n  "
     yield from joined(
         (
             f'{{\n    "word": "{word}",\n    "paper_number": {number},\n'
             f'    "rank": {rank},\n    "decimal": "0.{digits}",\n'
             f'    "numerator": {numerator},\n    "denominator": {denominator}\n  }}'
-            for number, (word, faces) in enumerate(zip(words, family.rank_faces), 1)
+            for number, (word, faces) in enumerate(zip(words, dice), 1)
             for rank, digits in enumerate(faces)
             for numerator, denominator in (_lowest_terms(digits, scale),)
         ),

@@ -32,6 +32,7 @@ from metadice.hierarchy import (
     family_to_json,
     generate,
     verify_family,
+    walk_dice,
 )
 from metadice.loshu import parse_stack, preset_stack
 from metadice.sweep import level_pairs
@@ -263,10 +264,11 @@ def test_preset_depth_over_the_ceiling_refused_before_the_stack(
 def test_family_over_the_ceiling_refused_before_its_dice(
     run_cli, monkeypatch, tmp_path
 ):
-    """A document whose depth is a JSON integer over the ceiling is refused
-    before ``family_from_json`` reads its dice; a digit-string depth is
-    checked once the document has loaded."""
-    doc = "".join(cli.family_json_text(generate(preset_stack("uniform", 9))))
+    """A document whose depth is over the ceiling, as a JSON integer or as a
+    string of digits, is refused before ``family_from_json`` reads its
+    dice."""
+    stack = preset_stack("uniform", 9)
+    doc = "".join(cli.family_json_text(9, 2, stack, walk_dice(stack)))
     path, digits = tmp_path / "uniform9.json", tmp_path / "digits9.json"
     path.write_text(doc)
     digits.write_text(json.dumps(dict(json.loads(doc), depth="9")))
@@ -274,10 +276,27 @@ def test_family_over_the_ceiling_refused_before_its_dice(
         f"error: depth 9 exceeds the default ceiling of {DEPTH_CEILING}"
         " (pass --allow-large to run anyway)\n"
     )
-    assert run_cli(["verify", "--family", str(digits)]) == (2, "", ceiling)
     monkeypatch.setattr(cli, "family_from_json", unreachable)
     for command in ("verify", "generate", "graph", "normalize"):
-        assert run_cli([command, "--family", str(path)]) == (2, "", ceiling)
+        for source in (path, digits):
+            assert run_cli([command, "--family", str(source)]) == (2, "", ceiling)
+
+
+@pytest.mark.parametrize("depth", [9, "9", "0009"])
+def test_deep_document_refused_by_depth_whatever_its_dice(run_cli, tmp_path, depth):
+    """The ceiling is checked on the depth as ``family_from_json`` reads it,
+    an integer or a string of digits, before any die: malformed dice
+    entries get the ceiling's message, not their own."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"depth": depth, "dice": [{"word": 0}, 7]}))
+    ceiling = (
+        f"error: depth 9 exceeds the default ceiling of {DEPTH_CEILING}"
+        " (pass --allow-large to run anyway)\n"
+    )
+    assert run_cli(["verify", "--family", str(path)]) == (2, "", ceiling)
+    code, out, err = run_cli(["verify", "--family", str(path), "--allow-large"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dice entry 0 is malformed")
 
 
 def test_allow_large_lets_a_deep_document_reach_its_dice(run_cli, tmp_path):
@@ -301,14 +320,21 @@ def test_allow_large_lets_a_deep_document_reach_its_dice(run_cli, tmp_path):
             ["--preset", "paper-2"], ["--stack", "{stack}"], ["--family", "{family}"]
         )
     ]
-    + [("verify", ["--stdin"], "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n")],
+    + [("verify", ["--stdin"], "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n")]
+    + [
+        ("normalize", source, None)
+        for source in (
+            ["--preset", "paper-2"], ["--stack", "{stack}"], ["--family", "{family}"]
+        )
+    ],
 )
 def test_multiplicity_below_one_refused(
     run_cli, tmp_path, multiplicity, command, source, stdin
 ):
-    """Whoever builds or checks the dice refuses a multiplicity below 1:
-    ``generate`` and ``verify_stack`` for a stack, ``DiceFamily`` for a
-    listing, and the match with a family document's own."""
+    """A multiplicity below 1 is refused before anything is written: by
+    the source check for a stack, whose walk is written as it goes, by
+    ``DiceFamily`` for a listing, and by the match with a family
+    document's own."""
     files = {"stack": "2,4,9;1,6,8;3,5,7\n", "family": json.dumps(PAPER1)}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -823,6 +849,28 @@ def test_failing_report_holds_its_records_not_its_text(monkeypatch, writer):
     peak = traced_peak(lambda: cli._emit(args, writer(report)))
     assert sink.bytes == len("".join(writer(report)))
     assert peak < sink.bytes / 4
+
+
+@pytest.mark.parametrize("writer", ["json", "listing", "csv", "points"])
+def test_family_writers_hold_one_block_of_the_walk(writer):
+    """Each family writer, fed the depth-9 walk of 19,683 dice and read a
+    piece at a time, holds one block of 729 dice and one piece: under
+    1 MB, where writing from the whole family held 5.2 MB."""
+    stack = preset_stack("uniform", 9)
+    writers = {
+        "json": lambda dice: cli.family_json_text(9, 2, stack, dice),
+        "listing": cli.family_listing,
+        "csv": lambda dice: export.family_csv(9, dice),
+        "points": lambda dice: export.points_json_text(9, dice),
+    }
+    pieces = []
+
+    def count_pieces():
+        pieces.append(sum(1 for _ in writers[writer](walk_dice(stack))))
+
+    peak = traced_peak(count_pieces)
+    assert pieces[0] >= 3 ** 9
+    assert peak < 2 ** 20, peak
 
 
 def test_graph_writers_build_no_edge_record(run_cli, monkeypatch):

@@ -39,9 +39,16 @@ from metadice.hierarchy import (
     predicted_winner,
     verify_family,
     verify_stack,
+    walk_dice,
     word_of,
 )
-from metadice.loshu import SORTED_ROWS, parse_stack, preset_stack
+from metadice.loshu import (
+    SORTED_ROWS,
+    AssignmentStack,
+    LevelRule,
+    parse_stack,
+    preset_stack,
+)
 from metadice.sweep import sweep_pairs
 
 FIVE_NINTHS = Fraction(5, 9)
@@ -417,6 +424,77 @@ class TestGenerate:
         for word, faces in zip(words, expected):
             for rank in range(3):
                 assert face_value(word, rank, stack) == faces[rank]
+
+
+def whole_level_walk(stack):
+    """Every die's rank faces grown a whole level at a time, one column per
+    rank over all the dice of the level, in word order."""
+    columns = [[""], [""], [""]]
+    for level in range(1, stack.depth + 1):
+        prefixes = product((0, 1, 2), repeat=level - 1)
+        tables = [stack.assignment_at(level, prefix) for prefix in prefixes]
+        for rank in range(3):
+            columns[rank] = [
+                face + str(table[t][rank])
+                for face, table in zip(columns[rank], tables)
+                for t in range(3)
+            ]
+    return tuple(zip(*columns))
+
+
+def rotated_stack(rng, depth, rotations):
+    """A stack of random pool tables whose level j is rotated by the trit at
+    position ``rotations[j]``, when it names one."""
+    levels = [LevelRule(rng.choice(LEADING_POOL))]
+    for level in range(2, depth + 1):
+        levels.append(LevelRule(rng.choice(RANKWISE_POOL), rotations.get(level)))
+    return AssignmentStack(tuple(levels))
+
+
+class TestWalkDice:
+    """The walk grows the levels above the last six for the whole family
+    and each of their nodes into its block of 729 dice; it yields what a
+    walk of whole levels and what ``face_value``, word by word, give."""
+
+    @staticmethod
+    def assert_walk_matches(stack):
+        dice = tuple(walk_dice(stack))
+        assert dice == whole_level_walk(stack)
+        assert generate(stack).rank_faces == dice
+        words = product((0, 1, 2), repeat=stack.depth)
+        assert dice == tuple(
+            tuple(face_value(word, rank, stack) for rank in range(3))
+            for word in words
+        )
+
+    @pytest.mark.parametrize(
+        "stack",
+        [preset_stack(f"paper-{d}") for d in (1, 2, 3)]
+        + [preset_stack("uniform", d) for d in range(1, 10)],
+    )
+    def test_presets(self, stack):
+        self.assert_walk_matches(stack)
+
+    @given(valid_stacks(max_depth=8))
+    @settings(max_examples=30)
+    def test_random_stacks(self, stack):
+        self.assert_walk_matches(stack)
+
+    @pytest.mark.parametrize("depth", [7, 8, 9])
+    @pytest.mark.parametrize("place", ["above", "inside", "both"])
+    def test_rotations_above_and_inside_the_block(self, depth, place):
+        """Below the top ``depth - 6`` levels, a rotation points at a trit
+        of the block's prefix, above the block, or at one inside it."""
+        top = depth - 6
+        rng = random.Random(f"{depth}:{place}")
+        rotations = {}
+        for level in range(top + 1, depth + 1):
+            above = rng.randint(1, top)
+            inside = rng.randint(top + 1, level - 1) if level > top + 1 else above
+            pick = {"above": above, "inside": inside}.get(place)
+            rotations[level] = pick or rng.choice((above, inside))
+        stack = rotated_stack(rng, depth, rotations)
+        self.assert_walk_matches(stack)
 
 
 class TestFamilyInvariants:
