@@ -270,17 +270,22 @@ def _load_dice(args) -> tuple[int, int, AssignmentStack | None, Iterable]:
 
 
 def _family_from_listing(text: str, multiplicity: int) -> DiceFamily:
+    """Blank and ``#`` lines aside, row k is die k's name as ``tables`` or
+    ``generate`` writes it (``D<k>``, ``Die <k>``, ``Die A|B|C``), then three faces."""
     rows = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        k = len(rows) + 1
         tokens = line.split()
-        if len(tokens) < 4:
+        cut = 2 if tokens[0] == "Die" else 1
+        names = (f"D{k}", f"Die {k}", f"Die {'ABC'[k - 1]}" if k <= 3 else None)
+        if " ".join(tokens[:cut]) not in names or len(tokens) != cut + 3:
             raise FamilyFormatError(
-                f"listing row {line!r} needs a die name and three faces"
+                f"listing row {k} {line!r} is not die {k}'s name and three faces"
             )
-        rows.append(tokens[-3:])
+        rows.append(tokens[cut:])
     return family_from_rows(rows, multiplicity)
 
 
@@ -410,26 +415,19 @@ def _outcomes(report: VerificationReport) -> dict:
     report's failures, as ``str`` writes the duel's fractions."""
     return {
         (wins, ties): (NINTHS[wins], NINTHS[ties], NINTHS[9 - wins - ties])
-        for _, _, wins, ties in report.records
+        for wins, ties in {(wins, ties) for _, _, _, wins, ties in report.records}
     }
 
 
 def _failure_rows(report: VerificationReport):
     """Per failure record: i, j, the index of the die the cycle favors and
-    the (wins, ties) key. Dice i < j sit in sibling blocks of the largest
-    block size that separates them, and i wins when j's block is the one
-    right after its own. The records come in (i, j) order, so for one i
-    that size only grows with j: it is searched upwards from the last, and
-    i's successor block is found once per size."""
-    sizes = [3 ** e for e in reversed(range(report.depth))]
-    last = p = None
-    for i, j, wins, ties in report.records:
-        if i != last:  # start from single dice, the deepest blocks
-            last, p, size, after = i, len(sizes) - 1, 1, i + 1
-        while p and i // sizes[p - 1] != j // sizes[p - 1]:
-            p -= 1
-            size, after = sizes[p], i // sizes[p] + 1
-        yield i, j, i if j // size == after else j, (wins, ties)
+    the (wins, ties) key, in one pass. Dice i < j that first differ at the
+    record's level sit in sibling blocks of 3^(depth - level) dice, and i
+    wins when j's block is the one right after its own."""
+    sizes = [3 ** (report.depth - level) for level in range(report.depth + 1)]
+    for i, j, level, wins, ties in report.records:
+        size = sizes[level]
+        yield i, j, i if j // size == i // size + 1 else j, (wins, ties)
 
 
 def _report_header(report: VerificationReport) -> dict:

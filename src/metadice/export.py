@@ -125,7 +125,7 @@ def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
     """
     moved: dict[int, list[tuple[int, int]]] = {}  # source -> (target, wins)
     failed: dict[int, set[int]] = {}  # die -> the dice it fails against
-    for i, j, wins, ties in verify_family(family).records:
+    for i, j, _, wins, ties in verify_family(family).records:
         loss = 9 - wins - ties
         source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
         moved.setdefault(source, []).append((target, ninths))

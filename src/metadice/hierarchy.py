@@ -38,6 +38,7 @@ import operator
 import random
 import time
 from bisect import bisect_right
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -311,34 +312,53 @@ class LevelSummary(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """What :func:`verify_family` found.
+    """What :func:`verify_family` found; the rest is derived on each read,
+    so no report can contradict itself.
 
     ``records`` holds each failing pair as the integers the pair check
-    found it by: (i, j, wins of i, ties) over the 3x3 face grid, with die
-    indices i < j, in (i, j) order, which is lexicographic word-pair order.
-    ``failures`` decodes them into :class:`PairFailure`s on each read; the
-    CLI writes its reports from the records.
+    found it by: (i, j, level, wins of i, ties) over the 3x3 face grid,
+    with die indices i < j first differing at that level, from 1, in (i, j)
+    order, which is lexicographic word-pair order. ``failures`` decodes
+    them into :class:`PairFailure`s; the CLI writes from the records.
     """
 
     depth: int
-    dice_count: int
     multiplicity: int
-    pairs_checked: int
     records: tuple[Failure, ...]
-    per_level: tuple[LevelSummary, ...]
     elapsed: float
     #: Why the certificate could not prove the family; None when it did.
     certificate_detail: str | None
-    #: ``"certificate"`` or ``"localized"``: the path that ran.
-    method: str
     #: Pairs actually compared: 0 on a certificate, those the node tables
     #: cannot vouch for on a localized scan.
     pairs_scanned: int
 
     @property
+    def dice_count(self) -> int:
+        return 3 ** self.depth
+
+    @property
+    def pairs_checked(self) -> int:
+        return sum(level_pairs(self.depth))
+
+    @property
+    def per_level(self) -> tuple[LevelSummary, ...]:
+        """Each level's pairs and the failures whose dice first differ there."""
+        failed = Counter(map(operator.itemgetter(2), self.records))
+        return tuple(
+            LevelSummary(level, pairs, failed[level])
+            for level, pairs in enumerate(level_pairs(self.depth), 1)
+        )
+
+    @property
+    def method(self) -> str:
+        """``"certificate"`` or ``"localized"``: the path that ran."""
+        return "certificate" if self.certificate_detail is None else "localized"
+
+    @property
     def failures(self) -> tuple[PairFailure, ...]:
+        """The records decoded, each winner named by the words, not the level."""
         failures = []
-        for i, j, wins, ties in self.records:
+        for i, j, _, wins, ties in self.records:
             w, v = word_of(i + 1, self.depth), word_of(j + 1, self.depth)
             failures.append(
                 PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
@@ -360,15 +380,16 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     reports the same counts and failures; ``method`` says which ran and
     ``pairs_scanned`` how many pairs it compared.
 
-    Failures are data, not errors. The report carries them as the scan's
-    integer records in lexicographic word-pair order, together with a
-    per-level summary, so it is the same regardless of how the independent
-    pair checks are scheduled. The scan counts each failure at its level
-    as it finds it; no failure is decoded here.
+    Failures are data, not errors: the scan's integer records, each with
+    its level, in lexicographic word-pair order, however the independent
+    pair checks are scheduled. No failure is decoded here.
     """
     start = time.perf_counter()
-    found = certify(family.rank_faces, family.depth)
-    return _report(family.depth, family.multiplicity, start, found)
+    reason, records, scanned = certify(family.rank_faces, family.depth)
+    elapsed = time.perf_counter() - start
+    return VerificationReport(
+        family.depth, family.multiplicity, tuple(records), elapsed, reason, scanned
+    )
 
 
 def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationReport:
@@ -379,36 +400,12 @@ def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationR
     distinct digits and is leading, and every deeper table, each of whose
     rotations keeps its same-rank counts, is rank-wise with nine distinct
     digits. :func:`generate` puts every die on its blocks' digits, so the
-    certificate proves each family of the stack and no pair is read.
+    certificate proves each family of the stack, no pair is read and the
+    report's ``elapsed`` is 0.
     """
-    start = time.perf_counter()
     if multiplicity < 1:
         raise ValueError("face multiplicity must be positive")
-    proof = (None, (), 0, [0] * stack.depth)
-    return _report(stack.depth, multiplicity, start, proof)
-
-
-def _report(depth: int, multiplicity: int, start: float, found) -> VerificationReport:
-    """The report on a depth-``depth`` family whose check began at
-    ``start``, from ``found``, the (reason, failures, pairs compared,
-    failures per level) that :func:`certify` returns."""
-    reason, records, scanned, fail_levels = found
-    checked = level_pairs(depth)
-    return VerificationReport(
-        depth=depth,
-        dice_count=3 ** depth,
-        multiplicity=multiplicity,
-        pairs_checked=sum(checked),
-        records=tuple(records),
-        per_level=tuple(
-            LevelSummary(p + 1, pairs, failures)
-            for p, (pairs, failures) in enumerate(zip(checked, fail_levels))
-        ),
-        elapsed=time.perf_counter() - start,
-        certificate_detail=reason,
-        method="certificate" if reason is None else "localized",
-        pairs_scanned=scanned,
-    )
+    return VerificationReport(stack.depth, multiplicity, (), 0.0, None, 0)
 
 
 def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:

@@ -16,7 +16,8 @@ them tie; ``outcome`` reads such counts as a duel.
 
 Pairs are mutually independent; the sweep runs single-threaded and emits
 failures in (i, j) order, which is lexicographic word-pair order, so
-reports are deterministic.
+reports are deterministic. Each failure carries the level, from 1, at
+which its dice first differ, which names their blocks and expected winner.
 
 The same block layout carries a proof that reads no pair, and it decides
 which pairs are checked at all. A pair that first differs at level p >= 2
@@ -41,7 +42,7 @@ takes one of two paths:
   bad node's pairs are the forward scans, as in ``sweep_pairs``, of the
   dice in its first two child blocks; a stray die scans forward and back.
 
-Both report the same per-level pair counts and the same failures.
+Both find the same failures, each tagged with its level.
 ``sweep_pairs`` checks every pair; it is the tests' oracle.
 """
 
@@ -62,7 +63,7 @@ from metadice.loshu import (
 )
 
 Faces = tuple[str, str, str]
-Failure = tuple[int, int, int, int]
+Failure = tuple[int, int, int, int, int]
 SweepResult = tuple[list[int], list[Failure]]
 
 
@@ -99,32 +100,31 @@ def sweep_pairs(rank_faces: Sequence[Faces], depth: int) -> SweepResult:
 
     ``rank_faces[i]`` holds die i's three faces, dice in lexicographic word
     order. Returns (pairs per first-difference level, failure records),
-    each failure an (i, j, wins of i, ties) tuple in (i, j) order.
+    each failure an (i, j, level, wins of i, ties) tuple in (i, j) order.
     """
     if depth < 1 or len(rank_faces) != 3 ** depth:
         raise ValueError(f"a depth-{depth} sweep needs exactly 3^{depth} dice")
     faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
-    sizes = [3 ** q for q in range(depth)]
+    # the deepest level first, so the later dice j come in increasing order
+    levels = [(3 ** (depth - level), level) for level in range(depth, 0, -1)]
     failures: list[Failure] = []
     for i in range(len(faces)):
-        # block sizes of the deepest level first, so the later dice j come
-        # in increasing order
-        for size in sizes:
-            _forward(faces, i, size, failures)
+        for size, level in levels:
+            _forward(faces, i, size, level, failures)
     return level_pairs(depth), failures
 
 
 def _scan(
-    die: tuple[int, int, int],
     faces: list[tuple[int, int, int]],
     i: int,
     lo: int,
     hi: int,
     expected: int,
+    level: int,
     failures: list[Failure],
 ) -> None:
     """Record each die j in [lo, hi) that die i does not beat by ``expected``/9."""
-    a0, a1, a2 = die
+    a0, a1, a2 = faces[i]
     for j, (b0, b1, b2) in enumerate(faces[lo:hi], lo):
         wins = (
             (a0 > b0) + (a0 > b1) + (a0 > b2)
@@ -137,12 +137,12 @@ def _scan(
             + (a2 == b0) + (a2 == b1) + (a2 == b2)
         )
         if wins != expected or ties:
-            failures.append((i, j, wins, ties))
+            failures.append((i, j, level, wins, ties))
 
 
 def certify(
     rank_faces: Sequence[Faces], depth: int
-) -> tuple[str | None, list[Failure], int, list[int]]:
+) -> tuple[str | None, list[Failure], int]:
     """Prove from its node tables that every pair duels 5/9 the cycle's way,
     or check every pair the tables cannot vouch for.
 
@@ -165,11 +165,10 @@ def certify(
     strays at that level or above, and those under a node whose table
     fails or whose level-1 block repeats a digit across its ranks.
 
-    Returns (reason, failures, pairs compared, failures per level). The
-    reason is the first fault in walk order, level by level and a stray die
-    before a failed table, or None when the family is proven. The failures
-    are :func:`sweep_pairs`'s records of the compared pairs, in (i, j)
-    order, and each is counted at its (0-based) first-difference level.
+    Returns (reason, failures, pairs compared). The reason is the first
+    fault in walk order, level by level and a stray die before a failed
+    table, or None when the family is proven. The failures are
+    :func:`sweep_pairs`'s records of the compared pairs, in (i, j) order.
     """
     if depth < 1 or len(rank_faces) != 3 ** depth:
         raise ValueError(f"a depth-{depth} certificate needs exactly 3^{depth} dice")
@@ -177,7 +176,7 @@ def certify(
     columns = [tuple(zip(*(faces[r] for faces in rank_faces))) for r in range(3)]
     reason, faces = None, None
     failures: list[Failure] = []
-    scanned, fail_levels = 0, []
+    scanned = 0
     strayed: set[int] = set()  # the dice that stray at this level or above
     for p in range(depth):
         size = 3 ** (depth - p - 1)
@@ -214,14 +213,13 @@ def certify(
                         f" {';'.join(map(','.join, table))}:"
                         f" {verdicts[table]}"
                     )
-        found = len(failures)
         if (strayed or bad) and faces is None:
             faces = [(int(f0), int(f1), int(f2)) for f0, f1, f2 in rank_faces]
         span = 3 * size
         suspects = sorted(i for i in strayed if i // span not in bad)
         members = (i for n in bad for i in range(n * span, n * span + 2 * size))
         for i in chain(suspects, members):
-            scanned += _forward(faces, i, size, failures)
+            scanned += _forward(faces, i, size, p + 1, failures)
         for i in suspects:
             lo, trit = i - i % size, i // size % 3
             # earlier siblings but the suspects, whose own scan covered the
@@ -231,12 +229,13 @@ def certify(
                 block = lo - start * size, lo - (start - 1) * size
                 for first, stop in _gaps(*block, suspects):
                     backward: list[Failure] = []
-                    _scan(faces[i], faces, i, first, stop, expected, backward)
-                    failures.extend((j, i, 9 - w - t, t) for _, j, w, t in backward)
+                    _scan(faces, i, first, stop, expected, p + 1, backward)
+                    failures.extend(
+                        (j, i, level, 9 - w - t, t) for _, j, level, w, t in backward
+                    )
                     scanned += stop - first
-        fail_levels.append(len(failures) - found)
     failures.sort()
-    return reason, failures, scanned, fail_levels
+    return reason, failures, scanned
 
 
 def _block_majorities(
@@ -288,16 +287,20 @@ def _disagreement(
 
 
 def _forward(
-    faces: list[tuple[int, int, int]], i: int, size: int, failures: list[Failure]
+    faces: list[tuple[int, int, int]],
+    i: int,
+    size: int,
+    level: int,
+    failures: list[Failure],
 ) -> int:
-    """Check die i against its later sibling blocks of ``size`` dice and
-    return the number of pairs compared."""
+    """Check die i against its later sibling blocks of ``size`` dice at
+    ``level`` and return the number of pairs compared."""
     lo, trit = i - i % size, i // size % 3
     # i's block beats its successor block 5/9 and loses 4/9 to the one
     # after it, which only a trit-0 block has as a later sibling
     for start, expected in ((1, 5), (2, 4))[: 2 - trit]:
         first = lo + start * size
-        _scan(faces[i], faces, i, first, first + size, expected, failures)
+        _scan(faces, i, first, first + size, expected, level, failures)
     return (2 - trit) * size
 
 

@@ -7,6 +7,7 @@ import argparse
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_cli_main
+from conftest import random_rank_faces, run_cli_main
 from metadice import cli, export, hierarchy
 from metadice.cli import (
     DEPTH_CEILING,
@@ -38,7 +39,11 @@ from metadice.loshu import parse_stack, preset_stack
 from metadice.sweep import level_pairs
 from test_export import assert_same_text, corpus, level1_failed_family
 from test_golden import ROTATED_STACK, tampered_document
-from test_hierarchy import crowded_block_family, crowded_over_valid_table_family
+from test_hierarchy import (
+    assert_levels_are_first_differing_trits,
+    crowded_block_family,
+    crowded_over_valid_table_family,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PAPER1 = family_to_json(generate(preset_stack("paper-1")))
@@ -159,6 +164,52 @@ def test_ascii_inputs_still_parse(run_cli):
     assert run_cli(["roundrobin", "4, 9, 2", "+3,5,7"]) == (0, "A:4 B:5\n", "")
     code, out, _ = run_cli(["verify", "--stdin"], "D1 2 4 9\nD2 1 6 8\nD3 3 5 7\n")
     assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tables", "--depth", depth] for depth in ("1", "2", "3")]
+    + [
+        ["generate", "--preset", "uniform", "--depth", depth, "--format", "text"]
+        for depth in ("1", "2", "3", "4")
+    ],
+)
+def test_listing_round_trips_through_verify(run_cli, argv):
+    """The listings ``tables`` and ``generate --format text`` write, with
+    their names, colour comments and blank lines, verify as written."""
+    code, listing, _ = run_cli(argv)
+    assert code == 0
+    code, out, err = run_cli(["verify", "--stdin"], listing)
+    assert (code, err) == (0, "") and out.endswith(", certificate)\n")
+
+
+def test_listing_names_may_mix_the_written_forms(run_cli):
+    listing = "Die A 2 4 9\nDie 2 1 6 8\nD3 3 5 7\n"
+    assert run_cli(["verify", "--stdin"], listing)[0] == 0
+
+
+#: Listings whose row k does not carry the name D<k>, Die <k> or, for
+#: k <= 3, Die A, B or C, followed by exactly three faces, with that k.
+MISNAMED_LISTINGS = {
+    "swapped rows": ("D2 1 6 8\nD1 2 4 9\nD3 3 5 7\n", 1),
+    "wrong name": ("D1 2 4 9\nD2 1 6 8\nE3 3 5 7\n", 3),
+    "letter past C": ("Die A 2 4 9\nDie B 1 6 8\nDie D 3 5 7\n", 3),
+    "bare number": ("1 2 4 9\n2 1 6 8\n3 3 5 7\n", 1),
+    "fourth face": ("D1 2 4 9\nD2 1 6 8\nD3 3 5 7 9\n", 3),
+    "two faces": ("D1 2 4 9\nD2 1 6\nD3 3 5 7\n", 2),
+}
+
+
+@pytest.mark.parametrize(
+    "listing, row", MISNAMED_LISTINGS.values(), ids=MISNAMED_LISTINGS.keys()
+)
+def test_listing_rows_must_name_their_dice(run_cli, listing, row):
+    """A row is read by its name, not its position: a misnamed row or one
+    with other than three faces is refused, naming the row, before
+    anything is written."""
+    code, out, err = run_cli(["verify", "--stdin"], listing)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: listing row {row} "), err
 
 
 def test_every_library_error_is_a_value_error():
@@ -561,24 +612,50 @@ def assert_reports_match_records(report):
 LEVEL1_FAIL = DiceFamily(1, 2, (("2", "4", "8"), ("1", "6", "9"), ("3", "5", "7")))
 
 
+#: Random depth-3 dice, which fail pairs at every level, both those the
+#: cycle favours the earlier die of and those it favours the later die of.
+EVERY_LEVEL_FAIL = DiceFamily(3, 2, random_rank_faces(random.Random(25), 3))
+
+
 def test_report_writers_match_the_record_path():
     """On every verification path: the certificate corpus, single faults
-    of paper-3, failed and crowded level-1 tables, and every preset."""
+    of paper-3, failed and crowded level-1 tables, failures at every
+    level, and every preset."""
     families = corpus() + (
         crowded_block_family(),
         crowded_over_valid_table_family(),
         LEVEL1_FAIL,
+        EVERY_LEVEL_FAIL,
         *(generate(preset_stack("uniform", depth)) for depth in range(1, 6)),
     )
+    report = verify_family(EVERY_LEVEL_FAIL)
+    sides = {
+        (level, failure.expected_winner == failure.word_a)
+        for (_, _, level, _, _), failure in zip(report.records, report.failures)
+    }
+    assert sides == {(level, a) for level in (1, 2, 3) for a in (True, False)}
     later_wins = shared_wins = 0
     for family in families:
         report = verify_family(family)
+        assert_levels_are_first_differing_trits(report.records, report.depth)
         assert_reports_match_records(report)
         later_wins += any(f.expected_winner == f.word_b for f in report.failures)
         outcomes = {(wins, ties) for *_, wins, ties in report.records}
         shared_wins += len({wins for wins, _ in outcomes}) < len(outcomes)
     # a later die favored, and one wins count with and without ties
     assert later_wins and shared_wins
+
+
+def test_record_level_is_the_first_differing_trit():
+    """On the tampered golden document, and on the failed level-1 depth-6
+    family of CI, whose 59,049 failures all first differ at level 1."""
+    tampered = verify_family(family_from_json(tampered_document()))
+    assert tampered.records
+    assert_levels_are_first_differing_trits(tampered.records, 4)
+    failed = verify_family(level1_failed_family(6))
+    assert len(failed.records) == 59049
+    assert_levels_are_first_differing_trits(failed.records, 6)
+    assert {level for _, _, level, _, _ in failed.records} == {1}
 
 
 def test_failing_report_with_ties_is_indented_dumps(run_cli, tmp_path):

@@ -193,7 +193,7 @@ def sweep_graph_edges(family):
     """(source, target, probability) of every full-graph edge, in (i, j)
     order, from the raw counts of the all-pairs sweep."""
     _, failures = sweep_pairs(family.rank_faces, family.depth)
-    missed = {(i, j): (wins, ties) for i, j, wins, ties in failures}
+    missed = {(i, j): (wins, ties) for i, j, _, wins, ties in failures}
     words = family.words
     edges = []
     for i, j in combinations(range(family.size), 2):
@@ -277,7 +277,7 @@ def test_full_graph_matches_the_sweep_on_every_path():
         report = verify_family(family)
         methods.add(report.method)
         flipped += sum(predicted_winner(w, v) != w for w, v, _ in want)
-        tied += sum(ties > 0 for _, _, _, ties in report.records)
+        tied += sum(ties > 0 for _, _, _, _, ties in report.records)
     assert methods == {"certificate", "localized"}
     assert flipped and tied
 

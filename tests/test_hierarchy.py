@@ -75,14 +75,28 @@ def brute_failure_pairs(family):
     }
 
 
+def first_level(i, j, depth):
+    """The 1-based level of the first trit at which the words of dice i and
+    j differ, read from ``word_of``."""
+    w, v = word_of(i + 1, depth), word_of(j + 1, depth)
+    return 1 + next(p for p, (a, b) in enumerate(zip(w, v)) if a != b)
+
+
+def assert_levels_are_first_differing_trits(records, depth):
+    for i, j, level, _, _ in records:
+        assert level == first_level(i, j, depth), (i, j, level)
+
+
 def sweep_only_report(family):
     """Pair counts, per-level summaries and failures as the all-pairs sweep
-    alone finds them, decoded here rather than by ``verify_family``."""
+    alone finds them, decoded here rather than by ``verify_family``; each
+    record's level must be its words' first differing trit."""
     checked, raw = sweep_pairs(family.rank_faces, family.depth)
     failures, fail_levels = [], Counter()
-    for i, j, wins, ties in raw:
+    for i, j, level, wins, ties in raw:
+        assert level == first_level(i, j, family.depth), (i, j, level)
+        fail_levels[level] += 1
         w, v = family.words[i], family.words[j]
-        fail_levels[next(p for p, (a, b) in enumerate(zip(w, v)) if a != b)] += 1
         observed = DuelResult(
             Fraction(wins, 9), Fraction(ties, 9), Fraction(9 - wins - ties, 9)
         )
@@ -90,9 +104,10 @@ def sweep_only_report(family):
     return SimpleNamespace(
         pairs_checked=sum(checked),
         per_level=tuple(
-            LevelSummary(p + 1, pairs, fail_levels[p])
-            for p, pairs in enumerate(checked)
+            LevelSummary(level, pairs, fail_levels[level])
+            for level, pairs in enumerate(checked, 1)
         ),
+        records=tuple(raw),
         failures=tuple(failures),
         passed=not failures,
     )
@@ -101,6 +116,7 @@ def sweep_only_report(family):
 def assert_same_outcome(report, sweep_report):
     assert report.pairs_checked == sweep_report.pairs_checked
     assert report.per_level == sweep_report.per_level
+    assert report.records == sweep_report.records
     assert report.failures == sweep_report.failures
 
 
@@ -631,14 +647,15 @@ class TestVerify:
             assert family.words == words
 
             checked, raw = sweep_pairs(family.rank_faces, depth)
-            order = [(i, j) for i, j, _, _ in raw]
+            order = [(i, j) for i, j, _, _, _ in raw]
             assert order == sorted(order)
-            for i, j, wins, ties in raw:
+            for i, j, _, wins, ties in raw:
                 r = duel(die_of(family, i), die_of(family, j))
                 assert (Fraction(wins, 9), Fraction(ties, 9)) == (r.win, r.tie)
+            assert_levels_are_first_differing_trits(raw, depth)
 
             expected = brute_failure_pairs(family)
-            assert {(words[i], words[j]) for i, j, _, _ in raw} == expected
+            assert {(words[i], words[j]) for i, j, _, _, _ in raw} == expected
             pairs, fails = [0] * depth, [0] * depth
             for w, v in combinations(words, 2):
                 p = TestDecomposition.decision_depth(w, v)
@@ -646,6 +663,7 @@ class TestVerify:
                 fails[p] += (w, v) in expected
             assert checked == pairs
             report = verify_family(family)
+            assert report.records == tuple(raw)
             assert {(f.word_a, f.word_b) for f in report.failures} == expected
             assert [(s.level, s.pairs, s.failures) for s in report.per_level] == [
                 (p + 1, pairs[p], fails[p]) for p in range(depth)
@@ -654,7 +672,7 @@ class TestVerify:
                 scaled = DiceFamily(depth, multiplicity, family.rank_faces)
                 report = verify_family(scaled)
                 assert len(report.failures) == len(raw)
-                for failure, (i, j, _, _) in zip(report.failures, raw):
+                for failure, (i, j, _, _, _) in zip(report.failures, raw):
                     assert (failure.word_a, failure.word_b) == (words[i], words[j])
                     assert failure.observed == duel(die_of(scaled, i), die_of(scaled, j))
 
@@ -672,7 +690,7 @@ class TestVerify:
             "level 2, prefix (0): D1 (000) has digit 1 at rank 2"
             " where D2 (001) has 5"
         )
-        assert report.failures == sweep_only_report(tampered).failures
+        assert_same_outcome(report, sweep_only_report(tampered))
         flagged = {(f.word_a, f.word_b) for f in report.failures}
         assert ((0, 0, 0), (0, 1, 0)) in flagged
         for failure in report.failures:
@@ -872,9 +890,11 @@ def assert_stack_report_is_the_familys(stack, multiplicity):
     """``verify_stack`` gives what ``verify_family`` finds on the generated
     family, time aside, and the all-pairs sweep finds no failure there."""
     family = generate(stack, multiplicity)
-    report = verify_stack(stack, multiplicity)
+    report, family_report = verify_stack(stack, multiplicity), verify_family(family)
     assert report.elapsed >= 0
-    assert report._replace(elapsed=0) == verify_family(family)._replace(elapsed=0)
+    assert report._replace(elapsed=0) == family_report._replace(elapsed=0)
+    for derived in ("dice_count", "pairs_checked", "per_level", "method"):
+        assert getattr(report, derived) == getattr(family_report, derived), derived
     assert sweep_pairs(family.rank_faces, family.depth)[1] == []
 
 

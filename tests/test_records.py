@@ -36,14 +36,10 @@ WIN = DuelResult(Fraction(5, 9), Fraction(0), Fraction(4, 9))
 def _report(**changes):
     fields = dict(
         depth=1,
-        dice_count=3,
         multiplicity=2,
-        pairs_checked=3,
-        records=((0, 1, 4, 0),),
-        per_level=(LevelSummary(1, 3, 1),),
+        records=((0, 1, 1, 4, 0),),
         elapsed=0.0,
         certificate_detail=None,
-        method="certificate",
         pairs_scanned=0,
     )
     fields.update(changes)
@@ -97,7 +93,11 @@ RECORDS = {
         lambda: LevelSummary(1, 27, 1),
         "failures",
     ),
-    "VerificationReport": (_report, lambda: _report(method="localized"), "method"),
+    "VerificationReport": (
+        _report,
+        lambda: _report(certificate_detail="level 1"),
+        "certificate_detail",
+    ),
     "DominanceGraph": (
         lambda: DominanceGraph(1, 1, False, ((0,), (1,)), (Edge((0,), (1,), WIN.win),)),
         lambda: DominanceGraph(1, 1, True, ((0,), (1,)), ()),
@@ -134,10 +134,8 @@ REPRS = {
     "PairFailure": _FAILURE,
     "LevelSummary": "LevelSummary(level=1, pairs=27, failures=0)",
     "VerificationReport": (
-        "VerificationReport(depth=1, dice_count=3, multiplicity=2, pairs_checked=3,"
-        " records=((0, 1, 4, 0),), per_level=(LevelSummary(level=1, pairs=3,"
-        " failures=1),), elapsed=0.0, certificate_detail=None, method='certificate',"
-        " pairs_scanned=0)"
+        "VerificationReport(depth=1, multiplicity=2, records=((0, 1, 1, 4, 0),),"
+        " elapsed=0.0, certificate_detail=None, pairs_scanned=0)"
     ),
     "DominanceGraph": (
         "DominanceGraph(depth=1, level=1, full=False, nodes=((0,), (1,)),"
@@ -253,6 +251,33 @@ def test_report_decodes_its_records_on_each_read():
     lost = DuelResult(Fraction(4, 9), Fraction(0), Fraction(5, 9))
     assert report.failures == (PairFailure((0,), (1,), (0,), lost),)
     assert not report.passed and _report(records=()).passed
+
+
+def test_report_derives_what_follows_from_its_fields():
+    """A report stores only what the level walk found: its counts, the
+    per-level summary and the method are read from those fields, never
+    given, so no report can contradict itself."""
+    assert VerificationReport._fields == (
+        "depth",
+        "multiplicity",
+        "records",
+        "elapsed",
+        "certificate_detail",
+        "pairs_scanned",
+    )
+    for derived, value in (
+        ("dice_count", 3),
+        ("pairs_checked", 3),
+        ("per_level", (LevelSummary(1, 3, 1),)),
+        ("method", "certificate"),
+    ):
+        with pytest.raises(TypeError, match=derived):
+            _report(**{derived: value})
+    report = _report(depth=2, records=((0, 4, 1, 4, 0), (3, 4, 2, 5, 1)))
+    assert (report.dice_count, report.pairs_checked) == (9, 36)
+    assert report.per_level == (LevelSummary(1, 27, 1), LevelSummary(2, 9, 1))
+    assert report.method == "certificate"
+    assert _report(certificate_detail="level 1").method == "localized"
 
 
 #: Standard modules a CLI process does without: ``fractions`` loads
