@@ -9,7 +9,9 @@ their first differing trit. Each name is imported from its module:
 - ``hierarchy``: ``DiceFamily``, ``walk_dice``, ``generate``,
   ``verify_family``, ``verify_stack``, ``VerificationReport``, the family
   documents;
-- ``sweep``: ``certify`` and the ``sweep_pairs`` oracle;
+- ``sweep``: the failure records, ``pack`` and ``unpack``, and the
+  ``sweep_pairs`` oracle;
+- ``certificate``: ``certify``, the node-table proof and localized scan;
 - ``export``: the dominance graph's ``graph_rows`` and the normalized points;
 - ``cli``: ``main`` and one streamed writer per command and format.
 """

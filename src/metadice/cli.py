@@ -14,25 +14,28 @@ writer is a generator of text pieces, one per die, row, edge or failure,
 and :func:`_emit` joins and writes them ``_BATCH`` at a time: a command
 never holds its whole output. ``generate``, ``normalize`` and ``tables``
 write a stack's dice as :func:`~metadice.hierarchy.walk_dice` yields them,
-so they hold one block of 729 dice, not the family; a loaded document's
-family, ``verify``'s failure records and ``graph``'s family are held whole.
-Nothing is written before the source has loaded, so a command that exits 2
-writes nothing.
+so they hold one block of 729 dice, not the family. ``graph`` holds a
+loaded family whole. ``verify`` drops the family once it has been checked
+and writes its report holding one ``int`` per failing pair, the
+:mod:`metadice.sweep` record. Nothing is written before the source has
+loaded, so a command that exits 2 writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import operator
 import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import islice, product
+from itertools import islice, product, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from metadice.dice import NINTHS, duel, parse_die, round_robin
+from metadice.dice import NINTHS, duel, is_digit_string, parse_die, round_robin
 from metadice.export import (
     family_csv,
     graph_dot,
@@ -56,15 +59,16 @@ from metadice.hierarchy import (
     walk_dice,
 )
 from metadice.loshu import AssignmentStack, parse_stack, preset_stack
+from metadice.sweep import LEVEL_MASK, OUTCOME_MASK, OUTCOME_SHIFT, PAIR_SHIFT
 
 #: Depth accepted without --allow-large. It guards the dice path: the
 #: memory of a loaded family's 3^k dice, the failure records held in memory
-#: (their text is streamed, not held), and the scan of every pair that
-#: first differs at level 1 when a family's level-1 table fails (14,348,907
-#: pairs at depth 8). ``verify`` of a stack reads no die, and ``generate``
-#: and ``normalize`` of a stack hold one block of its dice, but both keep
-#: the ceiling: the time and the output still grow as 3^k, and exit codes
-#: do not depend on the command.
+#: (one int each, some 40 bytes; their text is streamed, not held), and the
+#: scan of every pair that first differs at level 1 when a family's level-1
+#: table fails (14,348,907 pairs at depth 8). ``verify`` of a stack reads no
+#: die, and ``generate`` and ``normalize`` of a stack hold one block of its
+#: dice, but both keep the ceiling: the time and the output still grow as
+#: 3^k, and exit codes do not depend on the command.
 DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
@@ -74,11 +78,18 @@ PRESET_CHOICES = ("paper-1", "paper-2", "paper-3", "uniform")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # The parser's subparsers and groups refer to one another, so only the
+    # collector frees them: some 80 KB, which the command then reuses to
+    # load its source. Frozen, the objects made before the parser are not
+    # walked, so the collection takes 0.1 ms, not 1 ms.
+    gc.freeze()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    finally:
+        gc.collect()
+        gc.unfreeze()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # every metadice error is a ValueError
@@ -233,8 +244,13 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
         _check_depth(document_depth(doc), args.allow_large)  # before the dice
         source, noun = family_from_json(doc), "family"
     else:
-        source = _family_from_listing(sys.stdin.read(), multiplicity)
-        noun = "listing"
+        lines = sys.stdin.read().splitlines()
+        # row 1's first face is as long as the listing is deep: refuse the
+        # depth before any row is parsed
+        first = next(_listing_rows(lines), None)
+        if first is not None and is_digit_string(first[0]):
+            _check_depth(len(first[0]), args.allow_large)
+        source, noun = _family_from_listing(lines, multiplicity), "listing"
     if args.depth is not None and args.depth != source.depth:
         raise ValueError(
             f"--depth {args.depth} does not match the {noun}'s depth {source.depth}"
@@ -269,15 +285,21 @@ def _load_dice(args) -> tuple[int, int, AssignmentStack | None, Iterable]:
     return source.depth, multiplicity, source.stack, source.rank_faces
 
 
-def _family_from_listing(text: str, multiplicity: int) -> DiceFamily:
+def _family_from_listing(lines: Sequence[str], multiplicity: int) -> DiceFamily:
+    """The family of a listing's lines, each row read by :func:`_listing_rows`."""
+    return family_from_rows(_listing_rows(lines), multiplicity)
+
+
+def _listing_rows(lines: Iterable[str]) -> Iterator[list[str]]:
     """Blank and ``#`` lines aside, row k is die k's name as ``tables`` or
-    ``generate`` writes it (``D<k>``, ``Die <k>``, ``Die A|B|C``), then three faces."""
-    rows = []
-    for raw in text.splitlines():
+    ``generate`` writes it (``D<k>``, ``Die <k>``, ``Die A|B|C``), then three
+    faces: yield each row's faces as it is read."""
+    k = 0
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        k = len(rows) + 1
+        k += 1
         tokens = line.split()
         cut = 2 if tokens[0] == "Die" else 1
         names = (f"D{k}", f"Die {k}", f"Die {'ABC'[k - 1]}" if k <= 3 else None)
@@ -285,13 +307,18 @@ def _family_from_listing(text: str, multiplicity: int) -> DiceFamily:
             raise FamilyFormatError(
                 f"listing row {k} {line!r} is not die {k}'s name and three faces"
             )
-        rows.append(tokens[cut:])
-    return family_from_rows(rows, multiplicity)
+        yield tokens[cut:]
 
 
 #: Pieces joined per write. A writer yields one piece per die, row, edge
-#: or failure, so one batch is at most a few hundred lines of text.
-_BATCH = 256
+#: or failure, and a batch is held three times at its peak: as pieces,
+#: joined and encoded. A verify report's failure is ~390 bytes, so 64 of
+#: them take ~25 KB each time where 256 took ~100 KB. Measured with
+#: ``tracemalloc`` on a depth-6 document with five altered digits: with 256
+#: pieces and the family held, writing the JSON report peaked at 991 KB,
+#: above the 766 KB of loading and checking it; with 64 and the family
+#: dropped, writing peaks at 567 KB. Any size writes the same bytes.
+_BATCH = 64
 
 
 def _emit(args, pieces: Iterable[str]) -> None:
@@ -411,23 +438,29 @@ def report_text(report: VerificationReport) -> Iterator[str]:
 
 
 def _outcomes(report: VerificationReport) -> dict:
-    """The (win, tie, loss) text of each (wins, ties) count among the
-    report's failures, as ``str`` writes the duel's fractions."""
-    return {
-        (wins, ties): (NINTHS[wins], NINTHS[ties], NINTHS[9 - wins - ties])
-        for wins, ties in {(wins, ties) for _, _, _, wins, ties in report.records}
-    }
+    """The (win, tie, loss) text of each outcome among the report's
+    failures, keyed by the records' outcome field in place, as ``str``
+    writes the duel's fractions."""
+    outcomes = {}
+    for key in set(map(operator.and_, report.records, repeat(OUTCOME_MASK))):
+        wins, ties = divmod(key >> OUTCOME_SHIFT, 10)
+        outcomes[key] = NINTHS[wins], NINTHS[ties], NINTHS[9 - wins - ties]
+    return outcomes
 
 
 def _failure_rows(report: VerificationReport):
     """Per failure record: i, j, the index of the die the cycle favors and
-    the (wins, ties) key, in one pass. Dice i < j that first differ at the
-    record's level sit in sibling blocks of 3^(depth - level) dice, and i
-    wins when j's block is the one right after its own."""
-    sizes = [3 ** (report.depth - level) for level in range(report.depth + 1)]
-    for i, j, level, wins, ties in report.records:
-        size = sizes[level]
-        yield i, j, i if j // size == i // size + 1 else j, (wins, ties)
+    the outcome key of :func:`_outcomes`, in one pass. Dice i < j that first
+    differ at the record's level sit in sibling blocks of 3^(depth - level)
+    dice, and i wins when j's block is the one right after its own."""
+    n = 3 ** report.depth
+    sizes = [n // 3 ** level for level in range(report.depth + 1)]
+    # the layout's constants as locals: this loop runs once per failure
+    pair, level, outcome, split = PAIR_SHIFT, LEVEL_MASK, OUTCOME_MASK, divmod
+    for record in report.records:
+        i, j = split(record >> pair, n)
+        size = sizes[record & level]
+        yield i, j, i if j // size == i // size + 1 else j, record & outcome
 
 
 def _report_header(report: VerificationReport) -> dict:
@@ -521,6 +554,7 @@ def cmd_verify(args) -> int:
         report = verify_stack(source, multiplicity)
     else:
         report = verify_family(source)
+    del source  # the report holds none of it: write without the family
     write = report_json_text if args.format == "json" else report_text
     with _unlimited_int_digits():
         _emit(args, write(report))

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import NINTHS, Face
 from metadice.hierarchy import DiceFamily, Word, die_number, verify_family
+from metadice.sweep import unpack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -125,7 +126,8 @@ def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
     """
     moved: dict[int, list[tuple[int, int]]] = {}  # source -> (target, wins)
     failed: dict[int, set[int]] = {}  # die -> the dice it fails against
-    for i, j, _, wins, ties in verify_family(family).records:
+    for record in verify_family(family).records:
+        i, j, _, wins, ties = unpack(record, family.depth)
         loss = 9 - wins - ties
         source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
         moved.setdefault(source, []).append((target, ninths))

@@ -25,10 +25,10 @@ and the full dominance graph reads its failing pairs from
 
 ``verify_family`` proves that claim for a concrete family in one walk of its
 levels, by the node-table certificate or by checking, level by level, the
-pairs the tables cannot vouch for; the :mod:`metadice.sweep` docstring
-describes the two paths. ``verify_stack``
-proves it for a validated stack from its depth alone: every family it
-generates passes the certificate, so its report is built without a die.
+pairs the tables cannot vouch for; the :mod:`metadice.certificate`
+docstring describes the two paths. ``verify_stack`` proves it for a
+validated stack from its depth alone: every family it generates passes
+the certificate, so its report is built without a die.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from metadice.dice import Die, DuelResult, LengthMismatchError, Value
 from metadice.dice import is_digit_string, is_int
 from metadice.loshu import AssignmentStack, parse_stack
-from metadice.sweep import Failure, certify, level_pairs, outcome
+from metadice.sweep import LEVEL_MASK, Failure, level_pairs, outcome, unpack
 
 Word = tuple[int, ...]
 
@@ -315,11 +315,13 @@ class VerificationReport(NamedTuple):
     """What :func:`verify_family` found; the rest is derived on each read,
     so no report can contradict itself.
 
-    ``records`` holds each failing pair as the integers the pair check
-    found it by: (i, j, level, wins of i, ties) over the 3x3 face grid,
-    with die indices i < j first differing at that level, from 1, in (i, j)
-    order, which is lexicographic word-pair order. ``failures`` decodes
-    them into :class:`PairFailure`s; the CLI writes from the records.
+    ``records`` holds each failing pair as the one ``int`` the pair check
+    packed it into, the :mod:`metadice.sweep` record of (i, j, level, wins
+    of i, ties) over the 3x3 face grid, with die indices i < j first
+    differing at that level, from 1. Records sort as their pairs, so they
+    come in (i, j) order, which is lexicographic word-pair order.
+    :func:`metadice.sweep.unpack` reads one; ``failures`` decodes them into
+    :class:`PairFailure`s; the CLI writes from the records.
     """
 
     depth: int
@@ -343,7 +345,9 @@ class VerificationReport(NamedTuple):
     @property
     def per_level(self) -> tuple[LevelSummary, ...]:
         """Each level's pairs and the failures whose dice first differ there."""
-        failed = Counter(map(operator.itemgetter(2), self.records))
+        failed = Counter(
+            map(operator.and_, self.records, itertools.repeat(LEVEL_MASK))
+        )
         return tuple(
             LevelSummary(level, pairs, failed[level])
             for level, pairs in enumerate(level_pairs(self.depth), 1)
@@ -358,7 +362,8 @@ class VerificationReport(NamedTuple):
     def failures(self) -> tuple[PairFailure, ...]:
         """The records decoded, each winner named by the words, not the level."""
         failures = []
-        for i, j, _, wins, ties in self.records:
+        for record in self.records:
+            i, j, _, wins, ties = unpack(record, self.depth)
             w, v = word_of(i + 1, self.depth), word_of(j + 1, self.depth)
             failures.append(
                 PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
@@ -376,14 +381,18 @@ def verify_family(family: DiceFamily) -> VerificationReport:
 
     One walk of the family's levels tries the certificate and, where it
     cannot prove the family, checks the pairs the node tables cannot vouch
-    for as it goes (see the :mod:`metadice.sweep` docstring). Every path
-    reports the same counts and failures; ``method`` says which ran and
-    ``pairs_scanned`` how many pairs it compared.
+    for as it goes (see the :mod:`metadice.certificate` docstring). Every
+    path reports the same counts and failures; ``method`` says which ran
+    and ``pairs_scanned`` how many pairs it compared.
 
     Failures are data, not errors: the scan's integer records, each with
     its level, in lexicographic word-pair order, however the independent
     pair checks are scheduled. No failure is decoded here.
     """
+    # imported here, so that only the commands that check a family's dice
+    # compile and hold the certificate
+    from metadice.certificate import certify
+
     start = time.perf_counter()
     reason, records, scanned = certify(family.rank_faces, family.depth)
     elapsed = time.perf_counter() - start

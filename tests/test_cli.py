@@ -4,6 +4,7 @@ Also the verify reports written from failure records against the record
 path."""
 
 import argparse
+import gc
 import inspect
 import json
 import os
@@ -13,13 +14,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_rank_faces, run_cli_main
-from metadice import cli, export, hierarchy
+from metadice import certificate, cli, export, hierarchy
 from metadice.cli import (
     DEPTH_CEILING,
     report_json,
@@ -36,7 +38,7 @@ from metadice.hierarchy import (
     walk_dice,
 )
 from metadice.loshu import parse_stack, preset_stack
-from metadice.sweep import level_pairs
+from metadice.sweep import level_pairs, unpack
 from test_export import assert_same_text, corpus, level1_failed_family
 from test_golden import ROTATED_STACK, tampered_document
 from test_hierarchy import (
@@ -228,6 +230,11 @@ def test_every_library_error_is_a_value_error():
     assert all(issubclass(cls, ValueError) for cls in errors), errors
 
 
+#: The listing of a uniform stack's dice, one level over the ceiling.
+DEEP_LISTING = "".join(
+    cli.family_listing(walk_dice(preset_stack("uniform", DEPTH_CEILING + 1)))
+)
+
 #: Calls refused by the --depth or --multiplicity match or the depth
 #: ceiling, with a phrase of the error; {name} is an input file written by
 #: the test.
@@ -259,6 +266,7 @@ DEPTH_REFUSALS = {
         ["verify", "--stack", "{deep_stack}"], None, "ceiling"
     ),
     "family too deep": (["verify", "--family", "{deep_family}"], None, "ceiling"),
+    "listing too deep": (["verify", "--stdin"], DEEP_LISTING, "ceiling"),
 }
 
 #: Paper-1's dice under a depth one over the ceiling: the ceiling refuses
@@ -281,6 +289,29 @@ def test_depth_refused_for_every_source(run_cli, tmp_path, case):
     code, out, err = run_cli(argv, stdin)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and phrase in err
+
+
+def test_listing_depth_refused_before_its_rows(run_cli, monkeypatch):
+    """Row 1's first face gives a listing's depth, so a listing over the
+    ceiling is refused before its rows are read into a family, also when a
+    later row is malformed; ``--allow-large`` lets it through to them."""
+
+    def rows_read(lines, multiplicity):
+        raise ValueError("rows read")
+
+    monkeypatch.setattr(cli, "_family_from_listing", rows_read)
+    argv, stdin, _ = DEPTH_REFUSALS["listing too deep"]
+    refusal = (
+        f"error: depth {DEPTH_CEILING + 1} exceeds the default ceiling of"
+        f" {DEPTH_CEILING} (pass --allow-large to run anyway)\n"
+    )
+    assert run_cli(argv, stdin) == (2, "", refusal)
+    assert run_cli([*argv, "--allow-large"], stdin) == (2, "", "error: rows read\n")
+    monkeypatch.undo()
+    malformed = stdin.replace("D2 ", "D7 ", 1)
+    assert run_cli(argv, malformed) == (2, "", refusal)
+    code, out, err = run_cli([*argv, "--allow-large"], malformed)
+    assert (code, out) == (2, "") and "listing row 2" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "generate", "normalize", "graph"])
@@ -630,8 +661,8 @@ def test_report_writers_match_the_record_path():
     )
     report = verify_family(EVERY_LEVEL_FAIL)
     sides = {
-        (level, failure.expected_winner == failure.word_a)
-        for (_, _, level, _, _), failure in zip(report.records, report.failures)
+        (unpack(record, 3)[2], failure.expected_winner == failure.word_a)
+        for record, failure in zip(report.records, report.failures)
     }
     assert sides == {(level, a) for level in (1, 2, 3) for a in (True, False)}
     later_wins = shared_wins = 0
@@ -640,7 +671,7 @@ def test_report_writers_match_the_record_path():
         assert_levels_are_first_differing_trits(report.records, report.depth)
         assert_reports_match_records(report)
         later_wins += any(f.expected_winner == f.word_b for f in report.failures)
-        outcomes = {(wins, ties) for *_, wins, ties in report.records}
+        outcomes = {unpack(record, report.depth)[3:] for record in report.records}
         shared_wins += len({wins for wins, _ in outcomes}) < len(outcomes)
     # a later die favored, and one wins count with and without ties
     assert later_wins and shared_wins
@@ -655,7 +686,7 @@ def test_record_level_is_the_first_differing_trit():
     failed = verify_family(level1_failed_family(6))
     assert len(failed.records) == 59049
     assert_levels_are_first_differing_trits(failed.records, 6)
-    assert {level for _, _, level, _, _ in failed.records} == {1}
+    assert {unpack(record, 6)[2] for record in failed.records} == {1}
 
 
 def test_failing_report_with_ties_is_indented_dumps(run_cli, tmp_path):
@@ -663,7 +694,7 @@ def test_failing_report_with_ties_is_indented_dumps(run_cli, tmp_path):
     the CLI writes it and as ``json.dumps(indent=2)`` writes its document."""
     doc = dict(tampered_document(), multiplicity=3)
     report = verify_family(family_from_json(doc))
-    assert any(ties for *_, ties in report.records)
+    assert any(unpack(record, report.depth)[4] for record in report.records)
     want = json.dumps(report_json(report), indent=2) + "\n"
     assert '"multiplicity": 3' in want
     assert_same_text("".join(report_json_text(report)), want)
@@ -698,7 +729,7 @@ def test_verify_proves_a_stack_without_dice(run_cli, monkeypatch, tmp_path):
     ]
     monkeypatch.setattr(cli, "generate", unreachable)
     monkeypatch.setattr(hierarchy, "generate", unreachable)
-    monkeypatch.setattr(hierarchy, "certify", unreachable)
+    monkeypatch.setattr(certificate, "certify", unreachable)
     for (argv, *_), want in zip(cases, expected):
         code, out, err = run_cli(["verify", *argv, "--format", "json"])
         assert (code, err) == (0, "")
@@ -926,6 +957,52 @@ def test_failing_report_holds_its_records_not_its_text(monkeypatch, writer):
     peak = traced_peak(lambda: cli._emit(args, writer(report)))
     assert sink.bytes == len("".join(writer(report)))
     assert peak < sink.bytes / 4
+
+
+def test_report_holds_each_failure_as_one_small_int():
+    """The 59,049 failures of the failed level-1 depth-6 family are held
+    in under 64 bytes each, the family built before tracing starts: a
+    record is one int and a pointer, where a tuple of five took 116."""
+    family = level1_failed_family(6)
+    tracemalloc.start()
+    try:
+        report = verify_family(family)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 59049
+    assert held / 59049 < 64, held / 59049
+
+
+@pytest.mark.parametrize("format", ["json", "text"])
+def test_verify_drops_the_family_before_its_first_write(monkeypatch, tmp_path, format):
+    """The report refers to none of the family, so ``verify --family``
+    writes without it: what ``_load_source`` returned is gone by the time
+    stdout's first write runs, and no argument parser of the command is
+    left when its source is loaded."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(tampered_document()))
+    load, loaded, alive = cli._load_source, [], []
+
+    def load_source(args):
+        parsers = [
+            o for o in gc.get_objects()
+            if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("metadice")
+        ]
+        assert parsers == []
+        source, multiplicity = load(args)
+        loaded.append(weakref.ref(source))
+        return source, multiplicity
+
+    class Sink(ByteCounter):
+        def write(self, text):
+            alive.append(loaded[0]() is not None)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_load_source", load_source)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert cli.main(["verify", "--family", str(path), "--format", format]) == 1
+    assert len(loaded) == 1 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("writer", ["json", "listing", "csv", "points"])

@@ -42,7 +42,7 @@ from metadice.hierarchy import (
     verify_family,
 )
 from metadice.loshu import preset_stack
-from metadice.sweep import sweep_pairs
+from metadice.sweep import sweep_pairs, unpack
 from test_hierarchy import certificate_families, frozen
 
 FIVE_NINTHS = Fraction(5, 9)
@@ -193,7 +193,8 @@ def sweep_graph_edges(family):
     """(source, target, probability) of every full-graph edge, in (i, j)
     order, from the raw counts of the all-pairs sweep."""
     _, failures = sweep_pairs(family.rank_faces, family.depth)
-    missed = {(i, j): (wins, ties) for i, j, _, wins, ties in failures}
+    fields = (unpack(record, family.depth) for record in failures)
+    missed = {(i, j): (wins, ties) for i, j, _, wins, ties in fields}
     words = family.words
     edges = []
     for i, j in combinations(range(family.size), 2):
@@ -277,7 +278,7 @@ def test_full_graph_matches_the_sweep_on_every_path():
         report = verify_family(family)
         methods.add(report.method)
         flipped += sum(predicted_winner(w, v) != w for w, v, _ in want)
-        tied += sum(ties > 0 for _, _, _, _, ties in report.records)
+        tied += sum(unpack(record, family.depth)[4] > 0 for record in report.records)
     assert methods == {"certificate", "localized"}
     assert flipped and tied
 

@@ -49,7 +49,7 @@ from metadice.loshu import (
     parse_stack,
     preset_stack,
 )
-from metadice.sweep import sweep_pairs
+from metadice.sweep import pack, sweep_pairs, unpack
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)
@@ -83,8 +83,30 @@ def first_level(i, j, depth):
 
 
 def assert_levels_are_first_differing_trits(records, depth):
-    for i, j, level, _, _ in records:
+    for record in records:
+        i, j, level, _, _ = unpack(record, depth)
         assert level == first_level(i, j, depth), (i, j, level)
+
+
+def test_record_layout_round_trips_and_sorts_as_pairs():
+    """Every pair i < j at depths 1-3, at every level, with every (wins,
+    ties) of a 3x3 grid, packs into a record that unpacks to its fields,
+    and sorted records come in (i, j) order."""
+    rng = random.Random(26)
+    for depth in (1, 2, 3):
+        fields = [
+            (i, j, level, wins, ties)
+            for i, j in combinations(range(3 ** depth), 2)
+            for level in range(1, depth + 1)
+            for wins in range(10)
+            for ties in range(10 - wins)
+        ]
+        records = [pack(*f, depth) for f in fields]
+        assert [unpack(record, depth) for record in records] == fields
+        rng.shuffle(records)
+        pairs = [unpack(record, depth)[:2] for record in sorted(records)]
+        assert pairs == sorted(pairs)
+        assert len(set(records)) == len(fields)
 
 
 def sweep_only_report(family):
@@ -93,7 +115,8 @@ def sweep_only_report(family):
     record's level must be its words' first differing trit."""
     checked, raw = sweep_pairs(family.rank_faces, family.depth)
     failures, fail_levels = [], Counter()
-    for i, j, level, wins, ties in raw:
+    for record in raw:
+        i, j, level, wins, ties = unpack(record, family.depth)
         assert level == first_level(i, j, family.depth), (i, j, level)
         fail_levels[level] += 1
         w, v = family.words[i], family.words[j]
@@ -647,15 +670,16 @@ class TestVerify:
             assert family.words == words
 
             checked, raw = sweep_pairs(family.rank_faces, depth)
-            order = [(i, j) for i, j, _, _, _ in raw]
+            fields = [unpack(record, depth) for record in raw]
+            order = [(i, j) for i, j, _, _, _ in fields]
             assert order == sorted(order)
-            for i, j, _, wins, ties in raw:
+            for i, j, _, wins, ties in fields:
                 r = duel(die_of(family, i), die_of(family, j))
                 assert (Fraction(wins, 9), Fraction(ties, 9)) == (r.win, r.tie)
             assert_levels_are_first_differing_trits(raw, depth)
 
             expected = brute_failure_pairs(family)
-            assert {(words[i], words[j]) for i, j, _, _, _ in raw} == expected
+            assert {(words[i], words[j]) for i, j, _, _, _ in fields} == expected
             pairs, fails = [0] * depth, [0] * depth
             for w, v in combinations(words, 2):
                 p = TestDecomposition.decision_depth(w, v)
@@ -672,7 +696,7 @@ class TestVerify:
                 scaled = DiceFamily(depth, multiplicity, family.rank_faces)
                 report = verify_family(scaled)
                 assert len(report.failures) == len(raw)
-                for failure, (i, j, _, _, _) in zip(report.failures, raw):
+                for failure, (i, j, _, _, _) in zip(report.failures, fields):
                     assert (failure.word_a, failure.word_b) == (words[i], words[j])
                     assert failure.observed == duel(die_of(scaled, i), die_of(scaled, j))
 

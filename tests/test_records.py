@@ -27,17 +27,20 @@ from metadice.loshu import (
     LevelRule,
     ValidationResult,
 )
+from metadice.sweep import pack
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FACES = (("2", "4", "9"), ("1", "6", "8"), ("3", "5", "7"))
 WIN = DuelResult(Fraction(5, 9), Fraction(0), Fraction(4, 9))
+#: D1 loses 4/9 to D2 at level 1 of a depth-1 family.
+RECORD = pack(0, 1, 1, 4, 0, 1)
 
 
 def _report(**changes):
     fields = dict(
         depth=1,
         multiplicity=2,
-        records=((0, 1, 1, 4, 0),),
+        records=(RECORD,),
         elapsed=0.0,
         certificate_detail=None,
         pairs_scanned=0,
@@ -134,7 +137,7 @@ REPRS = {
     "PairFailure": _FAILURE,
     "LevelSummary": "LevelSummary(level=1, pairs=27, failures=0)",
     "VerificationReport": (
-        "VerificationReport(depth=1, multiplicity=2, records=((0, 1, 1, 4, 0),),"
+        f"VerificationReport(depth=1, multiplicity=2, records=({RECORD},),"
         " elapsed=0.0, certificate_detail=None, pairs_scanned=0)"
     ),
     "DominanceGraph": (
@@ -273,7 +276,8 @@ def test_report_derives_what_follows_from_its_fields():
     ):
         with pytest.raises(TypeError, match=derived):
             _report(**{derived: value})
-    report = _report(depth=2, records=((0, 4, 1, 4, 0), (3, 4, 2, 5, 1)))
+    fields = ((0, 4, 1, 4, 0), (3, 4, 2, 5, 1))
+    report = _report(depth=2, records=tuple(pack(*f, 2) for f in fields))
     assert (report.dice_count, report.pairs_checked) == (9, 36)
     assert report.per_level == (LevelSummary(1, 27, 1), LevelSummary(2, 9, 1))
     assert report.method == "certificate"
@@ -303,6 +307,8 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert not set(SKIPPED) & set(out)
     for layer in ("dice", "loshu", "sweep", "hierarchy", "export"):
         assert f"metadice.{layer}" in out
+    # only a command that checks a family's dice loads the certificate
+    assert "metadice.certificate" not in out
 
 
 def test_only_exact_duels_load_fractions(tmp_path):
