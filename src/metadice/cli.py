@@ -9,16 +9,19 @@ give byte-identical outputs; timing appears only in the human text report.
 Each command has one writer per format. Every JSON text is
 ``json.dumps(doc, indent=2)`` of its record document plus a line break:
 families, reports, points and graphs are written from their rows with one
-f-string per row, and the small documents by ``json.dumps`` itself. A
-writer is a generator of text pieces, one per die, row, edge or failure,
-and :func:`_emit` joins and writes them ``_BATCH`` at a time: a command
-never holds its whole output. ``generate``, ``normalize`` and ``tables``
-write a stack's dice as :func:`~metadice.hierarchy.walk_dice` yields them,
-so they hold one block of 729 dice, not the family. ``graph`` holds a
-loaded family whole. ``verify`` drops the family once it has been checked
-and writes its report holding one ``int`` per failing pair, the
-:mod:`metadice.sweep` record. Nothing is written before the source has
-loaded, so a command that exits 2 writes nothing.
+f-string per die, point, failure, node or edge, and the small documents
+by ``json.dumps`` itself. A writer is a generator of text pieces: one per
+die of a family, its listing line, its document entry or its three CSV
+rows; one per point of its JSON points; one per failure of a report; one
+per node or edge of a graph. :func:`_emit` joins and writes them
+``_BATCH`` at a time: a command never holds its whole output.
+``generate``, ``normalize`` and ``tables`` write a stack's dice as
+:func:`~metadice.hierarchy.walk_dice` yields them, so they hold one block
+of 729 dice, not the family. ``graph`` holds a loaded family whole.
+``verify`` drops the family once it has been checked and writes its
+report holding one ``int`` per failing pair, the :mod:`metadice.sweep`
+record. Nothing is written before the source has loaded, so a command
+that exits 2 writes nothing.
 """
 
 from __future__ import annotations
@@ -310,10 +313,12 @@ def _listing_rows(lines: Iterable[str]) -> Iterator[list[str]]:
         yield tokens[cut:]
 
 
-#: Pieces joined per write. A writer yields one piece per die, row, edge
-#: or failure, and a batch is held three times at its peak: as pieces,
-#: joined and encoded. A verify report's failure is ~390 bytes, so 64 of
-#: them take ~25 KB each time where 256 took ~100 KB. Measured with
+#: Pieces joined per write. A writer yields one piece per die, point,
+#: failure, node or edge, and a batch is held three times at its peak: as
+#: pieces, joined and encoded. The largest pieces are a verify report's
+#: failures, ~390 bytes (a depth-8 die's family entry is ~240, its three
+#: CSV rows ~135 and a JSON point ~160), so 64 of them take ~25 KB each
+#: time where 256 took ~100 KB. Measured with
 #: ``tracemalloc`` on a depth-6 document with five altered digits: with 256
 #: pieces and the family held, writing the JSON report peaked at 991 KB,
 #: above the 766 KB of loading and checking it; with 64 and the family
@@ -375,22 +380,21 @@ def family_json_text(
 ) -> Iterator[str]:
     """``json.dumps(family_to_json(family), indent=2)`` plus a line break,
     byte for byte, for the family of these fields whose rank faces ``dice``
-    yields in word order, one die per piece: one f-string per die over its
-    word's trits, written once per family, and its faces, ASCII digits that
-    JSON writes as they are."""
+    yields in word order, one die per piece, each but the first led by its
+    separator: one f-string per die over its word's trits, written once per
+    family, and its faces, ASCII digits that JSON writes as they are."""
     words = (",\n        ".join(w) for w in product("012", repeat=depth))
     # the header's text ends "\n}": the dice go in before its closing brace
     head = json.dumps(family_header(depth, multiplicity, stack), indent=2)[:-2]
     yield f'{head},\n  "dice": [\n    '
-    yield from joined(
-        (
-            f'{{\n      "word": [\n        {word}\n      ],\n'
+    sep = ""
+    for n, (word, (a, b, c)) in enumerate(zip(words, dice), 1):
+        yield (
+            f'{sep}{{\n      "word": [\n        {word}\n      ],\n'
             f'      "paper_number": {n},\n      "faces": [\n        "{a}",\n'
             f'        "{b}",\n        "{c}"\n      ]\n    }}'
-            for n, (word, (a, b, c)) in enumerate(zip(words, dice), 1)
-        ),
-        ",\n    ",
-    )
+        )
+        sep = ",\n    "
     yield "\n  ]\n}\n"
 
 
@@ -452,15 +456,27 @@ def _failure_rows(report: VerificationReport):
     """Per failure record: i, j, the index of the die the cycle favors and
     the outcome key of :func:`_outcomes`, in one pass. Dice i < j that first
     differ at the record's level sit in sibling blocks of 3^(depth - level)
-    dice, and i wins when j's block is the one right after its own."""
+    dice, and i wins when j's block is the one right after its own, that
+    is when j comes before the end of that next block.
+
+    The records come sorted, so i is decoded once per run of records with
+    the same i. Runs are long when a table near the root fails, and often a
+    single record when a few dice were altered, so only the end that a
+    record's level needs is worked out, per record."""
     n = 3 ** report.depth
     sizes = [n // 3 ** level for level in range(report.depth + 1)]
     # the layout's constants as locals: this loop runs once per failure
-    pair, level, outcome, split = PAIR_SHIFT, LEVEL_MASK, OUTCOME_MASK, divmod
+    pair, level, outcome = PAIR_SHIFT, LEVEL_MASK, OUTCOME_MASK
+    start = stop = 0  # i * n and (i + 1) * n, the pair keys of the run's i
     for record in report.records:
-        i, j = split(record >> pair, n)
+        key = record >> pair
+        if key >= stop:
+            i = key // n
+            start = i * n
+            stop = start + n
+        j = key - start
         size = sizes[record & level]
-        yield i, j, i if j // size == i // size + 1 else j, record & outcome
+        yield i, j, i if j < (i // size + 2) * size else j, record & outcome
 
 
 def _report_header(report: VerificationReport) -> dict:

@@ -14,7 +14,8 @@ Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
 
 Each text has one writer, a generator of text pieces: one per node, edge
-or point, with the separators that make the joined pieces the whole text.
+or JSON point, and one per die for the CSV, whose three rows make one
+piece, with the separators that make the joined pieces the whole text.
 The CLI writes them a batch at a time, so no output is ever held whole.
 :func:`graph_rows` gives a graph as its node names and (source, target,
 label) rows straight from its walk, and :func:`graph_dot` and
@@ -316,14 +317,19 @@ def points_to_csv(points: Sequence[NormalizedPoint]) -> str:
 def family_csv(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]:
     """``points_to_csv(normalized_values(family))``, byte for byte, written
     from ``dice``, the depth-``depth`` family's rank faces in word order,
-    one row per piece: no point is built."""
+    one die's three rows per piece: no point is built."""
     scale = 10 ** depth
     words = map("".join, product("012", repeat=depth))
     yield _CSV_HEADER
-    for number, (word, faces) in enumerate(zip(words, dice), 1):
-        for rank, digits in enumerate(faces):
-            numerator, denominator = _lowest_terms(digits, scale)
-            yield f"{word},{number},{rank},0.{digits},{numerator},{denominator}\n"
+    for number, (word, (a, b, c)) in enumerate(zip(words, dice), 1):
+        x, y, z = int(a), int(b), int(c)
+        gx, gy, gz = gcd(x, scale), gcd(y, scale), gcd(z, scale)
+        head = f"{word},{number},"
+        yield (
+            f"{head}0,0.{a},{x // gx},{scale // gx}\n"
+            f"{head}1,0.{b},{y // gy},{scale // gy}\n"
+            f"{head}2,0.{c},{z // gz},{scale // gz}\n"
+        )
 
 
 def points_json_text(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]:

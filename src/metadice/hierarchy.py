@@ -8,8 +8,9 @@ duel exactly like their first differing trits: the cycle 0 beats 1 beats 2
 beats 0 decides the winner, always at probability 5/9.
 
 The word prefixes form a tree whose node at level j holds one level-j
-table. ``walk_dice`` walks that tree a level at a time, reads each node's
-table once and yields the dice a block of 729 at a time, so a writer holds
+table. ``walk_dice`` walks that tree a level at a time, builds each
+level's tables as one column from the level's rule, without a lookup per
+node, and yields the dice a block of 729 at a time, so a writer holds
 one block of a stack's family, never the whole of it; ``generate`` keeps
 the walk's dice as a family, and ``face_value`` follows a single word's
 path.
@@ -218,10 +219,11 @@ def face_word_label(word: Word) -> str:
 
 #: Levels :func:`walk_dice` grows a node through at once, into its block
 #: of 3^6 = 729 dice. A fixed size, not an option: smaller blocks pay each
-#: level's per-node overhead more often. The depth-8 walk took 4.3 ms in
-#: whole levels, 4.7 ms in blocks of 729, 6.0 ms in blocks of 81 and
-#: 10.6 ms in blocks of 9 dice (Python 3.11, 2-core Xeon, best of 15),
-#: while a block of depth-8 dice holds under 200 KB of faces.
+#: level's fixed cost, such as building its table column, more often. The
+#: depth-8 walk took 2.3 ms in whole levels, 2.4 ms in blocks of 729,
+#: 3.0 ms in blocks of 81 and 5.0 ms in blocks of 9 dice (Python 3.11,
+#: 2-core Xeon, best of 15), while a block of depth-8 dice holds under
+#: 200 KB of faces.
 _BLOCK_LEVELS = 6
 
 
@@ -229,11 +231,13 @@ def walk_dice(stack: AssignmentStack) -> Iterator[tuple[str, str, str]]:
     """Every die of the depth-``stack.depth`` family, as its rank faces, in
     word order, grown from the stack's tables a block at a time.
 
-    The walk goes node by node, a level at a time: every die of the level
-    above spawns three, one per subset of its node's table, and their rank
-    faces append that subset's digits. Each node's table is read once, so
-    a depth-k family costs (3^k - 1) / 2 table lookups. The faces of each
-    rank are kept as one column, which a level replaces one rank at a time.
+    The walk goes a level at a time: every die of the level above is a
+    node that spawns three, one per subset of its node's table, and their
+    rank faces append that subset's digits. A level's node tables are one
+    column built from its rule, not looked up node by node: one table for
+    every node, unless the level rotates by one of the nodes' own trits,
+    and then the three rotations in runs. The faces of each rank are kept
+    as one column, which a level replaces one rank at a time.
     The top ``depth - 6`` levels are grown for the whole family; each of
     their nodes is then grown through the last six levels into its block of
     729 dice, which are yielded before the next node is grown. A family of
@@ -258,10 +262,21 @@ def _grow(stack: AssignmentStack, prefix: Word, columns: list, levels: range) ->
     """``columns``, the rank columns of faces of the nodes below ``prefix``
     at the level before ``levels``, grown through ``levels`` in place."""
     for level in levels:
-        # the dice so far are the nodes of this level, in prefix order
-        trits = [(t,) for t in prefix] + [(0, 1, 2)] * (level - 1 - len(prefix))
-        nodes = itertools.product(*trits)
-        tables = [stack.assignment_at(level, node).subsets for node in nodes]
+        # the dice so far are the nodes of this level, in prefix order: the
+        # trits of ``prefix``, then level - 1 - len(prefix) free ones
+        rule = stack.levels[level - 1]
+        nodes = 3 ** (level - 1 - len(prefix))
+        q = rule.rotate_by
+        if q is None:
+            tables = [rule.base.subsets] * nodes
+        elif q <= len(prefix):
+            tables = [rule.tables[prefix[q - 1]].subsets] * nodes
+        else:
+            # the free trit at position q changes every 3^(level - 1 - q)
+            # nodes, and its cycle of three runs repeats over the trits above
+            run = 3 ** (level - 1 - q)
+            cycle = [table.subsets for table in rule.tables for _ in range(run)]
+            tables = cycle * (nodes // (3 * run))
         for rank in range(3):
             # indexing gives each digit's one shared string; str() makes one a face
             columns[rank] = [

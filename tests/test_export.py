@@ -40,8 +40,9 @@ from metadice.hierarchy import (
     generate,
     predicted_winner,
     verify_family,
+    walk_dice,
 )
-from metadice.loshu import preset_stack
+from metadice.loshu import parse_stack, preset_stack
 from metadice.sweep import sweep_pairs, unpack
 from test_hierarchy import certificate_families, frozen
 
@@ -325,6 +326,39 @@ class TestOnePassWriters:
     )
     def test_presets(self, name, depth):
         self.assert_match_records(generate(preset_stack(name, depth)))
+
+    @pytest.mark.parametrize("depth", [7, 8])
+    def test_rotated_blocks_from_the_walk(self, depth):
+        """Written from the walk of a stack of several 729-die blocks, whose
+        rotations select trits above and inside the blocks, the points and
+        the family document are the record path's text: faces that start
+        with digit 0 lose it in their numerators, and faces that end in 0
+        or 5 reduce their fractions."""
+        stack = zero_digit_rotated_stack(depth)
+        family = generate(stack, 3)
+        faces = [face for die in family.rank_faces for face in die]
+        assert any(face[0] == "0" for face in faces)
+        assert any(face[-1] in "05" for face in faces)
+        points = normalized_values(family)
+        text = "".join(family_csv(depth, walk_dice(stack)))
+        assert_same_text(text, points_to_csv(points))
+        text = "".join(points_json_text(depth, walk_dice(stack)))
+        assert_same_text(text, indented(points_to_json(points)))
+        text = "".join(family_json_text(depth, 3, stack, walk_dice(stack)))
+        assert_same_text(text, indented(family_to_json(family)))
+
+
+def zero_digit_rotated_stack(depth):
+    """A stack of the Lo Shu tables with digit 1 lowered to 0, whose level
+    j is unrotated, rotated by the last trit above the 729-die blocks or
+    rotated by trit j - 1, inside the block from depth - 4 on, as j % 3 is
+    0, 1 or 2. Every table holds a 0 and a 5."""
+    tables = ("2,8,5;9,6,3;4,0,7", "2,9,4;0,8,6;3,7,5", "2,4,9;0,6,8;3,5,7")
+    lines = ["2,4,9;0,6,8;3,5,7"]
+    for level in range(2, depth + 1):
+        rotation = ("", f" rot=w{depth - 6}", f" rot=w{level - 1}")[level % 3]
+        lines.append(tables[level % 3] + rotation)
+    return parse_stack("\n".join(lines), allow_zero=True)
 
 
 class TestDot:

@@ -20,6 +20,7 @@ from conftest import (
     naive_leading_counts,
     naive_rankwise_counts,
     random_rank_faces,
+    run_cli_main,
     valid_stacks,
 )
 from metadice import hierarchy
@@ -46,6 +47,7 @@ from metadice.loshu import (
     SORTED_ROWS,
     AssignmentStack,
     LevelRule,
+    format_stack,
     parse_stack,
     preset_stack,
 )
@@ -490,6 +492,21 @@ def rotated_stack(rng, depth, rotations):
     return AssignmentStack(tuple(levels))
 
 
+def block_rotated_stack(depth, place):
+    """A depth-``depth`` stack whose levels below the top ``depth - 6``
+    rotate by a trit of the block's prefix (``above``), by one inside the
+    block (``inside``) or by either, level by level (``both``)."""
+    top = depth - 6
+    rng = random.Random(f"{depth}:{place}")
+    rotations = {}
+    for level in range(top + 1, depth + 1):
+        above = rng.randint(1, top)
+        inside = rng.randint(top + 1, level - 1) if level > top + 1 else above
+        pick = {"above": above, "inside": inside}.get(place)
+        rotations[level] = pick or rng.choice((above, inside))
+    return rotated_stack(rng, depth, rotations)
+
+
 class TestWalkDice:
     """The walk grows the levels above the last six for the whole family
     and each of their nodes into its block of 729 dice; it yields what a
@@ -524,16 +541,55 @@ class TestWalkDice:
     def test_rotations_above_and_inside_the_block(self, depth, place):
         """Below the top ``depth - 6`` levels, a rotation points at a trit
         of the block's prefix, above the block, or at one inside it."""
-        top = depth - 6
-        rng = random.Random(f"{depth}:{place}")
-        rotations = {}
-        for level in range(top + 1, depth + 1):
-            above = rng.randint(1, top)
-            inside = rng.randint(top + 1, level - 1) if level > top + 1 else above
-            pick = {"above": above, "inside": inside}.get(place)
-            rotations[level] = pick or rng.choice((above, inside))
-        stack = rotated_stack(rng, depth, rotations)
-        self.assert_walk_matches(stack)
+        self.assert_walk_matches(block_rotated_stack(depth, place))
+
+    @pytest.mark.parametrize(
+        "stack",
+        [preset_stack("paper-3"), preset_stack("uniform", 9)]
+        + [
+            block_rotated_stack(depth, place)
+            for depth in (7, 8, 9)
+            for place in ("above", "inside", "both")
+        ],
+        ids=["paper-3", "uniform-9"]
+        + [
+            f"rotated-{place}-{depth}"
+            for depth in (7, 8, 9)
+            for place in ("above", "inside", "both")
+        ],
+    )
+    def test_walk_reads_no_node_table(self, stack, tmp_path, monkeypatch):
+        """Each level's tables come from its rule, not from a lookup per
+        node: with ``assignment_at`` refusing every call, the walk, the
+        family and the commands that write a stack's dice give what they
+        gave before."""
+        path = tmp_path / "stack.txt"
+        path.write_text(format_stack(stack))
+        source = ["--stack", str(path), "--allow-large"]
+        commands = [
+            ["generate", *source, "--format", "json"],
+            ["generate", *source, "--format", "text"],
+            ["normalize", *source, "--format", "csv"],
+            ["normalize", *source, "--format", "json"],
+        ]
+        if stack == preset_stack("paper-3"):
+            commands.append(["tables", "--depth", "3"])
+
+        def outputs():
+            return (
+                tuple(walk_dice(stack)),
+                generate(stack).rank_faces,
+                [run_cli_main(argv) for argv in commands],
+            )
+
+        before = outputs()
+        assert before[0] == whole_level_walk(stack)
+
+        def refused(self, level, prefix):
+            raise AssertionError(f"assignment_at({level}, {prefix}) called")
+
+        monkeypatch.setattr(AssignmentStack, "assignment_at", refused)
+        assert outputs() == before
 
 
 class TestFamilyInvariants:
