@@ -12,7 +12,8 @@ their first differing trit. Each name is imported from its module:
 - ``sweep``: the failure records, ``pack`` and ``unpack``, and the
   ``sweep_pairs`` oracle;
 - ``certificate``: ``certify``, the node-table proof and localized scan;
-- ``export``: the dominance graph's ``graph_rows`` and the normalized points;
+- ``export``: the dominance graph's ``graph_rows``, drawn from a stack's
+  depth alone or from a family's dice, and the normalized points;
 - ``cli``: ``main`` and one streamed writer per command and format.
 """
 

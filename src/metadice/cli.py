@@ -9,15 +9,17 @@ give byte-identical outputs; timing appears only in the human text report.
 Each command has one writer per format. Every JSON text is
 ``json.dumps(doc, indent=2)`` of its record document plus a line break:
 families, reports, points and graphs are written from their rows with one
-f-string per die, point, failure, node or edge, and the small documents
-by ``json.dumps`` itself. A writer is a generator of text pieces: one per
-die of a family, its listing line, its document entry or its three CSV
-rows; one per point of its JSON points; one per failure of a report; one
-per node or edge of a graph. :func:`_emit` joins and writes them
+f-string per die, point, failure or node, a graph's 5/9 edges a run at a
+time as one join, and the small documents by ``json.dumps`` itself. A
+writer is a generator of text pieces: one per die of a family, its listing
+line, its document entry or its three CSV rows; one per point of its JSON
+points; one per failure of a report; one per node of a graph and one per
+run of up to 9 of its edges. :func:`_emit` joins and writes them
 ``_BATCH`` at a time: a command never holds its whole output.
 ``generate``, ``normalize`` and ``tables`` write a stack's dice as
 :func:`~metadice.hierarchy.walk_dice` yields them, so they hold one block
-of 729 dice, not the family. ``graph`` holds a loaded family whole.
+of 729 dice, not the family. ``graph`` draws a stack's graph from its
+depth and reads no die; it holds a loaded family whole.
 ``verify`` drops the family once it has been checked and writes its
 report holding one ``int`` per failing pair, the :mod:`metadice.sweep`
 record. Nothing is written before the source has loaded, so a command
@@ -55,7 +57,6 @@ from metadice.hierarchy import (
     family_from_json,
     family_from_rows,
     family_header,
-    generate,
     monte_carlo,
     verify_family,
     verify_stack,
@@ -68,10 +69,10 @@ from metadice.sweep import LEVEL_MASK, OUTCOME_MASK, OUTCOME_SHIFT, PAIR_SHIFT
 #: memory of a loaded family's 3^k dice, the failure records held in memory
 #: (one int each, some 40 bytes; their text is streamed, not held), and the
 #: scan of every pair that first differs at level 1 when a family's level-1
-#: table fails (14,348,907 pairs at depth 8). ``verify`` of a stack reads no
-#: die, and ``generate`` and ``normalize`` of a stack hold one block of its
-#: dice, but both keep the ceiling: the time and the output still grow as
-#: 3^k, and exit codes do not depend on the command.
+#: table fails (14,348,907 pairs at depth 8). ``verify`` and ``graph`` of a
+#: stack read no die, and ``generate`` and ``normalize`` of a stack hold one
+#: block of its dice, but all keep the ceiling: the time and the output
+#: still grow as 3^k, and exit codes do not depend on the command.
 DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
@@ -114,14 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "tables", help="print a built-in reference family as a plain listing"
     )
     p.add_argument("--depth", type=int, choices=(1, 2, 3), required=True)
-    _add_output(p)
-    p.set_defaults(func=cmd_tables)
+    _add_output(p, cmd_tables)
 
     p = sub.add_parser("generate", help="generate a family from a preset or stack")
     _add_family_source(p)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    _add_output(p)
-    p.set_defaults(func=cmd_generate)
+    _add_output(p, cmd_generate, "json", "text")
 
     p = sub.add_parser(
         "verify",
@@ -132,27 +130,23 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_family_source(p, stdin=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_output(p)
-    p.set_defaults(func=cmd_verify)
+    _add_output(p, cmd_verify, "text", "json")
 
     p = sub.add_parser("prob", help="exact duel probabilities of two dice")
     p.add_argument("die_a", help="die text, e.g. 2,4,9 or 222x2,489x2,954x2")
     p.add_argument("die_b")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_output(p)
-    p.set_defaults(func=cmd_prob)
+    _add_output(p, cmd_prob, "text", "json")
 
     p = sub.add_parser(
         "roundrobin", help="deterministic all-pairs play of two strength teams"
     )
     p.add_argument("team_a", help="comma-separated integers, e.g. 4,9,2")
     p.add_argument("team_b")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_output(p)
-    p.set_defaults(func=cmd_roundrobin)
+    _add_output(p, cmd_roundrobin, "text", "json")
 
-    p = sub.add_parser("graph", help="export a dominance graph")
+    p = sub.add_parser(
+        "graph", help="export a dominance graph; a stack's is drawn from its depth"
+    )
     _add_family_source(p)
     scope = p.add_mutually_exclusive_group()
     scope.add_argument("--level", type=int, help="prefix level (default 1)")
@@ -161,17 +155,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="one edge per die pair instead of the sibling cycles",
     )
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    _add_output(p)
-    p.set_defaults(func=cmd_graph)
+    _add_output(p, cmd_graph, "dot", "json")
 
     p = sub.add_parser(
         "normalize", help="emit all face values normalized into (0, 1)"
     )
     _add_family_source(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_output(p)
-    p.set_defaults(func=cmd_normalize)
+    _add_output(p, cmd_normalize, "csv", "json")
 
     p = sub.add_parser(
         "simulate", help="seeded Monte Carlo cross-check of a duel"
@@ -180,15 +170,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("die_b")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_output(p)
-    p.set_defaults(func=cmd_simulate)
+    _add_output(p, cmd_simulate, "text", "json")
 
     return parser
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser, func, *formats: str) -> None:
+    """The command's --format, whose first choice is its default, its
+    --output, and the function that runs it."""
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    p.set_defaults(func=func)
 
 
 def _add_family_source(p: argparse.ArgumentParser, *, stdin: bool = False) -> None:
@@ -238,7 +231,9 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
             _check_depth(args.depth, args.allow_large)
         source, noun = preset_stack(args.preset, args.depth), "preset"
     elif args.stack is not None:
-        source, noun = parse_stack(Path(args.stack).read_text()), "stack"
+        # as a family document's stack echo is read
+        text = Path(args.stack).read_text()
+        source, noun = parse_stack(text, allow_zero=True), "stack"
     elif args.family is not None:
         try:
             doc = json.loads(Path(args.family).read_text())
@@ -270,13 +265,6 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
             f" multiplicity {source.multiplicity}"
         )
     return source, source.multiplicity
-
-
-def _load_family(args) -> DiceFamily:
-    source, multiplicity = _load_source(args)
-    if isinstance(source, AssignmentStack):
-        return generate(source, multiplicity)
-    return source
 
 
 def _load_dice(args) -> tuple[int, int, AssignmentStack | None, Iterable]:
@@ -314,11 +302,13 @@ def _listing_rows(lines: Iterable[str]) -> Iterator[list[str]]:
 
 
 #: Pieces joined per write. A writer yields one piece per die, point,
-#: failure, node or edge, and a batch is held three times at its peak: as
-#: pieces, joined and encoded. The largest pieces are a verify report's
-#: failures, ~390 bytes (a depth-8 die's family entry is ~240, its three
-#: CSV rows ~135 and a JSON point ~160), so 64 of them take ~25 KB each
-#: time where 256 took ~100 KB. Measured with
+#: failure, graph node or graph row, and a batch is held three times at its
+#: peak: as pieces, joined and encoded. The largest pieces are a full
+#: graph's rows, runs of up to 9 edges: ~760 bytes as JSON and ~320 as DOT
+#: at depth 7, so 64 of them take ~50 KB each time. A verify report's
+#: failures take ~390 bytes (a depth-8 die's family entry ~240, its three
+#: CSV rows ~135 and a JSON point ~160), 64 of them ~25 KB, where 256 took
+#: ~100 KB. Measured with
 #: ``tracemalloc`` on a depth-6 document with five altered digits: with 256
 #: pieces and the family held, writing the JSON report peaked at 991 KB,
 #: above the 766 KB of loading and checking it; with 64 and the family
@@ -630,7 +620,7 @@ def cmd_roundrobin(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    graph = graph_rows(_load_family(args), args.level, full=args.full_graph)
+    graph = graph_rows(_load_source(args)[0], args.level, full=args.full_graph)
     write = graph_json_text if args.format == "json" else graph_dot
     _emit(args, write(graph))
     return 0

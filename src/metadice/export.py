@@ -5,42 +5,51 @@ prefixes as nodes, each trio of siblings wired into its 3-cycle) and the
 full view (every pair of dice, one edge per pair). Sibling edges follow the
 cycle and carry the source's exact win probability, so on a failing family
 one can point from a loser; full-view edges point from winner to loser.
-Each view is one integer walk in (source, target) order. A sibling trio's
-win counts are read off its three representative dice's 3x3 face grids; the
-full view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
+Each view is one integer walk in (source, target) order. A validated
+stack's graph is drawn from its depth alone and reads no die: every pair
+of its family duels 5/9 the cycle's way. A loaded family's sibling trio is
+labeled from its three representative dice's 3x3 face grids, and its full
+view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
 the path ``verify`` runs, and every other pair duels 5/9 the cycle's way.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
 
-Each text has one writer, a generator of text pieces: one per node, edge
-or JSON point, and one per die for the CSV, whose three rows make one
+Each text has one writer, a generator of text pieces: one per node, graph
+row or JSON point, and one per die for the CSV, whose three rows make one
 piece, with the separators that make the joined pieces the whole text.
 The CLI writes them a batch at a time, so no output is ever held whole.
-:func:`graph_rows` gives a graph as its node names and (source, target,
-label) rows straight from its walk, and :func:`graph_dot` and
-:func:`graph_json_text` write its DOT and JSON from them.
+:func:`graph_rows` gives a graph as its node names and its edges in runs
+(source, first target, end, label) straight from its walk, and
+:func:`graph_dot` and :func:`graph_json_text` write its DOT and JSON from
+them, a run of 5/9 edges as one join of its targets' text.
 :func:`family_csv` and :func:`points_json_text` write the points from a
 family's rank faces as they come, a loaded family's or a stack's walk.
 No writer builds a record. The record API, :func:`build_graph`
-(the same walks, labeled with fractions), :func:`normalized_values` and
+(the runs expanded, labeled with fractions), :func:`normalized_values` and
 their renderers, returning whole strings and documents, is the tests' oracle.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from bisect import bisect_left
+from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import NINTHS, Face
 from metadice.hierarchy import DiceFamily, Word, die_number, verify_family
-from metadice.sweep import unpack
+from metadice.sweep import PAIR_SHIFT, unpack
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from metadice.loshu import AssignmentStack
+
+    Source = DiceFamily | AssignmentStack
+
 Prefix = tuple[int, ...]
+FIVE = NINTHS[5]
 
 
 class Edge(NamedTuple):
@@ -65,9 +74,11 @@ def node_name(prefix: Prefix, depth: int) -> str:
 
 
 def build_graph(
-    family: DiceFamily, level: int | None = None, *, full: bool = False
+    source: Source, level: int | None = None, *, full: bool = False
 ) -> DominanceGraph:
-    """Dominance graph of a family, drawn from integer win counts.
+    """Dominance graph of a family or of a validated stack's family: the
+    runs of :func:`graph_rows`, one :class:`Edge` per edge, labeled with
+    fractions.
 
     Sibling mode (default) at level m: nodes are the 3^m prefixes; each
     group of three siblings gets its cycle edges, labeled with the win
@@ -76,106 +87,126 @@ def build_graph(
     for a valid family every cross-group pair duels alike, so the label is
     the group claim. Full mode emits one edge per unordered pair of dice,
     winner to loser, in (source, target) order; a pair with no strict
-    winner keeps word order and its win probability. It reads the failing
-    pairs from :func:`metadice.hierarchy.verify_family`, so a certified
-    family compares no pair. A level given with ``full`` is refused.
+    winner keeps word order and its win probability. A family's failing
+    pairs come from :func:`metadice.hierarchy.verify_family`, so a
+    certified family compares no pair; a stack's family has none. A level
+    given with ``full`` is refused.
     """
     from fractions import Fraction
 
-    level = _graph_level(family, level, full)
+    depth, level, full, _, rows = graph_rows(source, level, full=full)
     nodes = tuple(product((0, 1, 2), repeat=level))
-    ninths = [Fraction(k, 9) for k in range(10)]
-    rows = _full_rows(family, ninths) if full else _sibling_rows(family, level, ninths)
-    edges = tuple(Edge(nodes[s], nodes[t], p) for s, t, p in rows)
-    return DominanceGraph(family.depth, level, full, nodes, edges)
+    ninths = {text: Fraction(k, 9) for k, text in enumerate(NINTHS)}
+    edges = tuple(
+        Edge(nodes[s], nodes[t], ninths[label])
+        for s, first, end, label in rows for t in range(first, end)
+    )
+    return DominanceGraph(depth, level, full, nodes, edges)
 
 
-def _graph_level(family: DiceFamily, level: int | None, full: bool) -> int:
-    """The level a graph is drawn at: 1 by default, and the depth for a
-    full graph, which refuses a given level."""
-    if full:
-        if level is not None:
-            raise ValueError("a full graph has no level: it pairs every die")
-        return family.depth
-    if level is None:
-        return 1
-    if not 1 <= level <= family.depth:
-        raise ValueError(f"level {level} outside 1..{family.depth}")
-    return level
+def _sibling_rows(depth: int, level: int, family: DiceFamily | None) -> Iterator:
+    """The sibling edges at ``level`` as runs of one edge over node indices:
+    sibling s of a trio points to sibling s + 1 around the cycle, so the
+    rows come in (source, target) order. A stack's edges are 5/9; a
+    family's are labeled with the source's wins over the 3x3 grid of the
+    representative dice's faces, where equal-length faces compare as their
+    values."""
+    faces = None if family is None else family.rank_faces[:: 3 ** (depth - level)]
+    for s in range(3 ** level):
+        t = s - s % 3 + (s + 1) % 3
+        wins = 5 if faces is None else sum(x > y for x in faces[s] for y in faces[t])
+        yield s, t, t + 1, NINTHS[wins]
 
 
-def _sibling_rows(family: DiceFamily, level: int, labels: Sequence) -> Iterator[tuple]:
-    """The sibling edges at ``level`` as (source, target, ``labels[k]``) rows
-    over node indices, where k/9 is the source's win probability: sibling s
-    of a trio points to sibling s + 1 around the cycle, so the rows come in
-    (source, target) order. Equal-length faces compare as their values."""
-    stride = 3 ** (family.depth - level)
-    for n in range(3 ** (level - 1)):
-        a, b, c = family.rank_faces[3 * n * stride : 3 * (n + 1) * stride : stride]
-        yield 3 * n, 3 * n + 1, labels[sum(x > y for x in a for y in b)]
-        yield 3 * n + 1, 3 * n + 2, labels[sum(x > y for x in b for y in c)]
-        yield 3 * n + 2, 3 * n, labels[sum(x > y for x in c for y in a)]
+def _full_rows(depth: int, family: DiceFamily | None) -> Iterator:
+    """Every full-graph edge, dice by index, in (source, target) order, in
+    runs of at most 9 edges.
 
-
-def _full_rows(family: DiceFamily, labels: Sequence) -> Iterator[tuple]:
-    """Every full-graph edge as a (source, target, label) row, dice by
-    index, in (source, target) order; ``labels[k]`` labels a win of k/9.
-
-    A failing pair points from the die with more wins, in index order on
-    equal wins. Every other pair is won 5/9 by the die the cycle favors: at
-    each level, a die's block beats the next sibling block around the cycle.
+    Each pair is won 5/9 by the die the cycle favors: at each level, a die's
+    block beats the next sibling block around the cycle, so a source's
+    targets are one block per level. A stack's family fails no pair. A
+    family's failing pairs, the records of :func:`verify_family` in (i, j)
+    order, are cut out of those blocks: a failing pair points from the die
+    with more wins, in index order on equal wins, as a run of its own.
     """
-    moved: dict[int, list[tuple[int, int]]] = {}  # source -> (target, wins)
-    failed: dict[int, set[int]] = {}  # die -> the dice it fails against
-    for record in verify_family(family).records:
-        i, j, _, wins, ties = unpack(record, family.depth)
-        loss = 9 - wins - ties
-        source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
-        moved.setdefault(source, []).append((target, ninths))
-        failed.setdefault(i, set()).add(j)
-        failed.setdefault(j, set()).add(i)
-    sizes = [3 ** p for p in range(family.depth)]
-    for s in range(family.size):
+    records = () if family is None else verify_family(family).records
+    n = 3 ** depth
+    sizes = [3 ** p for p in range(depth)]
+    # each die's failing pairs in order of its partner in them: the records
+    # come in (i, j) order, so a die's pairs as j come before those as i
+    fails = [[] for _ in range(n)]
+    for record in records:
+        for die in divmod(record >> PAIR_SHIFT, n):
+            fails[die].append(record)
+    for s in range(n):
+        cuts, runs = [], []  # s's partner in each failing pair, in order
+        for record in fails[s]:
+            i, j, _, wins, ties = unpack(record, depth)
+            loss = 9 - wins - ties
+            source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
+            cuts.append(i + j - s)
+            if source == s:
+                runs.append((target, target + 1, NINTHS[ninths]))
         # (first die, size) of the block that s's block beats, at each level
-        beaten = sorted(
-            (s - s % (3 * size) + (s // size + 1) % 3 * size, size) for size in sizes
-        )
-        targets = chain.from_iterable(range(lo, lo + size) for lo, size in beaten)
-        if s not in failed:
-            yield from zip(repeat(s), targets, repeat(labels[5]))
-            continue
-        rows = [(t, 5) for t in targets if t not in failed[s]] + moved.get(s, [])
-        yield from ((s, t, labels[ninths]) for t, ninths in sorted(rows))
+        beaten = sorted((s - s % (3 * k) + (s // k + 1) % 3 * k, k) for k in sizes)
+        for lo, size in beaten:
+            end = lo + size
+            for cut in cuts[bisect_left(cuts, lo) : bisect_left(cuts, end)]:
+                runs.append((lo, cut, FIVE))
+                lo = cut + 1
+            runs.append((lo, end, FIVE))
+        runs.sort()
+        for lo, end, label in runs:
+            for first in range(lo, end, 9):
+                yield s, first, first + 9 if first + 9 < end else end, label
 
 
 class GraphRows(NamedTuple):
     """A graph as its writers read it: node names in node order, and edges
-    as (source, target, label) rows over them, in order, read once."""
+    in runs (source, first target, end, label), each one source's edges to
+    the targets first..end - 1 under one label, in (source, target) order,
+    read once. A run holds at most 9 edges, and one unless labeled 5/9."""
 
     depth: int
     level: int
     full: bool
     names: Sequence[str]
-    rows: Iterable[tuple[int, int, str]]
+    rows: Iterable[tuple[int, int, int, str]]
 
 
 def graph_rows(
-    family: DiceFamily, level: int | None = None, *, full: bool = False
+    source: Source, level: int | None = None, *, full: bool = False
 ) -> GraphRows:
-    """The rows of ``build_graph(family, level, full=full)``, straight from
-    the walk: no ``Edge`` is built and no edge sorted."""
-    level = _graph_level(family, level, full)
-    nodes = product((0, 1, 2), repeat=level)
-    names = [node_name(prefix, family.depth) for prefix in nodes]
-    rows = _full_rows(family, NINTHS) if full else _sibling_rows(family, level, NINTHS)
-    return GraphRows(family.depth, level, full, names, rows)
+    """The rows of ``build_graph(source, level, full=full)``, straight from
+    the walk, drawn at level 1 by default and at the depth in full.
+
+    A validated stack's graph is drawn from its depth alone, every edge 5/9
+    the cycle's way: no die is read. A family's sibling labels are read off
+    its dice, and its full view checks its pairs as ``verify`` does.
+    """
+    depth = source.depth
+    if full and level is not None:
+        raise ValueError("a full graph has no level: it pairs every die")
+    level = depth if full else 1 if level is None else level
+    if not 1 <= level <= depth:
+        raise ValueError(f"level {level} outside 1..{depth}")
+    if level == depth:
+        names = [f"D{n}" for n in range(1, 3 ** depth + 1)]
+    else:
+        names = ["".join(prefix) for prefix in product("012", repeat=level)]
+    family = source if isinstance(source, DiceFamily) else None
+    if full:
+        rows = _full_rows(depth, family)
+    else:
+        rows = _sibling_rows(depth, level, family)
+    return GraphRows(depth, level, full, names, rows)
 
 
 def _graph_rows(graph: DominanceGraph) -> GraphRows:
     nodes = sorted(graph.nodes)
     position = {prefix: k for k, prefix in enumerate(nodes)}
     rows = sorted(
-        (position[source], position[target], str(probability))
+        (position[source], position[target], position[target] + 1, str(probability))
         for source, target, probability in graph.edges
     )
     names = [node_name(prefix, graph.depth) for prefix in nodes]
@@ -191,14 +222,30 @@ def joined(items: Iterable[str], sep: str) -> Iterator[str]:
         yield sep + item
 
 
-def graph_dot(graph: GraphRows) -> Iterator[str]:
-    """DOT text of the named nodes and the rows, one line per piece."""
+def _edge_pieces(graph: GraphRows, lead: str, tail: str, sep: str) -> Iterator[str]:
+    """One piece per row: each edge's text is ``lead`` formatted with the
+    source's name and ``tail`` with the target's name and the label, and
+    ``sep`` joins a row's edges. Each node's lead and 5/9 tail are
+    formatted once per graph, so a 5/9 run is one join of its targets'
+    tails."""
     names = graph.names
+    heads = [lead.format(name) for name in names]
+    tails = [tail.format(name, FIVE) for name in names]
+    for source, first, end, label in graph.rows:
+        head = heads[source]
+        if label == FIVE:
+            yield head + (sep + head).join(tails[first:end])
+        else:  # a run of one edge
+            yield head + tail.format(names[first], label)
+
+
+def graph_dot(graph: GraphRows) -> Iterator[str]:
+    """DOT text of the named nodes and the rows: one line per node, and
+    one row's lines per piece."""
     yield "digraph dominance {\n"
-    for name in names:
+    for name in graph.names:
         yield f'  "{name}";\n'
-    for source, target, label in graph.rows:
-        yield f'  "{names[source]}" -> "{names[target]}" [label="{label}"];\n'
+    yield from _edge_pieces(graph, '  "{}" -> ', '"{}" [label="{}"];\n', "")
     yield "}\n"
 
 
@@ -218,31 +265,25 @@ def graph_to_json(graph: DominanceGraph) -> dict:
         "nodes": names,
         "edges": [
             {"from": names[source], "to": names[target], "probability": label}
-            for source, target, label in rows
+            for source, target, _, label in rows
         ],
     }
 
 
 def graph_json_text(graph: GraphRows) -> Iterator[str]:
     """The graph document's indented JSON, as ``json.dumps(indent=2)``
-    writes it, with one f-string per node and per edge. Names and labels
-    need no JSON escapes."""
-    names = graph.names
+    writes it: one piece per node and one row's edges per piece. Names and
+    labels need no JSON escapes."""
     full = "true" if graph.full else "false"
     yield (
         f'{{\n  "depth": {graph.depth},\n  "level": {graph.level},\n'
         f'  "full": {full},\n  "nodes": [\n    '
     )
-    yield from joined((f'"{name}"' for name in names), ",\n    ")
+    yield from joined((f'"{name}"' for name in graph.names), ",\n    ")
     yield '\n  ],\n  "edges": [\n    '
-    yield from joined(
-        (
-            f'{{\n      "from": "{names[source]}",\n      "to": "{names[target]}",\n'
-            f'      "probability": "{label}"\n    }}'
-            for source, target, label in graph.rows
-        ),
-        ",\n    ",
-    )
+    lead = '{{\n      "from": "{}",\n      "to": '
+    tail = '"{}",\n      "probability": "{}"\n    }}'
+    yield from joined(_edge_pieces(graph, lead, tail, ",\n    "), ",\n    ")
     yield "\n  ]\n}\n"
 
 

@@ -28,7 +28,7 @@ from metadice.cli import (
     report_json_text,
     report_text,
 )
-from metadice.export import build_graph, to_dot
+from metadice.export import build_graph, graph_to_json, to_dot
 from metadice.hierarchy import (
     DiceFamily,
     family_from_json,
@@ -727,7 +727,6 @@ def test_verify_proves_a_stack_without_dice(run_cli, monkeypatch, tmp_path):
         "".join(report_json_text(verify_family(generate(stack, multiplicity))))
         for _, stack, multiplicity in cases
     ]
-    monkeypatch.setattr(cli, "generate", unreachable)
     monkeypatch.setattr(hierarchy, "generate", unreachable)
     monkeypatch.setattr(certificate, "certify", unreachable)
     for (argv, *_), want in zip(cases, expected):
@@ -774,7 +773,6 @@ def test_verify_a_deep_stack_from_its_depth(run_cli, monkeypatch):
     """A depth-40 stack is proven at once; the ceiling still refuses depth
     9 without --allow-large. Building its 3^40 dice would exhaust memory,
     so generating them fails the test instead."""
-    monkeypatch.setattr(cli, "generate", unreachable)
     monkeypatch.setattr(hierarchy, "generate", unreachable)
     argv = ["verify", "--preset", "uniform", "--depth", "40", "--allow-large"]
     start = time.perf_counter()
@@ -932,8 +930,9 @@ def traced_peak(call) -> int:
 
 
 def test_graph_holds_the_family_not_its_edges(monkeypatch):
-    """The depth-5 full graph, 29,403 edges, is written holding its 243
-    dice and a batch of lines: a quarter of its text is more than enough."""
+    """The depth-5 full graph of a stack, 29,403 edges, is drawn from the
+    stack's depth, with no die built, and written holding a batch of runs:
+    a quarter of its text is more than enough."""
     sink = ByteCounter()
     monkeypatch.setattr(sys, "stdout", sink)
     argv = ["graph", "--preset", "uniform", "--depth", "5", "--full-graph"]
@@ -943,6 +942,32 @@ def test_graph_holds_the_family_not_its_edges(monkeypatch):
     graph = build_graph(generate(preset_stack("uniform", 5)), full=True)
     assert sink.bytes == len(to_dot(graph))
     assert peak < sink.bytes / 4
+
+
+def test_failing_full_graph_holds_its_records_and_little_more(monkeypatch):
+    """The full graph of the failed level-1 depth-6 family is written from
+    its 59,049 failure records, each held as one int, and each die's list
+    of its failing pairs: under 40 bytes per record beyond the records
+    themselves."""
+    family = level1_failed_family(6)
+    tracemalloc.start()
+    try:
+        report = verify_family(family)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 59049
+    del report
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    args = argparse.Namespace(output=None)
+
+    def write():
+        cli._emit(args, export.graph_dot(export.graph_rows(family, full=True)))
+
+    peak = traced_peak(write)
+    assert sink.bytes == len(to_dot(build_graph(family, full=True)))
+    assert peak - held < 40 * 59049, (peak - held) / 59049
 
 
 @pytest.mark.parametrize("writer", [report_json_text, report_text])
@@ -1043,6 +1068,68 @@ def test_graph_writers_build_no_edge_record(run_cli, monkeypatch):
     for argv, want in zip(calls, wants):
         assert want[0] == 0
         assert run_cli(argv) == want
+
+
+#: The stack echo of a family whose tables hold digit 0 in place of 1.
+ZERO_DIGIT_ECHO = ["2,4,9;0,6,8;3,5,7", "2,8,5;9,6,3;4,0,7 rot=w1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate"],
+        ["verify", "--format", "json"],
+        ["normalize"],
+        ["graph", "--full-graph"],
+    ],
+    ids=["generate", "verify", "normalize", "graph"],
+)
+def test_stack_with_digit_zero_reads_as_a_documents_echo(run_cli, tmp_path, argv):
+    """``--stack`` is read as a family document's stack echo is, digit 0
+    allowed: the echo of the document ``generate --family`` writes, given
+    back as ``--stack``, exits 0 and writes what the document does."""
+    echo = parse_stack("\n".join(ZERO_DIGIT_ECHO), allow_zero=True)
+    document = tmp_path / "family.json"
+    document.write_text(json.dumps(family_to_json(generate(echo))))
+    code, out, err = run_cli(["generate", "--family", str(document)])
+    assert (code, err) == (0, "")
+    document.write_text(out)
+    stack = tmp_path / "stack.txt"
+    stack.write_text("\n".join(json.loads(out)["stack"]) + "\n")
+    want = run_cli([*argv, "--family", str(document)])
+    assert want[0] == 0
+    assert run_cli([*argv, "--stack", str(stack)]) == want
+
+
+def test_a_stacks_graph_reads_no_die(run_cli, monkeypatch, tmp_path):
+    """``graph --preset`` and ``--stack``, at a level and in full, write the
+    record path's text for the generated family with every way to build or
+    check a die made unreachable: the graph is drawn from the depth."""
+    path = tmp_path / "rotated.txt"
+    path.write_text(ROTATED_STACK)
+    sources = [
+        (["--preset", "paper-3"], preset_stack("paper-3")),
+        (["--preset", "uniform", "--depth", "4"], preset_stack("uniform", 4)),
+        (["--stack", str(path)], parse_stack(ROTATED_STACK)),
+    ]
+    scopes = [(["--level", "1"], 1, False), (["--level", "3"], 3, False)]
+    scopes.append((["--full-graph"], None, True))
+    calls = [
+        (["graph", *argv, *scope], build_graph(generate(stack), level, full=full))
+        for argv, stack in sources
+        for scope, level, full in scopes
+    ]
+    monkeypatch.setattr(hierarchy, "generate", unreachable)
+    monkeypatch.setattr(hierarchy, "walk_dice", unreachable)
+    monkeypatch.setattr(hierarchy, "verify_family", unreachable)
+    monkeypatch.setattr(export, "verify_family", unreachable)
+    monkeypatch.setattr(DiceFamily, "__init__", unreachable)
+    monkeypatch.setattr(DiceFamily, "_trusted", unreachable)
+    for argv, graph in calls:
+        assert run_cli(argv) == (0, to_dot(graph), "")
+        code, out, err = run_cli([*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(graph_to_json(graph), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Dominance graphs, DOT/JSON serialization, normalized point emission."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -44,7 +45,12 @@ from metadice.hierarchy import (
 )
 from metadice.loshu import parse_stack, preset_stack
 from metadice.sweep import sweep_pairs, unpack
-from test_hierarchy import certificate_families, frozen
+from test_hierarchy import (
+    ZERO_DIGIT_STACK,
+    block_rotated_stack,
+    certificate_families,
+    frozen,
+)
 
 FIVE_NINTHS = Fraction(5, 9)
 
@@ -181,8 +187,9 @@ def test_graphs_match_duel_oracle_on_random_families():
                 assert rows.names == ["".join(map(str, p)) for p in prefixes]
             # one edge out of every node, in node order, around its cycle
             rows = list(rows.rows)
-            assert [source for source, _, _ in rows] == list(range(3 ** level))
-            for source, target, label in rows:
+            assert [source for source, _, _, _ in rows] == list(range(3 ** level))
+            for source, target, end, label in rows:
+                assert end == target + 1
                 a, b = prefixes[source], prefixes[target]
                 assert b == a[:-1] + ((a[-1] + 1) % 3,)
                 rep = [die_number(p + pad) - 1 for p in (a, b)]
@@ -359,6 +366,83 @@ def zero_digit_rotated_stack(depth):
         rotation = ("", f" rot=w{depth - 6}", f" rot=w{level - 1}")[level % 3]
         lines.append(tables[level % 3] + rotation)
     return parse_stack("\n".join(lines), allow_zero=True)
+
+
+def digest(pieces):
+    """The SHA-256 of the joined pieces, read one at a time: a depth-7 full
+    graph's text is never held whole."""
+    hasher = hashlib.sha256()
+    for piece in pieces:
+        hasher.update(piece.encode())
+    return hasher.hexdigest()
+
+
+class TestStackGraphs:
+    """A validated stack's graph is drawn from its depth alone. At every
+    sibling level and in full, its DOT and JSON are the family path's text
+    for ``generate(stack)``, whose sibling labels are read off its dice and
+    whose full view checks its pairs."""
+
+    @staticmethod
+    def assert_graphs_match_family(stack):
+        family = generate(stack)
+        scopes = [(level, False) for level in range(1, stack.depth + 1)]
+        for level, full in scopes + [(None, True)]:
+            for write in (graph_dot, graph_json_text):
+                got = digest(write(graph_rows(stack, level, full=full)))
+                want = digest(write(graph_rows(family, level, full=full)))
+                assert got == want, (write.__name__, level, full)
+
+    @given(valid_stacks(max_depth=5))
+    def test_random_stacks(self, stack):
+        self.assert_graphs_match_family(stack)
+
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("paper-1", None), ("paper-2", None), ("paper-3", None)]
+        + [("uniform", depth) for depth in range(1, 7)],
+    )
+    def test_presets(self, name, depth):
+        self.assert_graphs_match_family(preset_stack(name, depth))
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            ZERO_DIGIT_STACK,
+            zero_digit_rotated_stack(7),
+            block_rotated_stack(7, "both"),
+        ],
+        ids=["zero-digit-4", "zero-digit-rotated-7", "block-rotated-7"],
+    )
+    def test_rotated_and_zero_digit_stacks(self, stack):
+        self.assert_graphs_match_family(stack)
+
+    def test_stack_graph_equals_the_record_path(self):
+        """The runs expanded are the record path's edges, every one 5/9."""
+        stack = preset_stack("uniform", 4)
+        for level, full in [(1, False), (3, False), (None, True)]:
+            graph = build_graph(stack, level, full=full)
+            assert graph == build_graph(generate(stack), level, full=full)
+            assert {edge.probability for edge in graph.edges} == {FIVE_NINTHS}
+            text = "".join(graph_dot(graph_rows(stack, level, full=full)))
+            assert_same_text(text, to_dot(graph))
+            text = "".join(graph_json_text(graph_rows(stack, level, full=full)))
+            assert_same_text(text, indented(graph_to_json(graph)))
+
+
+def test_full_graph_runs_hold_at_most_nine_edges():
+    """Each full-graph row is one source's run of 1 to 9 consecutive
+    targets, rows in (source, target) order, and together they are every
+    pair once; a run under any label but 5/9 holds one edge. On a passing
+    and on a failing family, whose failing pairs cut 5/9 runs apart."""
+    for family in (generate(preset_stack("uniform", 4)), level1_failed_family(4)):
+        rows = list(graph_rows(family, full=True).rows)
+        assert all(1 <= end - first <= 9 for _, first, end, _ in rows)
+        assert all(end - first == 1 for _, first, end, label in rows if label != "5/9")
+        edges = [(s, t) for s, first, end, _ in rows for t in range(first, end)]
+        assert edges == sorted(edges)
+        pairs = sorted(tuple(sorted(edge)) for edge in edges)
+        assert pairs == list(combinations(range(family.size), 2))
 
 
 class TestDot:

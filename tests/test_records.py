@@ -350,6 +350,39 @@ def test_only_exact_duels_load_fractions(tmp_path):
     assert out == [f"{exit_code} {argv[0] == 'prob'}" for argv, exit_code in runs]
 
 
+def test_a_stacks_graph_loads_no_certificate(tmp_path):
+    """``graph`` of a stack or a preset draws its graph from the depth, so
+    the process never loads the certificate; ``graph --family``, which
+    checks the family's pairs, does."""
+    stack = tmp_path / "stack.txt"
+    stack.write_text("2,4,9;1,6,8;3,5,7\n" * 3)
+    family = tmp_path / "family.json"
+    dice = [{"word": [n], "faces": list(faces)} for n, faces in enumerate(FACES)]
+    family.write_text(json.dumps({"depth": 1, "dice": dice}))
+    runs = [
+        ["graph", "--stack", str(stack), "--full-graph"],
+        ["graph", "--stack", str(stack), "--level", "2", "--format", "json"],
+        ["graph", "--preset", "uniform", "--depth", "4", "--full-graph"],
+        ["graph", "--family", str(family), "--full-graph"],
+    ]
+    code = (
+        "import sys\n"
+        "from metadice.cli import main\n"
+        f"for n, argv in enumerate({runs!r}):\n"
+        "    code = main([*argv, '--output', f'{sys.argv[1]}/{n}.out'])\n"
+        "    print(code, 'metadice.certificate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out == ["0 False", "0 False", "0 False", "0 True"]
+
+
 def test_package_root_imports_no_module():
     """Every name is imported from its module: ``import metadice`` loads no
     ``metadice.`` module, and ``python -m metadice`` still runs."""
