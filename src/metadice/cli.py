@@ -24,12 +24,24 @@ depth and reads no die; it holds a loaded family whole.
 report holding one ``int`` per failing pair, the :mod:`metadice.sweep`
 record. Nothing is written before the source has loaded, so a command
 that exits 2 writes nothing.
+
+A command's process compiles only what it runs. :mod:`metadice.export` is
+bound lazily, with :class:`importlib.util.LazyLoader`, and compiled when a
+command first reads one of its writers once the source has loaded: only
+``graph`` and ``normalize`` do. :mod:`metadice.certificate` is imported
+when ``verify`` first checks a family's dice. ``python -m metadice`` and
+the installed script run :func:`main` through :mod:`metadice.__main__`,
+which freezes the collector once the command has written its output, so
+the interpreter's shutdown collections walk none of the objects left.
+:func:`main` itself leaves nothing frozen, because tests and library
+callers run it in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import operator
 import os
@@ -37,18 +49,9 @@ import re
 import sys
 from contextlib import contextmanager, nullcontext
 from itertools import islice, product, repeat
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from metadice.dice import NINTHS, duel, is_digit_string, parse_die, round_robin
-from metadice.export import (
-    family_csv,
-    graph_dot,
-    graph_json_text,
-    graph_rows,
-    joined,
-    points_json_text,
-)
 from metadice.hierarchy import (
     DiceFamily,
     FamilyFormatError,
@@ -57,6 +60,7 @@ from metadice.hierarchy import (
     family_from_json,
     family_from_rows,
     family_header,
+    joined,
     monte_carlo,
     verify_family,
     verify_stack,
@@ -64,6 +68,29 @@ from metadice.hierarchy import (
 )
 from metadice.loshu import AssignmentStack, parse_stack, preset_stack
 from metadice.sweep import LEVEL_MASK, OUTCOME_MASK, OUTCOME_SHIFT, PAIR_SHIFT
+
+
+def _lazy_import(name: str):
+    """The module ``name``, compiled and run when one of its attributes is
+    first read: :class:`importlib.util.LazyLoader`'s recipe, registered in
+    ``sys.modules`` and bound on its package, as the import system does."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+    return module
+
+
+# Only graph and normalize read it. Lazy rather than imported inside those
+# commands, because bench/traced_cli.py reads sys.modules["metadice.export"]
+# right after ``import metadice.cli``; once ROADMAP item 1's rewrite of
+# bench/ drops that, this can be a plain import inside the two commands.
+export = _lazy_import("metadice.export")
 
 #: Depth accepted without --allow-large. It guards the dice path: the
 #: memory of a loaded family's 3^k dice, the failure records held in memory
@@ -232,11 +259,10 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
         source, noun = preset_stack(args.preset, args.depth), "preset"
     elif args.stack is not None:
         # as a family document's stack echo is read
-        text = Path(args.stack).read_text()
-        source, noun = parse_stack(text, allow_zero=True), "stack"
+        source, noun = parse_stack(_read(args.stack), allow_zero=True), "stack"
     elif args.family is not None:
         try:
-            doc = json.loads(Path(args.family).read_text())
+            doc = json.loads(_read(args.family))
         except RecursionError:
             raise FamilyFormatError("family document nests too deeply") from None
         _check_depth(document_depth(doc), args.allow_large)  # before the dice
@@ -265,6 +291,13 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
             f" multiplicity {source.multiplicity}"
         )
     return source, source.multiplicity
+
+
+def _read(path: str) -> str:
+    """The text of the file at ``path``, as ``pathlib.Path.read_text`` reads
+    it, with its errors, without loading ``pathlib``."""
+    with open(path) as f:
+        return f.read()
 
 
 def _load_dice(args) -> tuple[int, int, AssignmentStack | None, Iterable]:
@@ -620,15 +653,16 @@ def cmd_roundrobin(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    graph = graph_rows(_load_source(args)[0], args.level, full=args.full_graph)
-    write = graph_json_text if args.format == "json" else graph_dot
+    source, _ = _load_source(args)  # before export is compiled
+    graph = export.graph_rows(source, args.level, full=args.full_graph)
+    write = export.graph_json_text if args.format == "json" else export.graph_dot
     _emit(args, write(graph))
     return 0
 
 
 def cmd_normalize(args) -> int:
     depth, _, _, dice = _load_dice(args)
-    write = points_json_text if args.format == "json" else family_csv
+    write = export.points_json_text if args.format == "json" else export.family_csv
     _emit(args, write(depth, dice))
     return 0
 

@@ -38,7 +38,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import NINTHS, Face
-from metadice.hierarchy import DiceFamily, Word, die_number, verify_family
+from metadice.hierarchy import DiceFamily, Word, die_number, joined, verify_family
 from metadice.sweep import PAIR_SHIFT, unpack
 
 if TYPE_CHECKING:
@@ -211,15 +211,6 @@ def _graph_rows(graph: DominanceGraph) -> GraphRows:
     )
     names = [node_name(prefix, graph.depth) for prefix in nodes]
     return GraphRows(graph.depth, graph.level, graph.full, names, rows)
-
-
-def joined(items: Iterable[str], sep: str) -> Iterator[str]:
-    """The pieces of ``sep.join(items)``: each item, the separator in front
-    of every item but the first."""
-    items = iter(items)
-    yield next(items, "")
-    for item in items:
-        yield sep + item
 
 
 def _edge_pieces(graph: GraphRows, lead: str, tail: str, sep: str) -> Iterator[str]:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 import time
 from bisect import bisect_right
 from collections import Counter
@@ -438,6 +437,9 @@ def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
     Deterministic for a fixed seed; ties count as non-wins. This is the
     stochastic cross-check of the exact :func:`metadice.dice.duel` engine.
     """
+    # imported here, so that only ``simulate`` loads it
+    import random
+
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if x.digit_length != y.digit_length:
@@ -454,6 +456,16 @@ def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
         if roll > fy[bisect_right(cy, rng.randrange(ny))]:
             wins += 1
     return wins / trials
+
+
+def joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    """The pieces of ``sep.join(items)``: each item, the separator in front
+    of every item but the first. The JSON writers of ``cli`` and
+    :mod:`metadice.export` join their entries with it."""
+    items = iter(items)
+    yield next(items, "")
+    for item in items:
+        yield sep + item
 
 
 def family_header(

@@ -8,9 +8,13 @@ independently certified construction data.
 from __future__ import annotations
 
 import io
+import json
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -147,3 +151,43 @@ def run_cli_main(argv, stdin_text=None):
 @pytest.fixture
 def run_cli():
     return run_cli_main
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A child's ``sitecustomize``: it records the file of every ``compile``
+#: audit event from start-up on and, from the first ``atexit`` callback
+#: registered, so the last to run, the collector's freeze count. It writes
+#: both to ``probe.json`` beside itself.
+PROBE = """\
+import atexit, gc, json, os, sys
+
+compiled = []
+
+
+def audit(event, args):
+    if event == "compile" and isinstance(args[1], str):
+        compiled.append(args[1])
+
+
+def report():
+    doc = {"compiled": compiled, "freeze_count": gc.get_freeze_count()}
+    with open(os.path.join(os.path.dirname(__file__), "probe.json"), "w") as f:
+        json.dump(doc, f)
+
+
+sys.addaudithook(audit)
+atexit.register(report)
+"""
+
+
+def run_probed(args, probe_dir: Path, **env):
+    """Run ``python *args`` in a fresh process with :data:`PROBE` as its
+    ``sitecustomize`` and ``src`` on its path; returns the completed
+    process, stdout and stderr as bytes, and the probe's record."""
+    probe_dir.mkdir(exist_ok=True)
+    (probe_dir / "sitecustomize.py").write_text(PROBE)
+    env = dict(os.environ, PYTHONPATH=f"{probe_dir}{os.pathsep}{SRC}", **env)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True)
+    with open(probe_dir / "probe.json") as f:
+        return proc, json.load(f)

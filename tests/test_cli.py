@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_rank_faces, run_cli_main
+from conftest import random_rank_faces, run_cli_main, run_probed
 from metadice import certificate, cli, export, hierarchy
 from metadice.cli import (
     DEPTH_CEILING,
@@ -1157,6 +1157,52 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path, argv, code):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (code, b"")
+
+
+def _script_target() -> str:
+    """The installed ``metadice`` script's entry point, as
+    ``pyproject.toml`` names it; ``tomllib`` is new in Python 3.11."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        return tomllib.load(f)["project"]["scripts"]["metadice"]
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--preset", "uniform", "--depth", "3", "--format", "json"], 0),
+        (["verify", "--family", "{failing}", "--format", "json"], 1),
+        (["verify", "--stack", "{missing}"], 2),
+        (["verify", "--depth", "3"], 2),
+    ],
+    ids=["pass", "fail", "missing-file", "usage"],
+)
+def test_a_process_writes_what_main_writes_and_exits_frozen(
+    monkeypatch, tmp_path, entry, argv, code
+):
+    """``python -m metadice`` and the installed script's entry point write
+    the stdout bytes and the stderr of :func:`cli.main` run in process and
+    exit with its code. Both have frozen the collector by the time the
+    ``atexit`` callbacks run; ``cli.main`` in process leaves nothing
+    frozen."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to it
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(family_to_json(level1_failed_family(2))))
+    missing = tmp_path / "missing.txt"
+    argv = [arg.format(failing=failing, missing=missing) for arg in argv]
+    if entry == "module":
+        args = ["-m", "metadice"]
+    else:
+        # what the installed console script runs
+        module, _, name = _script_target().partition(":")
+        args = ["-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+    proc, probe = run_probed([*args, *argv], tmp_path / "probe")
+    main_code, out, err = run_cli_main(argv)
+    assert gc.get_freeze_count() == 0
+    assert main_code == code
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+    assert probe["freeze_count"] > 0
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

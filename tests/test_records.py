@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-import metadice.cli  # noqa: F401  (imports every layer module)
+import metadice.cli  # noqa: F401  (registers every layer module)
+from conftest import run_probed
 from metadice.dice import Die, DuelResult, Value
 from metadice.export import DominanceGraph, Edge
 from metadice.hierarchy import (
@@ -285,30 +286,109 @@ def test_report_derives_what_follows_from_its_fields():
 
 
 #: Standard modules a CLI process does without: ``fractions`` loads
-#: ``decimal`` and ``numbers``, and only an exact duel builds a ``Fraction``.
-SKIPPED = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
+#: ``decimal`` and ``numbers``, and only an exact duel builds a ``Fraction``;
+#: only ``simulate`` draws from ``random``, and a source file is read with
+#: ``open``, not ``pathlib``.
+SKIPPED = (
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "decimal",
+    "numbers",
+    "pathlib",
+    "random",
+)
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # every CLI command pays its imports again (ROADMAP: "Start-up is now ...")
     code = (
-        "import metadice.cli, sys;"
+        "import metadice.cli, sys, types;"
         "print(*sorted(m for m in sys.modules"
-        f" if m in {SKIPPED!r} or m.startswith('metadice.')))"
+        f" if m in {SKIPPED!r} or m.startswith('metadice.')));"
+        "export = sys.modules['metadice.export'];"
+        "print(type(export) is types.ModuleType);"
+        "export.graph_rows;"
+        "print(type(export) is types.ModuleType)"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
+    loaded, export_loaded, export_loaded_once_read = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=env,
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.split()
+    ).stdout.splitlines()
+    out = loaded.split()
     assert not set(SKIPPED) & set(out)
     for layer in ("dice", "loshu", "sweep", "hierarchy", "export"):
         assert f"metadice.{layer}" in out
+    # export is registered but is a lazy module whose code has not run; it
+    # runs when one of its attributes is first read (reading any would)
+    assert (export_loaded, export_loaded_once_read) == ("False", "True")
     # only a command that checks a family's dice loads the certificate
     assert "metadice.certificate" not in out
+
+
+#: The files of ``metadice`` that every ``python -m metadice`` compiles.
+COMPILED_BY_EVERY_COMMAND = {
+    "__init__.py",
+    "__main__.py",
+    "cli.py",
+    "dice.py",
+    "hierarchy.py",
+    "loshu.py",
+    "sweep.py",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["verify", "--stack", "STACK"], set()),
+        (["verify", "--family", "FAMILY"], {"certificate.py"}),
+        (["generate", "--preset", "uniform", "--depth", "3"], set()),
+        (["tables", "--depth", "2"], set()),
+        (["prob", "2,4,9", "1,6,8"], set()),
+        (["graph", "--stack", "STACK", "--full-graph"], {"export.py"}),
+        (["graph", "--family", "FAMILY", "--full-graph"], {"export.py", "certificate.py"}),
+        (["normalize", "--preset", "uniform", "--depth", "3"], {"export.py"}),
+    ],
+    ids=[
+        "verify-stack",
+        "verify-family",
+        "generate",
+        "tables",
+        "prob",
+        "graph-stack",
+        "graph-family",
+        "normalize",
+    ],
+)
+def test_a_command_compiles_only_what_it_runs(tmp_path, argv, runs):
+    """Each command is a fresh ``python -m metadice`` with no bytecode to
+    read or write, so the process compiles every source file it imports,
+    and the probe sees each compile: only ``graph`` and ``normalize``
+    compile ``export.py``."""
+    stack = tmp_path / "stack.txt"
+    stack.write_text("2,4,9;1,6,8;3,5,7\n" * 2)
+    family = tmp_path / "family.json"
+    dice = [{"word": [n], "faces": list(faces)} for n, faces in enumerate(FACES)]
+    family.write_text(json.dumps({"depth": 1, "dice": dice}))
+    sources = {"STACK": str(stack), "FAMILY": str(family)}
+    cache = tmp_path / "pycache"
+    cache.mkdir()
+    proc, probe = run_probed(
+        ["-m", "metadice", *(sources.get(arg, arg) for arg in argv)],
+        tmp_path / "probe",
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPYCACHEPREFIX=str(cache),
+    )
+    assert proc.returncode == 0, proc.stderr
+    package = SRC / "metadice"
+    compiled = {Path(f).name for f in probe["compiled"] if Path(f).parent == package}
+    assert compiled == COMPILED_BY_EVERY_COMMAND | runs
+    assert not any(cache.iterdir())
 
 
 def test_only_exact_duels_load_fractions(tmp_path):
