@@ -9,8 +9,9 @@ their first differing trit. Each name is imported from its module:
 - ``hierarchy``: ``DiceFamily``, ``walk_dice``, ``generate``,
   ``verify_family``, ``verify_stack``, ``VerificationReport``, the family
   documents;
-- ``sweep``: the failure records, ``pack`` and ``unpack``, and the
-  ``sweep_pairs`` oracle;
+- ``sweep``: the failure records, their one writer and reader: ``pack``,
+  ``unpack``, ``failure_rows``, ``outcome_counts``, ``level_counts``, and
+  the ``sweep_pairs`` oracle;
 - ``certificate``: ``certify``, the node-table proof and localized scan;
 - ``export``: the dominance graph's ``graph_rows``, drawn from a stack's
   depth alone or from a family's dice, and the normalized points;

@@ -24,7 +24,9 @@ takes one of two paths:
 - ``localized``: only the pairs with a stray die at or above their first
   differing level, or under a node no table vouches for, are compared. A
   bad node's pairs are the forward scans, as in ``sweep_pairs``, of the
-  dice in its first two child blocks; a stray die scans forward and back.
+  dice in its first two child blocks; a stray die scans forward and back,
+  and :func:`metadice.sweep.scan` records each pair it finds failing
+  before the stray die as the record of that earlier, lower die.
 
 Both find the failures :func:`metadice.sweep.sweep_pairs` finds, which
 checks every pair, each tagged with its level, as one record each.
@@ -43,7 +45,7 @@ from metadice.loshu import (
     validate_leading,
     validate_rankwise,
 )
-from metadice.sweep import Faces, Failure, pack, scan, scan_later, unpack
+from metadice.sweep import Faces, Failure, scan, scan_later
 
 
 def certify(
@@ -134,13 +136,7 @@ def certify(
             for start, expected in ((1, 4), (2, 5))[:trit]:
                 block = lo - start * size, lo - (start - 1) * size
                 for first, stop in _gaps(*block, suspects):
-                    backward: list[Failure] = []
-                    scan(faces, i, first, stop, expected, p + 1, backward)
-                    for record in backward:
-                        _, j, level, wins, ties = unpack(record, depth)
-                        failures.append(
-                            pack(j, i, level, 9 - wins - ties, ties, depth)
-                        )
+                    scan(faces, i, first, stop, expected, p + 1, failures)
                     scanned += stop - first
     failures.sort()
     return reason, failures, scanned

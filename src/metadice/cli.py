@@ -22,8 +22,10 @@ of 729 dice, not the family. ``graph`` draws a stack's graph from its
 depth and reads no die; it holds a loaded family whole.
 ``verify`` drops the family once it has been checked and writes its
 report holding one ``int`` per failing pair, the :mod:`metadice.sweep`
-record. Nothing is written before the source has loaded, so a command
-that exits 2 writes nothing.
+record, which only that module decodes: the writers read each failure's
+dice, winner and outcome from :func:`~metadice.sweep.failure_rows`.
+Nothing is written before the source has loaded, so a command that exits
+2 writes nothing.
 
 A command's process compiles only what it runs. :mod:`metadice.export` is
 bound lazily, with :class:`importlib.util.LazyLoader`, and compiled when a
@@ -43,12 +45,11 @@ import argparse
 import gc
 import importlib.util
 import json
-import operator
 import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import islice, product, repeat
+from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 from metadice.dice import NINTHS, duel, is_digit_string, parse_die, round_robin
@@ -67,7 +68,7 @@ from metadice.hierarchy import (
     walk_dice,
 )
 from metadice.loshu import AssignmentStack, parse_stack, preset_stack
-from metadice.sweep import LEVEL_MASK, OUTCOME_MASK, OUTCOME_SHIFT, PAIR_SHIFT
+from metadice.sweep import failure_rows, outcome_counts
 
 
 def _lazy_import(name: str):
@@ -258,8 +259,7 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
             _check_depth(args.depth, args.allow_large)
         source, noun = preset_stack(args.preset, args.depth), "preset"
     elif args.stack is not None:
-        # as a family document's stack echo is read
-        source, noun = parse_stack(_read(args.stack), allow_zero=True), "stack"
+        source, noun = parse_stack(_read(args.stack)), "stack"
     elif args.family is not None:
         try:
             doc = json.loads(_read(args.family))
@@ -274,7 +274,7 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
         first = next(_listing_rows(lines), None)
         if first is not None and is_digit_string(first[0]):
             _check_depth(len(first[0]), args.allow_large)
-        source, noun = _family_from_listing(lines, multiplicity), "listing"
+        source, noun = family_from_rows(_listing_rows(lines), multiplicity), "listing"
     if args.depth is not None and args.depth != source.depth:
         raise ValueError(
             f"--depth {args.depth} does not match the {noun}'s depth {source.depth}"
@@ -307,11 +307,6 @@ def _load_dice(args) -> tuple[int, int, AssignmentStack | None, Iterable]:
     if isinstance(source, AssignmentStack):
         return source.depth, multiplicity, source, walk_dice(source)
     return source.depth, multiplicity, source.stack, source.rank_faces
-
-
-def _family_from_listing(lines: Sequence[str], multiplicity: int) -> DiceFamily:
-    """The family of a listing's lines, each row read by :func:`_listing_rows`."""
-    return family_from_rows(_listing_rows(lines), multiplicity)
 
 
 def _listing_rows(lines: Iterable[str]) -> Iterator[list[str]]:
@@ -450,10 +445,11 @@ def report_text(report: VerificationReport) -> Iterator[str]:
             for n, word in enumerate(product("012", repeat=report.depth), 1)
         ]
         observed = {
-            key: f"observed win {win} tie {tie} loss {loss}\n"
-            for key, (win, tie, loss) in _outcomes(report).items()
+            key: f"observed win {NINTHS[win]} tie {NINTHS[tie]}"
+            f" loss {NINTHS[loss]}\n"
+            for key, (win, tie, loss) in outcome_counts(report.records).items()
         }
-        for i, j, winner, key in _failure_rows(report):
+        for i, j, winner, key in failure_rows(report.records, report.depth):
             yield (
                 f"  {labels[i]} vs {labels[j]}:"
                 f" expected {labels[winner]} to win 5/9, {observed[key]}"
@@ -462,44 +458,6 @@ def report_text(report: VerificationReport) -> Iterator[str]:
         yield f"certificate: {report.certificate_detail}\n"
     status = "PASS" if report.passed else "FAIL"
     yield f"{status} ({report.elapsed:.3f}s, {report.method})\n"
-
-
-def _outcomes(report: VerificationReport) -> dict:
-    """The (win, tie, loss) text of each outcome among the report's
-    failures, keyed by the records' outcome field in place, as ``str``
-    writes the duel's fractions."""
-    outcomes = {}
-    for key in set(map(operator.and_, report.records, repeat(OUTCOME_MASK))):
-        wins, ties = divmod(key >> OUTCOME_SHIFT, 10)
-        outcomes[key] = NINTHS[wins], NINTHS[ties], NINTHS[9 - wins - ties]
-    return outcomes
-
-
-def _failure_rows(report: VerificationReport):
-    """Per failure record: i, j, the index of the die the cycle favors and
-    the outcome key of :func:`_outcomes`, in one pass. Dice i < j that first
-    differ at the record's level sit in sibling blocks of 3^(depth - level)
-    dice, and i wins when j's block is the one right after its own, that
-    is when j comes before the end of that next block.
-
-    The records come sorted, so i is decoded once per run of records with
-    the same i. Runs are long when a table near the root fails, and often a
-    single record when a few dice were altered, so only the end that a
-    record's level needs is worked out, per record."""
-    n = 3 ** report.depth
-    sizes = [n // 3 ** level for level in range(report.depth + 1)]
-    # the layout's constants as locals: this loop runs once per failure
-    pair, level, outcome = PAIR_SHIFT, LEVEL_MASK, OUTCOME_MASK
-    start = stop = 0  # i * n and (i + 1) * n, the pair keys of the run's i
-    for record in report.records:
-        key = record >> pair
-        if key >= stop:
-            i = key // n
-            start = i * n
-            stop = start + n
-        j = key - start
-        size = sizes[record & level]
-        yield i, j, i if j < (i // size + 2) * size else j, record & outcome
 
 
 def _report_header(report: VerificationReport) -> dict:
@@ -554,9 +512,9 @@ def report_json_text(report: VerificationReport) -> Iterator[str]:
         for word in product("012", repeat=report.depth)
     ]
     observed = {
-        key: f'{{\n        "win": "{win}",\n        "tie": "{tie}",\n'
-        f'        "loss": "{loss}"\n      }}'
-        for key, (win, tie, loss) in _outcomes(report).items()
+        key: f'{{\n        "win": "{NINTHS[win]}",\n'
+        f'        "tie": "{NINTHS[tie]}",\n        "loss": "{NINTHS[loss]}"\n      }}'
+        for key, (win, tie, loss) in outcome_counts(report.records).items()
     }
     yield f'{head},\n  "failures": [\n    '
     yield from joined(
@@ -564,7 +522,7 @@ def report_json_text(report: VerificationReport) -> Iterator[str]:
             f'{{\n      "word_a": {words[i]},\n      "word_b": {words[j]},\n'
             f'      "expected_winner": {words[winner]},\n'
             f'      "observed": {observed[key]}\n    }}'
-            for i, j, winner, key in _failure_rows(report)
+            for i, j, winner, key in failure_rows(report.records, report.depth)
         ),
         ",\n    ",
     )
@@ -668,8 +626,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError("seed must fit an unsigned 64-bit integer")
     x = parse_die(args.die_a)
@@ -693,7 +649,3 @@ def cmd_simulate(args) -> int:
             ),
         )
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import NINTHS, Face
 from metadice.hierarchy import DiceFamily, Word, die_number, joined, verify_family
-from metadice.sweep import PAIR_SHIFT, unpack
+from metadice.sweep import unpack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -136,7 +136,7 @@ def _full_rows(depth: int, family: DiceFamily | None) -> Iterator:
     # come in (i, j) order, so a die's pairs as j come before those as i
     fails = [[] for _ in range(n)]
     for record in records:
-        for die in divmod(record >> PAIR_SHIFT, n):
+        for die in unpack(record, depth)[:2]:
             fails[die].append(record)
     for s in range(n):
         cuts, runs = [], []  # s's partner in each failing pair, in order

@@ -38,14 +38,13 @@ import itertools
 import operator
 import time
 from bisect import bisect_right
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import Die, DuelResult, LengthMismatchError, Value
 from metadice.dice import is_digit_string, is_int
 from metadice.loshu import AssignmentStack, parse_stack
-from metadice.sweep import LEVEL_MASK, Failure, level_pairs, outcome, unpack
+from metadice.sweep import Failure, level_counts, level_pairs, outcome, unpack
 
 Word = tuple[int, ...]
 
@@ -335,7 +334,8 @@ class VerificationReport(NamedTuple):
     differing at that level, from 1. Records sort as their pairs, so they
     come in (i, j) order, which is lexicographic word-pair order.
     :func:`metadice.sweep.unpack` reads one; ``failures`` decodes them into
-    :class:`PairFailure`s; the CLI writes from the records.
+    :class:`PairFailure`s; the CLI writes them through
+    :func:`metadice.sweep.failure_rows`. Only that module reads the layout.
     """
 
     depth: int
@@ -359,9 +359,7 @@ class VerificationReport(NamedTuple):
     @property
     def per_level(self) -> tuple[LevelSummary, ...]:
         """Each level's pairs and the failures whose dice first differ there."""
-        failed = Counter(
-            map(operator.and_, self.records, itertools.repeat(LEVEL_MASK))
-        )
+        failed = level_counts(self.records)
         return tuple(
             LevelSummary(level, pairs, failed[level])
             for level, pairs in enumerate(level_pairs(self.depth), 1)
@@ -511,7 +509,7 @@ def family_from_json(doc: dict) -> DiceFamily:
             isinstance(line, str) for line in stack_lines
         ):
             raise FamilyFormatError("stack must be a list of level descriptors")
-        stack = parse_stack("\n".join(stack_lines), allow_zero=True)
+        stack = parse_stack("\n".join(stack_lines))
         if stack.depth != depth:
             raise FamilyFormatError(
                 f"stack depth {stack.depth} does not match family depth {depth}"

@@ -260,8 +260,8 @@ def preset_stack(name: str, depth: int | None = None) -> AssignmentStack:
     return AssignmentStack(levels)
 
 
-def parse_assignment(text: str, *, allow_zero: bool = False) -> DigitAssignment:
-    """Parse ``2,4,9;1,6,8;3,5,7`` into a digit assignment."""
+def parse_assignment(text: str) -> DigitAssignment:
+    """Parse ``2,4,9;1,6,8;3,5,7`` into a digit assignment of digits 0..9."""
     subsets = []
     for part in text.split(";"):
         digits = [p.strip() for p in part.split(",")]
@@ -275,12 +275,10 @@ def parse_assignment(text: str, *, allow_zero: bool = False) -> DigitAssignment:
         raise StackValidationError(
             f"bad assignment syntax {text!r}: expected exactly three subsets"
         )
-    if not allow_zero and any(d == 0 for sub in subsets for d in sub):
-        raise StackValidationError("digit 0 is not allowed here")
     return DigitAssignment(tuple(subsets))
 
 
-def parse_stack(text: str, *, allow_zero: bool = False) -> AssignmentStack:
+def parse_stack(text: str) -> AssignmentStack:
     """Parse the line-oriented stack format (one level per line).
 
     Lines beginning with ``#`` are comments; blank lines are skipped. A
@@ -297,7 +295,7 @@ def parse_stack(text: str, *, allow_zero: bool = False) -> AssignmentStack:
         if m is None:
             raise StackValidationError(f"line {lineno}: cannot parse {line!r}")
         try:
-            base = parse_assignment(m.group("table").strip(), allow_zero=allow_zero)
+            base = parse_assignment(m.group("table").strip())
         except StackValidationError as exc:
             raise StackValidationError(f"line {lineno}: {exc}") from None
         rot = int(m.group("rot")) if m.group("rot") else None

@@ -25,9 +25,15 @@ over the 3x3 face grid, first differing at ``level``, is ``(i * n + j)
 << PAIR_SHIFT | (wins * 10 + ties) << OUTCOME_SHIFT | level``. The fields
 do not overlap, so records sort as their pairs do, in (i, j) order. One
 record costs a 32-byte int and a pointer, where a 5-tuple of ints cost
-some 116 bytes. :func:`pack` and :func:`unpack` convert; a hot loop reads
-the fields with the shifts and masks. The level takes five bits, which
-hold the level of any family whose 3^depth dice fit in memory.
+some 116 bytes. The level takes five bits, which hold the level of any
+family whose 3^depth dice fit in memory.
+
+Every record is its lower die's: :func:`scan` records a die j before i
+as the pair (j, i) with j's wins, which are i's 9 - wins - ties losses.
+This module is the records' one writer and one reader, and no other
+names the layout: :func:`pack` and :func:`unpack` convert one record,
+and :func:`failure_rows`, :func:`outcome_counts` and :func:`level_counts`
+read a report's records in hot loops, with the shifts and masks.
 
 ``sweep_pairs`` checks every pair; it is the tests' oracle.
 :mod:`metadice.certificate` proves a family from the same block layout
@@ -37,8 +43,11 @@ its node tables cannot vouch for.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from functools import cache
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from metadice.dice import DuelResult
 
@@ -69,6 +78,51 @@ def unpack(record: Failure, depth: int) -> tuple[int, int, int, int, int]:
     i, j = divmod(record >> PAIR_SHIFT, 3 ** depth)
     wins, ties = divmod((record & OUTCOME_MASK) >> OUTCOME_SHIFT, 10)
     return i, j, record & LEVEL_MASK, wins, ties
+
+
+def failure_rows(
+    records: Iterable[Failure], depth: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Per record of a depth-``depth`` family: i, j, the index of the die
+    the cycle favors and the outcome key of :func:`outcome_counts`, in one
+    pass. Dice i < j that first differ at the record's level sit in sibling
+    blocks of 3^(depth - level) dice, and i wins when j's block is the one
+    right after its own, that is when j comes before the end of that next
+    block.
+
+    The records come sorted, so i is decoded once per run of records with
+    the same i. Runs are long when a table near the root fails, and often a
+    single record when a few dice were altered, so only the end that a
+    record's level needs is worked out, per record."""
+    n = 3 ** depth
+    sizes = [n // 3 ** level for level in range(depth + 1)]
+    # the layout's constants as locals: this loop runs once per failure
+    pair, level, outcome = PAIR_SHIFT, LEVEL_MASK, OUTCOME_MASK
+    start = stop = 0  # i * n and (i + 1) * n, the pair keys of the run's i
+    for record in records:
+        key = record >> pair
+        if key >= stop:
+            i = key // n
+            start = i * n
+            stop = start + n
+        j = key - start
+        size = sizes[record & level]
+        yield i, j, i if j < (i // size + 2) * size else j, record & outcome
+
+
+def outcome_counts(records: Iterable[Failure]) -> dict[int, tuple[int, int, int]]:
+    """The (wins, ties, losses) in ninths of the lower die of each outcome
+    among ``records``, keyed by the records' outcome field in place."""
+    counts = {}
+    for key in set(map(operator.and_, records, repeat(OUTCOME_MASK))):
+        wins, ties = divmod(key >> OUTCOME_SHIFT, 10)
+        counts[key] = wins, ties, 9 - wins - ties
+    return counts
+
+
+def level_counts(records: Iterable[Failure]) -> Counter:
+    """The number of ``records`` at each level."""
+    return Counter(map(operator.and_, records, repeat(LEVEL_MASK)))
 
 
 def available_backends() -> tuple[str, ...]:
@@ -128,9 +182,11 @@ def scan(
     level: int,
     failures: list[Failure],
 ) -> None:
-    """Record each die j in [lo, hi) that die i does not beat by ``expected``/9."""
+    """Record each die j in [lo, hi) that die i does not beat by ``expected``/9,
+    as the record of the pair's lower die."""
     a0, a1, a2 = faces[i]
-    row = i * len(faces)
+    n = len(faces)
+    row = i * n
     for j, (b0, b1, b2) in enumerate(faces[lo:hi], lo):
         wins = (
             (a0 > b0) + (a0 > b1) + (a0 > b2)
@@ -143,11 +199,16 @@ def scan(
             + (a2 == b0) + (a2 == b1) + (a2 == b2)
         )
         if wins != expected or ties:
+            # the record of the lower die: before i, j's wins are i's losses
+            if j < i:
+                pair, wins = j * n + i, 9 - wins - ties
+            else:
+                pair = row + j
             # pack's record, built with an OR last: CPython sizes its result
             # exactly, while an add leaves a spare digit, a 48-byte int
             # where 32 bytes do
             outcome = (wins * 10 + ties) << OUTCOME_SHIFT
-            failures.append((row + j) << PAIR_SHIFT | outcome | level)
+            failures.append(pair << PAIR_SHIFT | outcome | level)
 
 
 def scan_later(

@@ -299,7 +299,7 @@ def test_listing_depth_refused_before_its_rows(run_cli, monkeypatch):
     def rows_read(lines, multiplicity):
         raise ValueError("rows read")
 
-    monkeypatch.setattr(cli, "_family_from_listing", rows_read)
+    monkeypatch.setattr(cli, "family_from_rows", rows_read)
     argv, stdin, _ = DEPTH_REFUSALS["listing too deep"]
     refusal = (
         f"error: depth {DEPTH_CEILING + 1} exceeds the default ceiling of"
@@ -1088,7 +1088,7 @@ def test_stack_with_digit_zero_reads_as_a_documents_echo(run_cli, tmp_path, argv
     """``--stack`` is read as a family document's stack echo is, digit 0
     allowed: the echo of the document ``generate --family`` writes, given
     back as ``--stack``, exits 0 and writes what the document does."""
-    echo = parse_stack("\n".join(ZERO_DIGIT_ECHO), allow_zero=True)
+    echo = parse_stack("\n".join(ZERO_DIGIT_ECHO))
     document = tmp_path / "family.json"
     document.write_text(json.dumps(family_to_json(generate(echo))))
     code, out, err = run_cli(["generate", "--family", str(document)])

@@ -365,7 +365,7 @@ def zero_digit_rotated_stack(depth):
     for level in range(2, depth + 1):
         rotation = ("", f" rot=w{depth - 6}", f" rot=w{level - 1}")[level % 3]
         lines.append(tables[level % 3] + rotation)
-    return parse_stack("\n".join(lines), allow_zero=True)
+    return parse_stack("\n".join(lines))
 
 
 def digest(pieces):

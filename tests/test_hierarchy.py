@@ -51,7 +51,7 @@ from metadice.loshu import (
     parse_stack,
     preset_stack,
 )
-from metadice.sweep import pack, sweep_pairs, unpack
+from metadice.sweep import pack, scan, sweep_pairs, unpack
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)
@@ -109,6 +109,32 @@ def test_record_layout_round_trips_and_sorts_as_pairs():
         pairs = [unpack(record, depth)[:2] for record in sorted(records)]
         assert pairs == sorted(pairs)
         assert len(set(records)) == len(fields)
+
+
+def test_scan_before_a_die_records_the_lower_die():
+    """A scan over a sibling block before die i gives the records that
+    ``sweep_pairs`` gives for those pairs, each the record of its lower
+    die, at every level of random depth-3 dice that fail pairs at every
+    level, on the pairs the cycle favours either die of."""
+    failing = set()
+    for seed in (25, 26, 27):
+        rank_faces = random_rank_faces(random.Random(seed), 3)
+        _, swept = sweep_pairs(rank_faces, 3)
+        faces = [tuple(map(int, die)) for die in rank_faces]
+        for i, level in product(range(27), (1, 2, 3)):
+            size = 3 ** (3 - level)
+            lo, trit = i - i % size, i // size % 3
+            # i's block loses 4/9 to its predecessor and beats the block
+            # before that 5/9
+            for start, expected in ((1, 4), (2, 5))[:trit]:
+                first = lo - start * size
+                records = []
+                scan(faces, i, first, first + size, expected, level, records)
+                pairs = {(j, i) for j in range(first, first + size)}
+                assert records == [r for r in swept if unpack(r, 3)[:2] in pairs]
+                if records:
+                    failing.add((level, expected))
+    assert failing == {(level, e) for level in (1, 2, 3) for e in (4, 5)}
 
 
 def sweep_only_report(family):
@@ -961,8 +987,7 @@ ZERO_DIGIT_STACK = parse_stack(
     "2,4,9;0,6,8;3,5,7\n"
     "2,8,5;9,6,3;4,0,7 rot=w1\n"
     "2,9,4;0,8,6;3,7,5 rot=w2\n"
-    "2,4,9;0,6,8;3,5,7 rot=w1\n",
-    allow_zero=True,
+    "2,4,9;0,6,8;3,5,7 rot=w1\n"
 )
 
 

@@ -254,7 +254,10 @@ class TestStackFiles:
         with pytest.raises(StackValidationError):
             parse_assignment("\u0662,4,9;1,6,8;3,5,7")
 
-    def test_zero_digit_needs_flag(self):
-        with pytest.raises(StackValidationError):
-            parse_assignment("0,4,9;1,6,8;3,5,7")
-        assert parse_assignment("0,4,9;1,6,8;3,5,7", allow_zero=True)[0] == (0, 4, 9)
+    def test_zero_digit_parses(self):
+        """Digit 0 is a digit like any other, as :class:`DigitAssignment`
+        takes it, in an assignment and in a stack."""
+        assert parse_assignment("0,4,9;1,6,8;3,5,7")[0] == (0, 4, 9)
+        stack = parse_stack("2,4,9;0,6,8;3,5,7\n2,8,5;9,6,3;4,0,7 rot=w1\n")
+        assert stack.levels[0].base[1] == (0, 6, 8)
+        assert stack.levels[1].base[2] == (4, 0, 7)

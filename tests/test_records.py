@@ -199,6 +199,31 @@ def test_only_value_defines_the_protocol_in_source():
     assert defining == {"dice.py:Value"}
 
 
+#: The failure record's layout, which only metadice.sweep reads and writes.
+LAYOUT = {"PAIR_SHIFT", "OUTCOME_SHIFT", "OUTCOME_MASK", "LEVEL_MASK"}
+
+
+def test_only_sweep_names_the_record_layout_in_source():
+    """No module but ``sweep.py`` names a layout constant, whether it
+    imports it, reads it as an attribute or binds it, or shifts an int."""
+    naming = set()
+    for path in sorted((SRC / "metadice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named = node.id in LAYOUT
+            elif isinstance(node, ast.Attribute):
+                named = node.attr in LAYOUT
+            elif isinstance(node, ast.alias):
+                named = node.name in LAYOUT
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                named = isinstance(node.op, (ast.LShift, ast.RShift))
+            else:
+                named = False
+            if named:
+                naming.add(path.name)
+    assert naming == {"sweep.py"}
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_equality_and_hashing_follow_the_fields(name):
     make, make_other, _ = RECORDS[name]
