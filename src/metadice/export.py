@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.dice import NINTHS, Face
 from metadice.hierarchy import DiceFamily, Word, die_number, joined, verify_family
-from metadice.sweep import unpack
+from metadice.sweep import failure_rows, outcome_counts
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -130,19 +130,20 @@ def _full_rows(depth: int, family: DiceFamily | None) -> Iterator:
     with more wins, in index order on equal wins, as a run of its own.
     """
     records = () if family is None else verify_family(family).records
+    counts = outcome_counts(records)
     n = 3 ** depth
     sizes = [3 ** p for p in range(depth)]
     # each die's failing pairs in order of its partner in them: the records
     # come in (i, j) order, so a die's pairs as j come before those as i
     fails = [[] for _ in range(n)]
-    for record in records:
-        for die in unpack(record, depth)[:2]:
-            fails[die].append(record)
+    for record, (i, j, _, _) in zip(records, failure_rows(records, depth)):
+        fails[i].append(record)
+        fails[j].append(record)
     for s in range(n):
         cuts, runs = [], []  # s's partner in each failing pair, in order
-        for record in fails[s]:
-            i, j, _, wins, ties = unpack(record, depth)
-            loss = 9 - wins - ties
+        # a stack's lists are all empty: decode only a die's own failures
+        for i, j, _, key in failure_rows(fails[s], depth) if fails[s] else ():
+            wins, _, loss = counts[key]
             source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
             cuts.append(i + j - s)
             if source == s:

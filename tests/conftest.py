@@ -21,7 +21,8 @@ from hypothesis import settings, strategies as st
 
 from metadice.cli import main
 from metadice.dice import Die
-from metadice.loshu import AssignmentStack, DigitAssignment, LevelRule
+from metadice.hierarchy import DiceFamily, generate
+from metadice.loshu import AssignmentStack, DigitAssignment, LevelRule, preset_stack
 
 settings.register_profile("metadice", deadline=None)
 settings.load_profile("metadice")
@@ -132,6 +133,25 @@ def die_of(family, i: int) -> Die:
     """Die i of a family, every face at the family multiplicity: the bridge
     from a family's rank faces to the ``duel()`` oracle."""
     return Die.from_values(family.rank_faces[i], family.multiplicity)
+
+
+def level1_failed_family(depth=3):
+    """Uniform dice whose subset-0 rank-0 faces start with digit 0: the
+    level-1 table 0,4,9;1,6,8;3,5,7 fails the leading property, so the
+    localized scan checks every pair that first differs at level 1."""
+    faces = [list(die) for die in generate(preset_stack("uniform", depth)).rank_faces]
+    for die in faces[: 3 ** (depth - 1)]:
+        die[0] = "0" + die[0][1:]
+    return DiceFamily(depth, 2, tuple(map(tuple, faces)))
+
+
+def assert_same_text(got, want):
+    """``got == want`` for long texts, naming the first line that differs:
+    pytest's own diff of two such texts can take minutes."""
+    if got != want:
+        lines = zip(got.splitlines(), want.splitlines())
+        at = next((n for n, (a, b) in enumerate(lines, 1) if a != b), None)
+        pytest.fail(f"texts differ at line {at}: {len(got)} vs {len(want)} chars")
 
 
 def run_cli_main(argv, stdin_text=None):

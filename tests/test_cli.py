@@ -20,7 +20,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_rank_faces, run_cli_main, run_probed
+from conftest import (
+    assert_same_text,
+    level1_failed_family,
+    random_rank_faces,
+    run_cli_main,
+    run_probed,
+)
 from metadice import certificate, cli, export, hierarchy
 from metadice.cli import (
     DEPTH_CEILING,
@@ -39,7 +45,7 @@ from metadice.hierarchy import (
 )
 from metadice.loshu import parse_stack, preset_stack
 from metadice.sweep import level_pairs, unpack
-from test_export import assert_same_text, corpus, level1_failed_family
+from test_export import corpus
 from test_golden import ROTATED_STACK, tampered_document
 from test_hierarchy import (
     assert_levels_are_first_differing_trits,

@@ -13,7 +13,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import die_of, face_digits, random_rank_faces, valid_stacks
+from conftest import (
+    assert_same_text,
+    die_of,
+    face_digits,
+    level1_failed_family,
+    random_rank_faces,
+    valid_stacks,
+)
 from metadice.cli import family_json_text
 from metadice.dice import duel
 from metadice.export import (
@@ -225,25 +232,6 @@ def paper3_single_faults(count, seed=4242):
         faces = [list(map(list, die)) for die in PAPER3.rank_faces]
         faces[i][rank][pos] = str(digit)
         yield 3, frozen(faces)
-
-
-def level1_failed_family(depth=3):
-    """Uniform dice whose subset-0 rank-0 faces start with digit 0: the
-    level-1 table 0,4,9;1,6,8;3,5,7 fails the leading property, so the
-    localized scan checks every pair that first differs at level 1."""
-    faces = [list(die) for die in generate(preset_stack("uniform", depth)).rank_faces]
-    for die in faces[: 3 ** (depth - 1)]:
-        die[0] = "0" + die[0][1:]
-    return DiceFamily(depth, 2, tuple(map(tuple, faces)))
-
-
-def assert_same_text(got, want):
-    """``got == want`` for long texts, naming the first line that differs:
-    pytest's own diff of two such texts can take minutes."""
-    if got != want:
-        lines = zip(got.splitlines(), want.splitlines())
-        at = next((n for n, (a, b) in enumerate(lines, 1) if a != b), None)
-        pytest.fail(f"texts differ at line {at}: {len(got)} vs {len(want)} chars")
 
 
 @cache
