@@ -1,17 +1,24 @@
 """Self-similar nontransitive dice built from the Lo Shu magic square.
 
 Any two distinct dice of a family duel at exactly 5/9, in the direction of
-their first differing trit. Each name is imported from its module:
+their first differing trit. Each name is imported from its module, listed
+here from the bottom layer up; a module imports only lower layers as it
+loads, so a command compiles only the layers it runs:
 
-- ``dice``: ``Die``, ``parse_die``, ``duel``, ``DuelResult``, ``round_robin``;
-- ``loshu``: ``SQUARE``, ``DigitAssignment``, ``LevelRule``,
-  ``AssignmentStack``, ``parse_stack``, ``preset_stack``, the validators;
-- ``hierarchy``: ``DiceFamily``, ``walk_dice``, ``generate``,
-  ``verify_family``, ``verify_stack``, ``VerificationReport``, the family
-  documents;
 - ``sweep``: the failure records, their one writer and reader: ``pack``,
-  ``unpack``, ``failure_rows``, ``outcome_counts``, ``level_counts``, and
-  the ``sweep_pairs`` oracle;
+  ``unpack``, ``failure_rows``, ``outcome_counts``, ``level_counts``, the
+  ``sweep_pairs`` oracle, the ``VerificationReport`` with its
+  ``LevelSummary`` rows, and ``joined``;
+- ``loshu``, the stack layer: ``SQUARE``, ``DigitAssignment``,
+  ``LevelRule``, ``AssignmentStack``, ``parse_stack``, ``preset_stack``,
+  the validators, ``walk_dice``, ``verify_stack``, ``family_header``, and
+  the value core: ``Value``, ``is_int``, ``is_digit_string``, ``NINTHS``,
+  ``Face``, ``LengthMismatchError``;
+- ``dice``, the exact duel engine: ``Die``, ``parse_die``, ``duel``,
+  ``DuelResult``, ``round_robin``;
+- ``hierarchy``, the family layer: ``DiceFamily``, ``generate``,
+  ``verify_family``, ``PairFailure``, ``monte_carlo``, the family
+  documents;
 - ``certificate``: ``certify``, the node-table proof and localized scan;
 - ``export``: the dominance graph's ``graph_rows``, drawn from a stack's
   depth alone or from a family's dice, and the normalized points;

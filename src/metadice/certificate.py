@@ -19,8 +19,9 @@ takes one of two paths:
 - ``certificate``: no die strays and every table holds, so every pair
   passes and none is read. A validated stack is proven from its depth
   without reading a die: its tables hold by validation and ``generate``
-  puts every die on its blocks' digits, so ``hierarchy.verify_stack``
-  builds this report with no dice and no call here;
+  puts every die on its blocks' digits, so
+  :func:`metadice.loshu.verify_stack` builds this report with no dice
+  and no call here;
 - ``localized``: only the pairs with a stray die at or above their first
   differing level, or under a node no table vouches for, are compared. A
   bad node's pairs are the forward scans, as in ``sweep_pairs``, of the
@@ -30,6 +31,10 @@ takes one of two paths:
 
 Both find the failures :func:`metadice.sweep.sweep_pairs` finds, which
 checks every pair, each tagged with its level, as one record each.
+
+:func:`metadice.hierarchy.verify_family` imports this module when it
+runs, so only the commands that check a family's dice, ``verify`` and
+``graph --full-graph`` of a family, compile it.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ points; one per failure of a report; one per node of a graph and one per
 run of up to 9 of its edges. :func:`_emit` joins and writes them
 ``_BATCH`` at a time: a command never holds its whole output.
 ``generate``, ``normalize`` and ``tables`` write a stack's dice as
-:func:`~metadice.hierarchy.walk_dice` yields them, so they hold one block
+:func:`~metadice.loshu.walk_dice` yields them, so they hold one block
 of 729 dice, not the family. ``graph`` draws a stack's graph from its
 depth and reads no die; it holds a loaded family whole.
 ``verify`` drops the family once it has been checked and writes its
@@ -27,11 +27,20 @@ dice, winner and outcome from :func:`~metadice.sweep.failure_rows`.
 Nothing is written before the source has loaded, so a command that exits
 2 writes nothing.
 
-A command's process compiles only what it runs. :mod:`metadice.export` is
-bound lazily, with :class:`importlib.util.LazyLoader`, and compiled when a
-command first reads one of its writers once the source has loaded: only
-``graph`` and ``normalize`` do. :mod:`metadice.certificate` is imported
-when ``verify`` first checks a family's dice. ``python -m metadice`` and
+A command's process compiles only the layers it runs. Every command
+compiles the package, :mod:`metadice.__main__`, this module and the stack
+layer, :mod:`metadice.loshu` and :mod:`metadice.sweep`, and that is all
+that ``verify``, ``generate`` and ``tables`` of a stack compile.
+``graph`` and ``normalize`` add :mod:`metadice.export`. A family document
+or listing adds the family layer, :mod:`metadice.hierarchy`, and checking
+its dice, as ``verify`` and ``graph --full-graph`` do, adds
+:mod:`metadice.certificate`. ``prob`` and ``roundrobin`` add the duel
+engine, :mod:`metadice.dice`, and ``simulate`` adds it and
+:mod:`metadice.hierarchy`. ``export`` and ``hierarchy`` are bound lazily,
+with :class:`importlib.util.LazyLoader`, and compiled when a command first
+reads one of their names once the source has loaded; ``dice`` is imported
+by the three commands that run it, and ``certificate`` by
+:func:`~metadice.hierarchy.verify_family`. ``python -m metadice`` and
 the installed script run :func:`main` through :mod:`metadice.__main__`,
 which freezes the collector once the command has written its output, so
 the interpreter's shutdown collections walk none of the objects left.
@@ -52,23 +61,9 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
-from metadice.dice import NINTHS, duel, is_digit_string, parse_die, round_robin
-from metadice.hierarchy import (
-    DiceFamily,
-    FamilyFormatError,
-    VerificationReport,
-    document_depth,
-    family_from_json,
-    family_from_rows,
-    family_header,
-    joined,
-    monte_carlo,
-    verify_family,
-    verify_stack,
-    walk_dice,
-)
-from metadice.loshu import AssignmentStack, parse_stack, preset_stack
-from metadice.sweep import failure_rows, outcome_counts
+from metadice.loshu import NINTHS, AssignmentStack, family_header, is_digit_string
+from metadice.loshu import parse_stack, preset_stack, verify_stack, walk_dice
+from metadice.sweep import VerificationReport, failure_rows, joined, outcome_counts
 
 
 def _lazy_import(name: str):
@@ -87,11 +82,14 @@ def _lazy_import(name: str):
     return module
 
 
-# Only graph and normalize read it. Lazy rather than imported inside those
-# commands, because bench/traced_cli.py reads sys.modules["metadice.export"]
-# right after ``import metadice.cli``; once ROADMAP item 1's rewrite of
-# bench/ drops that, this can be a plain import inside the two commands.
+# Only graph and normalize read export, and only a family's source or
+# simulate reads hierarchy. Lazy rather than imported inside the commands,
+# because bench/traced_cli.py reads sys.modules["metadice.export"] and
+# sys.modules["metadice.hierarchy"] right after ``import metadice.cli``;
+# once ROADMAP item 1's rewrite of bench/ drops that, these can be plain
+# imports where they are read.
 export = _lazy_import("metadice.export")
+hierarchy = _lazy_import("metadice.hierarchy")
 
 #: Depth accepted without --allow-large. It guards the dice path: the
 #: memory of a loaded family's 3^k dice, the failure records held in memory
@@ -240,13 +238,13 @@ def _check_depth(depth: int, allow_large: bool) -> None:
         )
 
 
-def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
+def _load_source(args) -> tuple[AssignmentStack | hierarchy.DiceFamily, int]:
     """The validated stack or family the arguments name, with its face
     multiplicity.
 
     The parser has picked exactly one source, and each reader checks its
     own input: ``parse_stack`` a stack, ``family_from_json`` a document's
-    fields and word order, and :class:`DiceFamily` the dice of a document
+    fields and word order, and ``DiceFamily`` the dice of a document
     or listing. This checks the options against the source: the depth
     ceiling, and a given --depth or --multiplicity against its own.
     """
@@ -264,9 +262,10 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
         try:
             doc = json.loads(_read(args.family))
         except RecursionError:
-            raise FamilyFormatError("family document nests too deeply") from None
-        _check_depth(document_depth(doc), args.allow_large)  # before the dice
-        source, noun = family_from_json(doc), "family"
+            message = "family document nests too deeply"
+            raise hierarchy.FamilyFormatError(message) from None
+        _check_depth(hierarchy.document_depth(doc), args.allow_large)  # before the dice
+        source, noun = hierarchy.family_from_json(doc), "family"
     else:
         lines = sys.stdin.read().splitlines()
         # row 1's first face is as long as the listing is deep: refuse the
@@ -274,7 +273,8 @@ def _load_source(args) -> tuple[AssignmentStack | DiceFamily, int]:
         first = next(_listing_rows(lines), None)
         if first is not None and is_digit_string(first[0]):
             _check_depth(len(first[0]), args.allow_large)
-        source, noun = family_from_rows(_listing_rows(lines), multiplicity), "listing"
+        rows = _listing_rows(lines)
+        source, noun = hierarchy.family_from_rows(rows, multiplicity), "listing"
     if args.depth is not None and args.depth != source.depth:
         raise ValueError(
             f"--depth {args.depth} does not match the {noun}'s depth {source.depth}"
@@ -323,7 +323,7 @@ def _listing_rows(lines: Iterable[str]) -> Iterator[list[str]]:
         cut = 2 if tokens[0] == "Die" else 1
         names = (f"D{k}", f"Die {k}", f"Die {'ABC'[k - 1]}" if k <= 3 else None)
         if " ".join(tokens[:cut]) not in names or len(tokens) != cut + 3:
-            raise FamilyFormatError(
+            raise hierarchy.FamilyFormatError(
                 f"listing row {k} {line!r} is not die {k}'s name and three faces"
             )
         yield tokens[cut:]
@@ -550,7 +550,7 @@ def cmd_verify(args) -> int:
     if isinstance(source, AssignmentStack):
         report = verify_stack(source, multiplicity)
     else:
-        report = verify_family(source)
+        report = hierarchy.verify_family(source)
     del source  # the report holds none of it: write without the family
     write = report_json_text if args.format == "json" else report_text
     with _unlimited_int_digits():
@@ -574,6 +574,8 @@ def _unlimited_int_digits() -> Iterator[None]:
 
 
 def cmd_prob(args) -> int:
+    from metadice.dice import duel, parse_die
+
     result = duel(parse_die(args.die_a), parse_die(args.die_b))
     decimals = f"{float(result.win):.6f} {float(result.tie):.6f} {float(result.loss):.6f}"
     if args.format == "json":
@@ -589,19 +591,20 @@ def cmd_prob(args) -> int:
     return 0
 
 
-#: One team member: a signed integer in ASCII digits (int() alone would
-#: also read other scripts' digits and underscores).
-_TEAM_MEMBER = re.compile(r"\s*[+-]?[0-9]+\s*\Z")
-
-
 def _parse_team(text: str) -> list[int]:
+    # one member is a signed integer in ASCII digits (int() alone would
+    # also read other scripts' digits and underscores); compiled here, as
+    # only roundrobin reads it
+    member = re.compile(r"\s*[+-]?[0-9]+\s*\Z")
     tokens = text.split(",")
-    if not all(_TEAM_MEMBER.match(tok) for tok in tokens):
+    if not all(member.match(tok) for tok in tokens):
         raise ValueError(f"bad team {text!r}: expected comma-separated integers")
     return [int(tok) for tok in tokens]
 
 
 def cmd_roundrobin(args) -> int:
+    from metadice.dice import round_robin
+
     wins_a, wins_b = round_robin(_parse_team(args.team_a), _parse_team(args.team_b))
     if args.format == "json":
         _emit(args, (json.dumps({"a": wins_a, "b": wins_b}, indent=2) + "\n",))
@@ -626,11 +629,13 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from metadice.dice import duel, parse_die
+
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError("seed must fit an unsigned 64-bit integer")
     x = parse_die(args.die_a)
     y = parse_die(args.die_b)
-    estimate = monte_carlo(x, y, args.trials, args.seed)
+    estimate = hierarchy.monte_carlo(x, y, args.trials, args.seed)
     exact = duel(x, y).win
     if args.format == "json":
         doc = {

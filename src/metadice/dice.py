@@ -1,13 +1,17 @@
-"""Exact dice arithmetic: face comparison, duel probabilities, round-robin play.
+"""The exact duel engine: dice as face multisets, duel probabilities,
+round-robin play.
 
 A face is a fixed-length digit sequence compared positionally (most
 significant digit first), so families of any nesting depth never need
 big-integer arithmetic. All probabilities are exact ``fractions.Fraction``
 values; nothing in this module touches floating point. :func:`duel`
-imports ``fractions`` when it runs, not when the module loads, so a
-command that computes no exact duel never loads it: the text of a family's
-duels, k/9 each, is :data:`NINTHS`. The module also hosts :class:`Value`,
-the value protocol the library's immutable classes share.
+imports ``fractions`` when it runs, not when the module loads.
+
+Only ``prob``, ``roundrobin`` and ``simulate`` compile this module. A
+family's duels, k/9 each, are counted over its 3x3 face grids by
+:mod:`metadice.sweep` and written as :data:`metadice.loshu.NINTHS`, so no
+family or stack command builds a ``Die``; the tests duel a family's dice
+here as their oracle.
 """
 
 from __future__ import annotations
@@ -15,23 +19,15 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from metadice.loshu import Face, LengthMismatchError, Value, is_int
+
 if TYPE_CHECKING:
     from fractions import Fraction
-
-Face = tuple[int, ...]
-
-#: ``NINTHS[k]`` is ``str(Fraction(k, 9))``, k in 0..9: the text of every
-#: probability of a duel between two dice of three faces at one multiplicity.
-NINTHS = ("0", "1/9", "2/9", "1/3", "4/9", "5/9", "2/3", "7/9", "8/9", "1")
 
 #: Digits are ASCII only: ``str.isdigit()``, ``\d`` and ``int()`` also take
 #: other scripts' digits (Arabic-Indic two reads as 2), so every parser
 #: matches ``[0-9]`` or also tests ``str.isascii()``.
 _FACE_TOKEN = re.compile(r"([0-9]+)(?:x([0-9]+))?\Z")
-
-
-class LengthMismatchError(ValueError):
-    """Faces or dice with different digit lengths cannot be compared."""
 
 
 class TeamOverlapError(ValueError):
@@ -46,53 +42,8 @@ class DieParseError(ValueError):
         self.position = position
 
 
-def is_digit_string(text: object) -> bool:
-    """True for a non-empty string of ASCII digits only."""
-    return isinstance(text, str) and text.isascii() and text.isdigit()
-
-
-def is_int(value: object) -> bool:
-    """True for an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def face_text(face: Face) -> str:
     return "".join(str(d) for d in face)
-
-
-class Value:
-    """An immutable value of the fields named in ``_fields``, which a
-    subclass's ``__init__`` stores with :meth:`_set` once its checks pass.
-
-    Values of one class are equal, and hash alike, when their fields are;
-    a value of another class, a tuple included, is never equal. No
-    ``__slots__``: ``cached_property`` needs the instance ``__dict__``.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, **fields) -> None:
-        vars(self).update(fields)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class Die(Value):

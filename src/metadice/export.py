@@ -11,6 +11,9 @@ of its family duels 5/9 the cycle's way. A loaded family's sibling trio is
 labeled from its three representative dice's 3x3 face grids, and its full
 view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
 the path ``verify`` runs, and every other pair duels 5/9 the cycle's way.
+Only that path and the record API's die names import
+:mod:`metadice.hierarchy`, when they run, so a stack's graph and points
+compile no family code.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
@@ -37,14 +40,13 @@ from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from metadice.dice import NINTHS, Face
-from metadice.hierarchy import DiceFamily, Word, die_number, joined, verify_family
-from metadice.sweep import failure_rows, outcome_counts
+from metadice.loshu import NINTHS, AssignmentStack, Face
+from metadice.sweep import failure_rows, joined, outcome_counts
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from metadice.loshu import AssignmentStack
+    from metadice.hierarchy import DiceFamily, Word
 
     Source = DiceFamily | AssignmentStack
 
@@ -69,6 +71,8 @@ class DominanceGraph(NamedTuple):
 def node_name(prefix: Prefix, depth: int) -> str:
     """D-numbers at full depth, trit strings for shallower prefixes."""
     if len(prefix) == depth:
+        from metadice.hierarchy import die_number
+
         return f"D{die_number(prefix)}"
     return "".join(str(t) for t in prefix)
 
@@ -129,7 +133,11 @@ def _full_rows(depth: int, family: DiceFamily | None) -> Iterator:
     order, are cut out of those blocks: a failing pair points from the die
     with more wins, in index order on equal wins, as a run of its own.
     """
-    records = () if family is None else verify_family(family).records
+    records = ()
+    if family is not None:
+        from metadice.hierarchy import verify_family
+
+        records = verify_family(family).records
     counts = outcome_counts(records)
     n = 3 ** depth
     sizes = [3 ** p for p in range(depth)]
@@ -195,7 +203,7 @@ def graph_rows(
         names = [f"D{n}" for n in range(1, 3 ** depth + 1)]
     else:
         names = ["".join(prefix) for prefix in product("012", repeat=level)]
-    family = source if isinstance(source, DiceFamily) else None
+    family = None if isinstance(source, AssignmentStack) else source
     if full:
         rows = _full_rows(depth, family)
     else:

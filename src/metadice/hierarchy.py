@@ -1,4 +1,5 @@
-"""Recursive dice-family generation and dominance verification.
+"""The family layer: dice families, their documents, generation and
+dominance verification.
 
 A depth-k family holds one die per ternary word of length k. The digit a die
 receives at nesting level j is looked up in the stack's level-j table using
@@ -7,13 +8,8 @@ prefix agree rank-by-rank on all prefix levels. Two distinct dice therefore
 duel exactly like their first differing trits: the cycle 0 beats 1 beats 2
 beats 0 decides the winner, always at probability 5/9.
 
-The word prefixes form a tree whose node at level j holds one level-j
-table. ``walk_dice`` walks that tree a level at a time, builds each
-level's tables as one column from the level's rule, without a lookup per
-node, and yields the dice a block of 729 at a time, so a writer holds
-one block of a stack's family, never the whole of it; ``generate`` keeps
-the walk's dice as a family, and ``face_value`` follows a single word's
-path.
+``generate`` keeps the dice of :func:`metadice.loshu.walk_dice` as a
+family, and ``face_value`` follows a single word's path.
 
 A family is stored as its depth, face multiplicity, rank faces in word
 order and, when it has one, its stack. A face is its digit string, one Lo
@@ -27,9 +23,11 @@ and the full dominance graph reads its failing pairs from
 ``verify_family`` proves that claim for a concrete family in one walk of its
 levels, by the node-table certificate or by checking, level by level, the
 pairs the tables cannot vouch for; the :mod:`metadice.certificate`
-docstring describes the two paths. ``verify_stack`` proves it for a
-validated stack from its depth alone: every family it generates passes
-the certificate, so its report is built without a die.
+docstring describes the two paths. A validated stack needs none of this:
+:func:`metadice.loshu.verify_stack` proves it from its depth, so a command
+on a stack never compiles this module. ``monte_carlo`` is the stochastic
+cross-check of the exact duel engine, :mod:`metadice.dice`, which this
+module does not import.
 """
 
 from __future__ import annotations
@@ -39,12 +37,14 @@ import operator
 import time
 from bisect import bisect_right
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from metadice.dice import Die, DuelResult, LengthMismatchError, Value
-from metadice.dice import is_digit_string, is_int
-from metadice.loshu import AssignmentStack, parse_stack
-from metadice.sweep import Failure, level_counts, level_pairs, outcome, unpack
+from metadice.loshu import AssignmentStack, LengthMismatchError, Value, family_header
+from metadice.loshu import is_digit_string, is_int, parse_stack, walk_dice
+from metadice.sweep import VerificationReport
+
+if TYPE_CHECKING:
+    from metadice.dice import Die, DuelResult
 
 Word = tuple[int, ...]
 
@@ -114,7 +114,7 @@ class DiceFamily(Value):
     that carry no construction.
     ``words`` is derived from the depth on first use and cached; a die is
     read as its rank faces, each at the family multiplicity. A family is
-    a :class:`~metadice.dice.Value` of its four fields. The constructor
+    a :class:`~metadice.loshu.Value` of its four fields. The constructor
     checks every die; only :func:`generate` skips the checks.
     """
 
@@ -215,79 +215,10 @@ def face_word_label(word: Word) -> str:
     return f"D{die_number(word)} ({''.join(str(t) for t in word)})"
 
 
-#: Levels :func:`walk_dice` grows a node through at once, into its block
-#: of 3^6 = 729 dice. A fixed size, not an option: smaller blocks pay each
-#: level's fixed cost, such as building its table column, more often. The
-#: depth-8 walk took 2.3 ms in whole levels, 2.4 ms in blocks of 729,
-#: 3.0 ms in blocks of 81 and 5.0 ms in blocks of 9 dice (Python 3.11,
-#: 2-core Xeon, best of 15), while a block of depth-8 dice holds under
-#: 200 KB of faces.
-_BLOCK_LEVELS = 6
-
-
-def walk_dice(stack: AssignmentStack) -> Iterator[tuple[str, str, str]]:
-    """Every die of the depth-``stack.depth`` family, as its rank faces, in
-    word order, grown from the stack's tables a block at a time.
-
-    The walk goes a level at a time: every die of the level above is a
-    node that spawns three, one per subset of its node's table, and their
-    rank faces append that subset's digits. A level's node tables are one
-    column built from its rule, not looked up node by node: one table for
-    every node, unless the level rotates by one of the nodes' own trits,
-    and then the three rotations in runs. The faces of each rank are kept
-    as one column, which a level replaces one rank at a time.
-    The top ``depth - 6`` levels are grown for the whole family; each of
-    their nodes is then grown through the last six levels into its block of
-    729 dice, which are yielded before the next node is grown. A family of
-    depth 6 or less is one block. The walk holds the top levels' faces and
-    one block, never the family.
-
-    Stack validity is established at stack construction; this walk only
-    reads tables, and every die it yields is valid by construction: a face
-    is a digit from 0..9 per level, and a die's faces differ at level 1,
-    whose table has nine distinct digits. Two dice that first differ at
-    level p take their level-p digits from different subsets of one node
-    table, so they share no face.
-    """
-    top = max(stack.depth - _BLOCK_LEVELS, 0)
-    heads = _grow(stack, (), [[""], [""], [""]], range(1, top + 1))
-    levels = range(top + 1, stack.depth + 1)
-    for prefix, *faces in zip(itertools.product((0, 1, 2), repeat=top), *heads):
-        yield from zip(*_grow(stack, prefix, [[face] for face in faces], levels))
-
-
-def _grow(stack: AssignmentStack, prefix: Word, columns: list, levels: range) -> list:
-    """``columns``, the rank columns of faces of the nodes below ``prefix``
-    at the level before ``levels``, grown through ``levels`` in place."""
-    for level in levels:
-        # the dice so far are the nodes of this level, in prefix order: the
-        # trits of ``prefix``, then level - 1 - len(prefix) free ones
-        rule = stack.levels[level - 1]
-        nodes = 3 ** (level - 1 - len(prefix))
-        q = rule.rotate_by
-        if q is None:
-            tables = [rule.base.subsets] * nodes
-        elif q <= len(prefix):
-            tables = [rule.tables[prefix[q - 1]].subsets] * nodes
-        else:
-            # the free trit at position q changes every 3^(level - 1 - q)
-            # nodes, and its cycle of three runs repeats over the trits above
-            run = 3 ** (level - 1 - q)
-            cycle = [table.subsets for table in rule.tables for _ in range(run)]
-            tables = cycle * (nodes // (3 * run))
-        for rank in range(3):
-            # indexing gives each digit's one shared string; str() makes one a face
-            columns[rank] = [
-                face + "0123456789"[subset[rank]]
-                for face, table in zip(columns[rank], tables)
-                for subset in table
-            ]
-    return columns
-
-
 def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     """The whole depth-``stack.depth`` family of an assignment stack: the
-    dice of :func:`walk_dice`, at face multiplicity ``multiplicity``.
+    dice of :func:`~metadice.loshu.walk_dice`, at face multiplicity
+    ``multiplicity``.
 
     Every die is valid by construction, so this is the one builder that
     skips :class:`DiceFamily`'s per-die checks, which take as long as the
@@ -316,77 +247,6 @@ class PairFailure(NamedTuple):
         )
 
 
-class LevelSummary(NamedTuple):
-    """All cross-subtree pairs whose first differing trit sits at ``level``."""
-
-    level: int
-    pairs: int
-    failures: int
-
-
-class VerificationReport(NamedTuple):
-    """What :func:`verify_family` found; the rest is derived on each read,
-    so no report can contradict itself.
-
-    ``records`` holds each failing pair as the one ``int`` the pair check
-    packed it into, the :mod:`metadice.sweep` record of (i, j, level, wins
-    of i, ties) over the 3x3 face grid, with die indices i < j first
-    differing at that level, from 1. Records sort as their pairs, so they
-    come in (i, j) order, which is lexicographic word-pair order.
-    :func:`metadice.sweep.unpack` reads one; ``failures`` decodes them into
-    :class:`PairFailure`s; the CLI writes them through
-    :func:`metadice.sweep.failure_rows`. Only that module reads the layout.
-    """
-
-    depth: int
-    multiplicity: int
-    records: tuple[Failure, ...]
-    elapsed: float
-    #: Why the certificate could not prove the family; None when it did.
-    certificate_detail: str | None
-    #: Pairs actually compared: 0 on a certificate, those the node tables
-    #: cannot vouch for on a localized scan.
-    pairs_scanned: int
-
-    @property
-    def dice_count(self) -> int:
-        return 3 ** self.depth
-
-    @property
-    def pairs_checked(self) -> int:
-        return sum(level_pairs(self.depth))
-
-    @property
-    def per_level(self) -> tuple[LevelSummary, ...]:
-        """Each level's pairs and the failures whose dice first differ there."""
-        failed = level_counts(self.records)
-        return tuple(
-            LevelSummary(level, pairs, failed[level])
-            for level, pairs in enumerate(level_pairs(self.depth), 1)
-        )
-
-    @property
-    def method(self) -> str:
-        """``"certificate"`` or ``"localized"``: the path that ran."""
-        return "certificate" if self.certificate_detail is None else "localized"
-
-    @property
-    def failures(self) -> tuple[PairFailure, ...]:
-        """The records decoded, each winner named by the words, not the level."""
-        failures = []
-        for record in self.records:
-            i, j, _, wins, ties = unpack(record, self.depth)
-            w, v = word_of(i + 1, self.depth), word_of(j + 1, self.depth)
-            failures.append(
-                PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
-            )
-        return tuple(failures)
-
-    @property
-    def passed(self) -> bool:
-        return not self.records
-
-
 def verify_family(family: DiceFamily) -> VerificationReport:
     """Check that every pair duels at exactly (5/9, 0, 4/9) in favor of
     :func:`predicted_winner`.
@@ -411,22 +271,6 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     return VerificationReport(
         family.depth, family.multiplicity, tuple(records), elapsed, reason, scanned
     )
-
-
-def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationReport:
-    """The report :func:`verify_family` gives ``generate(stack, multiplicity)``,
-    built from the stack's depth alone, with no dice.
-
-    A stack is validated when it is built: its level-1 table has nine
-    distinct digits and is leading, and every deeper table, each of whose
-    rotations keeps its same-rank counts, is rank-wise with nine distinct
-    digits. :func:`generate` puts every die on its blocks' digits, so the
-    certificate proves each family of the stack, no pair is read and the
-    report's ``elapsed`` is 0.
-    """
-    if multiplicity < 1:
-        raise ValueError("face multiplicity must be positive")
-    return VerificationReport(stack.depth, multiplicity, (), 0.0, None, 0)
 
 
 def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
@@ -454,26 +298,6 @@ def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
         if roll > fy[bisect_right(cy, rng.randrange(ny))]:
             wins += 1
     return wins / trials
-
-
-def joined(items: Iterable[str], sep: str) -> Iterator[str]:
-    """The pieces of ``sep.join(items)``: each item, the separator in front
-    of every item but the first. The JSON writers of ``cli`` and
-    :mod:`metadice.export` join their entries with it."""
-    items = iter(items)
-    yield next(items, "")
-    for item in items:
-        yield sep + item
-
-
-def family_header(
-    depth: int, multiplicity: int, stack: AssignmentStack | None
-) -> dict:
-    """The family document's fields before its dice: the construction echo."""
-    doc: dict = {"depth": depth, "multiplicity": multiplicity}
-    if stack is not None:
-        doc["stack"] = stack.lines()
-    return doc
 
 
 def family_to_json(family: DiceFamily) -> dict:

@@ -1,4 +1,5 @@
-"""Lo Shu constants, digit-assignment tables, and construction validity checks.
+"""The stack layer: the value core, Lo Shu digit tables and their stacks,
+the walk of a stack's family and its proof from the depth.
 
 A digit assignment is a 3x3 table of distinct digits: three subsets (which
 arm of the dominance cycle a die sits on at one nesting level) times three
@@ -16,15 +17,87 @@ make the recursive construction work:
 
 An assignment stack fixes one table per nesting level, optionally rotated by
 an earlier trit of the die's address, and is validated on construction.
+
+The word prefixes of a stack's family form a tree whose node at level j
+holds one level-j table. :func:`walk_dice` walks that tree a level at a
+time, builds each level's tables as one column from the level's rule,
+without a lookup per node, and yields the dice a block of 729 at a time,
+so a writer holds one block of a stack's family, never the whole of it.
+:func:`verify_stack` proves a validated stack from its depth alone, and
+:func:`family_header` is the construction echo of a family document.
+
+The module also hosts what every layer shares: :class:`Value`, the value
+protocol of the library's immutable classes, the input checks
+:func:`is_int` and :func:`is_digit_string`, ``Face``,
+:class:`LengthMismatchError` and :data:`NINTHS`, the text of a family's
+duels. A command that works on a stack compiles this module
+and :mod:`metadice.sweep` alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from metadice.dice import Value, is_digit_string, is_int
+from metadice.sweep import VerificationReport
+
+Face = tuple[int, ...]
+
+#: ``NINTHS[k]`` is ``str(Fraction(k, 9))``, k in 0..9: the text of every
+#: probability of a duel between two dice of three faces at one multiplicity.
+NINTHS = ("0", "1/9", "2/9", "1/3", "4/9", "5/9", "2/3", "7/9", "8/9", "1")
+
+
+class LengthMismatchError(ValueError):
+    """Faces or dice with different digit lengths cannot be compared."""
+
+
+def is_digit_string(text: object) -> bool:
+    """True for a non-empty string of ASCII digits only."""
+    return isinstance(text, str) and text.isascii() and text.isdigit()
+
+
+def is_int(value: object) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class Value:
+    """An immutable value of the fields named in ``_fields``, which a
+    subclass's ``__init__`` stores with :meth:`_set` once its checks pass.
+
+    Values of one class are equal, and hash alike, when their fields are;
+    a value of another class, a tuple included, is never equal. No
+    ``__slots__``: ``cached_property`` needs the instance ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
 
 Triple = tuple[int, int, int]
 
@@ -307,3 +380,102 @@ def parse_stack(text: str) -> AssignmentStack:
 
 def format_stack(stack: AssignmentStack) -> str:
     return "\n".join(stack.lines()) + "\n"
+
+
+#: Levels :func:`walk_dice` grows a node through at once, into its block
+#: of 3^6 = 729 dice. A fixed size, not an option: smaller blocks pay each
+#: level's fixed cost, such as building its table column, more often. The
+#: depth-8 walk took 2.3 ms in whole levels, 2.4 ms in blocks of 729,
+#: 3.0 ms in blocks of 81 and 5.0 ms in blocks of 9 dice (Python 3.11,
+#: 2-core Xeon, best of 15), while a block of depth-8 dice holds under
+#: 200 KB of faces.
+_BLOCK_LEVELS = 6
+
+
+def walk_dice(stack: AssignmentStack) -> Iterator[tuple[str, str, str]]:
+    """Every die of the depth-``stack.depth`` family, as its rank faces, in
+    word order, grown from the stack's tables a block at a time.
+
+    The walk goes a level at a time: every die of the level above is a
+    node that spawns three, one per subset of its node's table, and their
+    rank faces append that subset's digits. A level's node tables are one
+    column built from its rule, not looked up node by node: one table for
+    every node, unless the level rotates by one of the nodes' own trits,
+    and then the three rotations in runs. The faces of each rank are kept
+    as one column, which a level replaces one rank at a time.
+    The top ``depth - 6`` levels are grown for the whole family; each of
+    their nodes is then grown through the last six levels into its block of
+    729 dice, which are yielded before the next node is grown. A family of
+    depth 6 or less is one block. The walk holds the top levels' faces and
+    one block, never the family.
+
+    Stack validity is established at stack construction; this walk only
+    reads tables, and every die it yields is valid by construction: a face
+    is a digit from 0..9 per level, and a die's faces differ at level 1,
+    whose table has nine distinct digits. Two dice that first differ at
+    level p take their level-p digits from different subsets of one node
+    table, so they share no face.
+    """
+    top = max(stack.depth - _BLOCK_LEVELS, 0)
+    heads = _grow(stack, (), [[""], [""], [""]], range(1, top + 1))
+    levels = range(top + 1, stack.depth + 1)
+    for prefix, *faces in zip(itertools.product((0, 1, 2), repeat=top), *heads):
+        yield from zip(*_grow(stack, prefix, [[face] for face in faces], levels))
+
+
+def _grow(
+    stack: AssignmentStack, prefix: tuple[int, ...], columns: list, levels: range
+) -> list:
+    """``columns``, the rank columns of faces of the nodes below ``prefix``
+    at the level before ``levels``, grown through ``levels`` in place."""
+    for level in levels:
+        # the dice so far are the nodes of this level, in prefix order: the
+        # trits of ``prefix``, then level - 1 - len(prefix) free ones
+        rule = stack.levels[level - 1]
+        nodes = 3 ** (level - 1 - len(prefix))
+        q = rule.rotate_by
+        if q is None:
+            tables = [rule.base.subsets] * nodes
+        elif q <= len(prefix):
+            tables = [rule.tables[prefix[q - 1]].subsets] * nodes
+        else:
+            # the free trit at position q changes every 3^(level - 1 - q)
+            # nodes, and its cycle of three runs repeats over the trits above
+            run = 3 ** (level - 1 - q)
+            cycle = [table.subsets for table in rule.tables for _ in range(run)]
+            tables = cycle * (nodes // (3 * run))
+        for rank in range(3):
+            # indexing gives each digit's one shared string; str() makes one a face
+            columns[rank] = [
+                face + "0123456789"[subset[rank]]
+                for face, table in zip(columns[rank], tables)
+                for subset in table
+            ]
+    return columns
+
+
+def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationReport:
+    """The report :func:`metadice.hierarchy.verify_family` gives the family
+    ``generate(stack, multiplicity)``, built from the stack's depth alone,
+    with no dice.
+
+    A stack is validated when it is built: its level-1 table has nine
+    distinct digits and is leading, and every deeper table, each of whose
+    rotations keeps its same-rank counts, is rank-wise with nine distinct
+    digits. :func:`walk_dice` puts every die on its blocks' digits, so the
+    certificate proves each family of the stack, no pair is read and the
+    report's ``elapsed`` is 0.
+    """
+    if multiplicity < 1:
+        raise ValueError("face multiplicity must be positive")
+    return VerificationReport(stack.depth, multiplicity, (), 0.0, None, 0)
+
+
+def family_header(
+    depth: int, multiplicity: int, stack: AssignmentStack | None
+) -> dict:
+    """The family document's fields before its dice: the construction echo."""
+    doc: dict = {"depth": depth, "multiplicity": multiplicity}
+    if stack is not None:
+        doc["stack"] = stack.lines()
+    return doc

@@ -39,6 +39,15 @@ read a report's records in hot loops, with the shifts and masks.
 :mod:`metadice.certificate` proves a family from the same block layout
 and compares, with :func:`scan` and :func:`scan_later`, only the pairs
 its node tables cannot vouch for.
+
+This is the bottom layer, which every command compiles, so it also holds
+what every verification path and writer shares: the
+:class:`VerificationReport` of the records, with its
+:class:`LevelSummary` rows, and :func:`joined`, the JSON writers'
+separator. It imports no other module of the package when it loads. Only
+the oracles build a ``DuelResult`` or a ``PairFailure``, so
+:func:`outcome` and ``VerificationReport.failures`` import theirs when
+they run.
 """
 
 from __future__ import annotations
@@ -47,9 +56,11 @@ import operator
 from collections import Counter
 from functools import cache
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from metadice.dice import DuelResult
+if TYPE_CHECKING:
+    from metadice.dice import DuelResult
+    from metadice.hierarchy import PairFailure
 
 Faces = tuple[str, str, str]
 #: A failure record: see the module docstring.
@@ -125,6 +136,81 @@ def level_counts(records: Iterable[Failure]) -> Counter:
     return Counter(map(operator.and_, records, repeat(LEVEL_MASK)))
 
 
+class LevelSummary(NamedTuple):
+    """All cross-subtree pairs whose first differing trit sits at ``level``."""
+
+    level: int
+    pairs: int
+    failures: int
+
+
+class VerificationReport(NamedTuple):
+    """What :func:`metadice.hierarchy.verify_family` found, or what
+    :func:`metadice.loshu.verify_stack` knows from a stack's depth; the
+    rest is derived on each read, so no report can contradict itself.
+
+    ``records`` holds each failing pair as the one ``int`` the pair check
+    packed it into, this module's record of (i, j, level, wins of i, ties)
+    over the 3x3 face grid, with die indices i < j first differing at that
+    level, from 1. Records sort as their pairs, so they come in (i, j)
+    order, which is lexicographic word-pair order.
+    :func:`unpack` reads one; ``failures`` decodes them into
+    :class:`~metadice.hierarchy.PairFailure`s; the CLI writes them through
+    :func:`failure_rows`. Only this module reads the layout.
+    """
+
+    depth: int
+    multiplicity: int
+    records: tuple[Failure, ...]
+    elapsed: float
+    #: Why the certificate could not prove the family; None when it did.
+    certificate_detail: str | None
+    #: Pairs actually compared: 0 on a certificate, those the node tables
+    #: cannot vouch for on a localized scan.
+    pairs_scanned: int
+
+    @property
+    def dice_count(self) -> int:
+        return 3 ** self.depth
+
+    @property
+    def pairs_checked(self) -> int:
+        return sum(level_pairs(self.depth))
+
+    @property
+    def per_level(self) -> tuple[LevelSummary, ...]:
+        """Each level's pairs and the failures whose dice first differ there."""
+        failed = level_counts(self.records)
+        return tuple(
+            LevelSummary(level, pairs, failed[level])
+            for level, pairs in enumerate(level_pairs(self.depth), 1)
+        )
+
+    @property
+    def method(self) -> str:
+        """``"certificate"`` or ``"localized"``: the path that ran."""
+        return "certificate" if self.certificate_detail is None else "localized"
+
+    @property
+    def failures(self) -> tuple[PairFailure, ...]:
+        """The records decoded, each winner named by the words, not the level.
+        Only the oracles read them, so the family layer is imported here."""
+        from metadice.hierarchy import PairFailure, predicted_winner, word_of
+
+        failures = []
+        for record in self.records:
+            i, j, _, wins, ties = unpack(record, self.depth)
+            w, v = word_of(i + 1, self.depth), word_of(j + 1, self.depth)
+            failures.append(
+                PairFailure(w, v, predicted_winner(w, v), outcome(wins, ties))
+            )
+        return tuple(failures)
+
+    @property
+    def passed(self) -> bool:
+        return not self.records
+
+
 def available_backends() -> tuple[str, ...]:
     return ("pure",)
 
@@ -138,6 +224,8 @@ def outcome(wins: int, ties: int) -> DuelResult:
     is built, and checked, once.
     """
     from fractions import Fraction
+
+    from metadice.dice import DuelResult
 
     return DuelResult(
         Fraction(wins, 9), Fraction(ties, 9), Fraction(9 - wins - ties, 9)
@@ -227,3 +315,13 @@ def scan_later(
         first = lo + start * size
         scan(faces, i, first, first + size, expected, level, failures)
     return (2 - trit) * size
+
+
+def joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    """The pieces of ``sep.join(items)``: each item, the separator in front
+    of every item but the first. The JSON writers of ``cli`` and
+    :mod:`metadice.export` join their entries with it."""
+    items = iter(items)
+    yield next(items, "")
+    for item in items:
+        yield sep + item

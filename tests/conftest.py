@@ -201,13 +201,15 @@ atexit.register(report)
 """
 
 
-def run_probed(args, probe_dir: Path, **env):
+def run_probed(args, probe_dir: Path, *, stdin: bytes = b"", **env):
     """Run ``python *args`` in a fresh process with :data:`PROBE` as its
-    ``sitecustomize`` and ``src`` on its path; returns the completed
-    process, stdout and stderr as bytes, and the probe's record."""
+    ``sitecustomize``, ``src`` on its path and ``stdin`` as its input;
+    returns the completed process, stdout and stderr as bytes, and the
+    probe's record."""
     probe_dir.mkdir(exist_ok=True)
     (probe_dir / "sitecustomize.py").write_text(PROBE)
     env = dict(os.environ, PYTHONPATH=f"{probe_dir}{os.pathsep}{SRC}", **env)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True)
+    argv = [sys.executable, *args]
+    proc = subprocess.run(argv, input=stdin, env=env, capture_output=True)
     with open(probe_dir / "probe.json") as f:
         return proc, json.load(f)

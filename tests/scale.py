@@ -12,14 +12,16 @@ import sys
 import tempfile
 import time
 from collections import namedtuple
+from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 from conftest import SRC, assert_same_text, level1_failed_family
 from metadice.cli import report_json
-from metadice.export import build_graph, graph_to_json, normalized_values, to_dot
-from metadice.export import points_to_csv, points_to_json
+from metadice.export import DominanceGraph, Edge, build_graph, graph_to_json, to_dot
+from metadice.export import normalized_values, points_to_csv, points_to_json
 from metadice.hierarchy import family_from_json, family_to_json, generate, verify_family
 from metadice.loshu import parse_stack, preset_stack
 from metadice.sweep import unpack
@@ -93,6 +95,22 @@ def failed_level1(path: Path, depth: int) -> Path:
     return path
 
 
+def counted_full_graph(family) -> DominanceGraph:
+    """The full dominance graph of ``family``, each pair's edge labeled from
+    a count over its 3x3 face grid, not from the library's records: from
+    the die with more wins to the other, in word order on equal wins, with
+    the source's wins in ninths."""
+    words = list(product((0, 1, 2), repeat=family.depth))
+    edges = []
+    for i, j in combinations(range(family.size), 2):
+        a, b = family.rank_faces[i], family.rank_faces[j]
+        wins = sum(x > y for x in a for y in b)
+        loss = sum(x < y for x in a for y in b)
+        source, target, ninths = (j, i, loss) if loss > wins else (i, j, wins)
+        edges.append(Edge(words[source], words[target], Fraction(ninths, 9)))
+    return DominanceGraph(family.depth, family.depth, True, tuple(words), tuple(edges))
+
+
 @pytest.fixture(scope="module")
 def failed7(tmp_path_factory) -> Path:
     return failed_level1(tmp_path_factory.mktemp("failed7") / "uniform7.json", 7)
@@ -160,11 +178,13 @@ ROT8 = """\
 def test_export_outputs_at_depth_8_match_the_standard_librarys_rendering(tmp_path):
     """The golden hashes stop at depth 5. At export scale, each JSON text
     must equal the standard library's indented dump of itself and the
-    CSV its own csv.reader -> csv.writer round trip. The points JSON and
-    the full-graph DOT and JSON, written straight from their rows, must
-    equal the record path's rendering: the points at depth 8, and the
-    graphs on a passing family and on one with an altered digit, whose
-    failing pairs flip or tie some edges. A rotated depth-8 stack, whose
+    CSV its own csv.reader -> csv.writer round trip. The points JSON,
+    written straight from its rows, must equal the record path's
+    rendering at depth 8. The full-graph DOT and JSON of a passing family
+    and of one with an altered digit, whose failing pairs flip or tie some
+    edges, must equal the rendering of the graph counted here from each
+    pair's face grid, which shares no code with the writers' edges. A
+    rotated depth-8 stack, whose
     levels rotate by trits above its 729-die blocks (w1, w2) and inside
     them (w4, w5, w7), is written by generate and normalize straight from
     its walk: the family document, the points JSON and the CSV must equal
@@ -201,11 +221,11 @@ def test_export_outputs_at_depth_8_match_the_standard_librarys_rendering(tmp_pat
     assert verify_family(family).records, "altered5.json fails no pair"
     for source, oracle in (((*UNIFORM, 5), uniform), (("--family", altered), family)):
         dot = output("graph", *source, "--full-graph", "--format", "dot")
-        assert_same_text(dot, to_dot(build_graph(oracle, full=True)))
+        assert_same_text(dot, to_dot(counted_full_graph(oracle)))
     points = normalized_values(generate(preset_stack("uniform", 8)))
     assert_same_text(points_json, indented(points_to_json(points)))
     graph = output("graph", "--family", altered, "--full-graph", "--format", "json")
-    assert_same_text(graph, indented(graph_to_json(build_graph(family, full=True))))
+    assert_same_text(graph, indented(graph_to_json(counted_full_graph(family))))
     stack = parse_stack(ROT8)
     rotations = [rule.rotate_by for rule in stack.levels]
     assert stack.depth == 8 and rotations == [None, 1, 2, 1, 4, 2, 5, 7], rotations

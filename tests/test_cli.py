@@ -41,9 +41,8 @@ from metadice.hierarchy import (
     family_to_json,
     generate,
     verify_family,
-    walk_dice,
 )
-from metadice.loshu import parse_stack, preset_stack
+from metadice.loshu import parse_stack, preset_stack, walk_dice
 from metadice.sweep import level_pairs, unpack
 from test_export import corpus
 from test_golden import ROTATED_STACK, tampered_document
@@ -305,7 +304,7 @@ def test_listing_depth_refused_before_its_rows(run_cli, monkeypatch):
     def rows_read(lines, multiplicity):
         raise ValueError("rows read")
 
-    monkeypatch.setattr(cli, "family_from_rows", rows_read)
+    monkeypatch.setattr(hierarchy, "family_from_rows", rows_read)
     argv, stdin, _ = DEPTH_REFUSALS["listing too deep"]
     refusal = (
         f"error: depth {DEPTH_CEILING + 1} exceeds the default ceiling of"
@@ -364,7 +363,7 @@ def test_family_over_the_ceiling_refused_before_its_dice(
         f"error: depth 9 exceeds the default ceiling of {DEPTH_CEILING}"
         " (pass --allow-large to run anyway)\n"
     )
-    monkeypatch.setattr(cli, "family_from_json", unreachable)
+    monkeypatch.setattr(hierarchy, "family_from_json", unreachable)
     for command in ("verify", "generate", "graph", "normalize"):
         for source in (path, digits):
             assert run_cli([command, "--family", str(source)]) == (2, "", ceiling)
@@ -759,7 +758,7 @@ def test_verify_reads_the_faces_of_a_family(run_cli, monkeypatch, tmp_path):
     stackless.write_text(json.dumps(doc))
     want = "".join(report_json_text(verify_family(family_from_json(doc))))
     listing = "D1 2 4 8\nD2 1 6 9\nD3 3 5 7\n"
-    monkeypatch.setattr(cli, "verify_family", counted)
+    monkeypatch.setattr(hierarchy, "verify_family", counted)
     monkeypatch.setattr(cli, "verify_stack", unreachable)
     code, out, err = run_cli(["verify", "--family", str(echo)])
     assert (code, err, calls) == (0, "", [2])
@@ -1127,8 +1126,8 @@ def test_a_stacks_graph_reads_no_die(run_cli, monkeypatch, tmp_path):
     ]
     monkeypatch.setattr(hierarchy, "generate", unreachable)
     monkeypatch.setattr(hierarchy, "walk_dice", unreachable)
+    monkeypatch.setattr(cli, "walk_dice", unreachable)
     monkeypatch.setattr(hierarchy, "verify_family", unreachable)
-    monkeypatch.setattr(export, "verify_family", unreachable)
     monkeypatch.setattr(DiceFamily, "__init__", unreachable)
     monkeypatch.setattr(DiceFamily, "_trusted", unreachable)
     for argv, graph in calls:

@@ -9,18 +9,16 @@ from hypothesis import given, strategies as st
 
 from conftest import die_pair
 from metadice.dice import (
-    NINTHS,
     Die,
     DieParseError,
     DuelResult,
-    LengthMismatchError,
     TeamOverlapError,
     duel,
     face_text,
-    is_digit_string,
     parse_die,
     round_robin,
 )
+from metadice.loshu import NINTHS, LengthMismatchError, is_digit_string
 
 DIE_A = Die.from_values([2, 4, 9], 2)
 DIE_B = Die.from_values([1, 6, 8], 2)

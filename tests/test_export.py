@@ -48,9 +48,8 @@ from metadice.hierarchy import (
     generate,
     predicted_winner,
     verify_family,
-    walk_dice,
 )
-from metadice.loshu import parse_stack, preset_stack
+from metadice.loshu import parse_stack, preset_stack, walk_dice
 from metadice.sweep import sweep_pairs, unpack
 from test_hierarchy import (
     ZERO_DIGIT_STACK,

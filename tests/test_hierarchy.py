@@ -24,11 +24,10 @@ from conftest import (
     valid_stacks,
 )
 from metadice import hierarchy
-from metadice.dice import Die, DuelResult, LengthMismatchError, duel
+from metadice.dice import Die, DuelResult, duel
 from metadice.hierarchy import (
     DiceFamily,
     FamilyFormatError,
-    LevelSummary,
     PairFailure,
     die_number,
     face_value,
@@ -39,19 +38,20 @@ from metadice.hierarchy import (
     monte_carlo,
     predicted_winner,
     verify_family,
-    verify_stack,
-    walk_dice,
     word_of,
 )
 from metadice.loshu import (
     SORTED_ROWS,
     AssignmentStack,
+    LengthMismatchError,
     LevelRule,
     format_stack,
     parse_stack,
     preset_stack,
+    verify_stack,
+    walk_dice,
 )
-from metadice.sweep import pack, scan, sweep_pairs, unpack
+from metadice.sweep import LevelSummary, pack, scan, sweep_pairs, unpack
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)

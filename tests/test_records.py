@@ -10,16 +10,11 @@ from pathlib import Path
 
 import pytest
 
-import metadice.cli  # noqa: F401  (registers every layer module)
+import metadice.cli  # noqa: F401  (registers the layer modules it binds)
 from conftest import run_probed
-from metadice.dice import Die, DuelResult, Value
+from metadice.dice import Die, DuelResult
 from metadice.export import DominanceGraph, Edge
-from metadice.hierarchy import (
-    DiceFamily,
-    LevelSummary,
-    PairFailure,
-    VerificationReport,
-)
+from metadice.hierarchy import DiceFamily, PairFailure
 from metadice.loshu import (
     SORTED_ROWS,
     SWAPPED_ROWS,
@@ -27,8 +22,9 @@ from metadice.loshu import (
     DigitAssignment,
     LevelRule,
     ValidationResult,
+    Value,
 )
-from metadice.sweep import pack
+from metadice.sweep import LevelSummary, VerificationReport, pack
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FACES = (("2", "4", "9"), ("1", "6", "8"), ("3", "5", "7"))
@@ -196,7 +192,64 @@ def test_only_value_defines_the_protocol_in_source():
                     names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
             if PROTOCOL & names:
                 defining.add(f"{path.name}:{node.name}")
-    assert defining == {"dice.py:Value"}
+    assert defining == {"loshu.py:Value"}
+
+
+#: The package's modules, layer by layer from the bottom: what a module
+#: imports as it loads lies in a lower layer, so a command compiles the
+#: layers it runs and those below them. Modules of one layer import none of
+#: each other; an import inside a function runs only when it is called.
+LAYERS = (
+    {"__init__"},
+    {"sweep"},
+    {"loshu"},
+    {"dice", "hierarchy"},
+    {"certificate", "export"},
+    {"cli"},
+    {"__main__"},
+)
+
+
+def _load_time_imports(body):
+    """The import statements of ``body`` that run when its module loads:
+    those outside functions and outside ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _load_time_imports(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _load_time_imports(getattr(node, field, ()))
+
+
+def _package_modules(node):
+    """The ``metadice`` modules an import statement loads; a name taken
+    from the package itself is the package's ``__init__``."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif node.module == "metadice":
+        names = [f"metadice.{alias.name}" for alias in node.names]
+    else:
+        names = [node.module]
+    for name in names:
+        package, _, module = name.partition(".")
+        if package == "metadice":
+            yield module.partition(".")[0] or "__init__"
+
+
+def test_no_module_imports_its_own_or_a_higher_layer_as_it_loads():
+    layer_of = {module: n for n, layer in enumerate(LAYERS) for module in layer}
+    paths = sorted((SRC / "metadice").glob("*.py"))
+    assert {path.stem for path in paths} == set(layer_of)
+    climbs = []
+    for path in paths:
+        own = layer_of[path.stem]
+        for node in _load_time_imports(ast.parse(path.read_text()).body):
+            for module in _package_modules(node):
+                if layer_of.get(module, 0) >= own:
+                    climbs.append(f"{path.name}:{node.lineno} imports {module}")
+    assert climbs == []
 
 
 #: The failure record's layout, which only metadice.sweep reads and writes.
@@ -331,13 +384,13 @@ def test_cli_import_skips_dataclasses_and_inspect():
         "import metadice.cli, sys, types;"
         "print(*sorted(m for m in sys.modules"
         f" if m in {SKIPPED!r} or m.startswith('metadice.')));"
-        "export = sys.modules['metadice.export'];"
-        "print(type(export) is types.ModuleType);"
-        "export.graph_rows;"
-        "print(type(export) is types.ModuleType)"
+        "lazy = [sys.modules[f'metadice.{m}'] for m in ('export', 'hierarchy')];"
+        "print(*(type(m) is types.ModuleType for m in lazy));"
+        "[m.__name__ for m in lazy];"
+        "print(*(type(m) is types.ModuleType for m in lazy))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    loaded, export_loaded, export_loaded_once_read = subprocess.run(
+    loaded, lazy_loaded, lazy_loaded_once_read = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=env,
         capture_output=True,
@@ -346,66 +399,86 @@ def test_cli_import_skips_dataclasses_and_inspect():
     ).stdout.splitlines()
     out = loaded.split()
     assert not set(SKIPPED) & set(out)
-    for layer in ("dice", "loshu", "sweep", "hierarchy", "export"):
+    for layer in ("loshu", "sweep", "hierarchy", "export"):
         assert f"metadice.{layer}" in out
-    # export is registered but is a lazy module whose code has not run; it
-    # runs when one of its attributes is first read (reading any would)
-    assert (export_loaded, export_loaded_once_read) == ("False", "True")
-    # only a command that checks a family's dice loads the certificate
+    # export and hierarchy are registered but are lazy modules whose code has
+    # not run; each runs when one of its attributes is first read (reading
+    # any would)
+    assert (lazy_loaded, lazy_loaded_once_read) == ("False False", "True True")
+    # only the commands that duel given dice load the duel engine, and only
+    # a command that checks a family's dice loads the certificate
+    assert "metadice.dice" not in out
     assert "metadice.certificate" not in out
 
 
-#: The files of ``metadice`` that every ``python -m metadice`` compiles.
+#: The files of ``metadice`` that every ``python -m metadice`` compiles: the
+#: package, the front end and the stack layer.
 COMPILED_BY_EVERY_COMMAND = {
     "__init__.py",
     "__main__.py",
     "cli.py",
-    "dice.py",
-    "hierarchy.py",
     "loshu.py",
     "sweep.py",
 }
+#: The family layer and its certificate, compiled to check a family's dice.
+CHECKED = {"hierarchy.py", "certificate.py"}
 
 
 @pytest.mark.parametrize(
     "argv, runs",
     [
         (["verify", "--stack", "STACK"], set()),
-        (["verify", "--family", "FAMILY"], {"certificate.py"}),
+        (["verify", "--family", "FAMILY"], CHECKED),
+        (["verify", "--stdin"], CHECKED),
         (["generate", "--preset", "uniform", "--depth", "3"], set()),
+        (["generate", "--stack", "STACK"], set()),
+        (["generate", "--family", "FAMILY"], {"hierarchy.py"}),
         (["tables", "--depth", "2"], set()),
-        (["prob", "2,4,9", "1,6,8"], set()),
+        (["prob", "2,4,9", "1,6,8"], {"dice.py"}),
+        (["roundrobin", "4,9,2", "3,5,7"], {"dice.py"}),
+        (["simulate", "2,4,9", "1,6,8", "--trials", "9"], {"dice.py", "hierarchy.py"}),
         (["graph", "--stack", "STACK", "--full-graph"], {"export.py"}),
-        (["graph", "--family", "FAMILY", "--full-graph"], {"export.py", "certificate.py"}),
+        (["graph", "--family", "FAMILY", "--full-graph"], {"export.py"} | CHECKED),
         (["normalize", "--preset", "uniform", "--depth", "3"], {"export.py"}),
+        (["normalize", "--stack", "STACK"], {"export.py"}),
     ],
     ids=[
         "verify-stack",
         "verify-family",
+        "verify-stdin",
         "generate",
+        "generate-stack",
+        "generate-family",
         "tables",
         "prob",
+        "roundrobin",
+        "simulate",
         "graph-stack",
         "graph-family",
         "normalize",
+        "normalize-stack",
     ],
 )
 def test_a_command_compiles_only_what_it_runs(tmp_path, argv, runs):
     """Each command is a fresh ``python -m metadice`` with no bytecode to
     read or write, so the process compiles every source file it imports,
-    and the probe sees each compile: only ``graph`` and ``normalize``
-    compile ``export.py``."""
+    and the probe sees each compile: a stack's commands compile the stack
+    layer alone, ``graph`` and ``normalize`` add ``export.py``, a family's
+    source adds ``hierarchy.py``, and only the duels of given dice
+    compile ``dice.py``."""
     stack = tmp_path / "stack.txt"
     stack.write_text("2,4,9;1,6,8;3,5,7\n" * 2)
     family = tmp_path / "family.json"
     dice = [{"word": [n], "faces": list(faces)} for n, faces in enumerate(FACES)]
     family.write_text(json.dumps({"depth": 1, "dice": dice}))
     sources = {"STACK": str(stack), "FAMILY": str(family)}
+    listing = "".join(f"D{n} {' '.join(faces)}\n" for n, faces in enumerate(FACES, 1))
     cache = tmp_path / "pycache"
     cache.mkdir()
     proc, probe = run_probed(
         ["-m", "metadice", *(sources.get(arg, arg) for arg in argv)],
         tmp_path / "probe",
+        stdin=listing.encode(),
         PYTHONDONTWRITEBYTECODE="1",
         PYTHONPYCACHEPREFIX=str(cache),
     )
