@@ -10,15 +10,14 @@ loads, so a command compiles only the layers it runs:
   ``sweep_pairs`` oracle, the ``VerificationReport`` with its
   ``LevelSummary`` rows, and ``joined``;
 - ``loshu``, the stack layer: ``SQUARE``, ``DigitAssignment``,
-  ``LevelRule``, ``AssignmentStack``, ``parse_stack``, ``preset_stack``,
-  the validators, ``walk_dice``, ``verify_stack``, ``family_header``, and
-  the value core: ``Value``, ``is_int``, ``is_digit_string``, ``NINTHS``,
-  ``Face``, ``LengthMismatchError``;
+  ``table_fault``, ``LevelRule``, ``AssignmentStack``, ``parse_stack``,
+  ``preset_stack``, ``walk_dice``, ``verify_stack``, ``family_header``,
+  and the value core: ``Value``, ``is_int``, ``is_digit_string``,
+  ``NINTHS``, ``Face``, ``LengthMismatchError``;
 - ``dice``, the exact duel engine: ``Die``, ``parse_die``, ``duel``,
-  ``DuelResult``, ``round_robin``;
+  ``DuelResult``, ``monte_carlo``, ``round_robin``;
 - ``hierarchy``, the family layer: ``DiceFamily``, ``generate``,
-  ``verify_family``, ``PairFailure``, ``monte_carlo``, the family
-  documents;
+  ``verify_family``, ``PairFailure``, the family documents;
 - ``certificate``: ``certify``, the node-table proof and localized scan;
 - ``export``: the dominance graph's ``graph_rows``, drawn from a stack's
   depth alone or from a family's dice, and the normalized points;

@@ -44,12 +44,7 @@ from collections import Counter
 from itertools import chain
 from typing import Iterator, Sequence
 
-from metadice.loshu import (
-    DigitAssignment,
-    StackValidationError,
-    validate_leading,
-    validate_rankwise,
-)
+from metadice.loshu import table_fault
 from metadice.sweep import Faces, Failure, scan, scan_later
 
 
@@ -70,7 +65,9 @@ def certify(
     differing at level p >= 2 wins 3 of its 6 cross-rank comparisons on
     its level-1 digits and 2 or 1 of its 3 same-rank ones on the level-p
     table. The walk reads each digit once, takes majorities only in blocks
-    whose dice disagree, and validates each distinct table of a level once.
+    whose dice disagree, and checks each distinct table of a level once,
+    as its one-character digit strings, with
+    :func:`metadice.loshu.table_fault`, the check a stack's tables pass.
 
     The certificate is sufficient, not necessary: a family it cannot prove
     may still pass. So at each level the walk compares the pairs first
@@ -103,7 +100,6 @@ def certify(
         strayed |= strays
         if strays and reason is None:
             reason = _disagreement(digits, refs, min(strays), size, p, depth)
-        check = validate_leading if p == 0 else validate_rankwise
         rows = list(zip(*refs))  # (rank 0, 1, 2) digits of each child block
         verdicts: dict[tuple, str | None] = {}
         bad = set()
@@ -117,7 +113,7 @@ def certify(
                 bad.update(range(b * width, (b + 1) * width))
         for node, table in enumerate(zip(rows[0::3], rows[1::3], rows[2::3])):
             if table not in verdicts:
-                verdicts[table] = _table_fault(table, check)
+                verdicts[table] = table_fault(table, p + 1)
             if verdicts[table] is not None:
                 bad.add(node)
                 if reason is None:
@@ -162,16 +158,6 @@ def _block_majorities(
             strays.update(i for i, d in enumerate(block, lo) if d != ref)
         refs.append(ref)
     return tuple(refs)
-
-
-def _table_fault(table, check) -> str | None:
-    """Why a node table cannot certify its level, or None when it can."""
-    digits = tuple(tuple(map(int, row)) for row in table)
-    try:
-        result = check(DigitAssignment(digits))
-    except StackValidationError as exc:
-        return str(exc)
-    return None if result else result.detail()
 
 
 def _disagreement(

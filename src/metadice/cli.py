@@ -34,10 +34,10 @@ that ``verify``, ``generate`` and ``tables`` of a stack compile.
 ``graph`` and ``normalize`` add :mod:`metadice.export`. A family document
 or listing adds the family layer, :mod:`metadice.hierarchy`, and checking
 its dice, as ``verify`` and ``graph --full-graph`` do, adds
-:mod:`metadice.certificate`. ``prob`` and ``roundrobin`` add the duel
-engine, :mod:`metadice.dice`, and ``simulate`` adds it and
-:mod:`metadice.hierarchy`. ``export`` and ``hierarchy`` are bound lazily,
-with :class:`importlib.util.LazyLoader`, and compiled when a command first
+:mod:`metadice.certificate`. ``prob``, ``roundrobin`` and ``simulate``
+add the duel engine, :mod:`metadice.dice`, and nothing else. ``export``
+and ``hierarchy`` are bound lazily, with
+:class:`importlib.util.LazyLoader`, and compiled when a command first
 reads one of their names once the source has loaded; ``dice`` is imported
 by the three commands that run it, and ``certificate`` by
 :func:`~metadice.hierarchy.verify_family`. ``python -m metadice`` and
@@ -82,8 +82,8 @@ def _lazy_import(name: str):
     return module
 
 
-# Only graph and normalize read export, and only a family's source or
-# simulate reads hierarchy. Lazy rather than imported inside the commands,
+# Only graph and normalize read export, and only a family's source reads
+# hierarchy. Lazy rather than imported inside the commands,
 # because bench/traced_cli.py reads sys.modules["metadice.export"] and
 # sys.modules["metadice.hierarchy"] right after ``import metadice.cli``;
 # once ROADMAP item 1's rewrite of bench/ drops that, these can be plain
@@ -629,13 +629,13 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from metadice.dice import duel, parse_die
+    from metadice.dice import duel, monte_carlo, parse_die
 
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError("seed must fit an unsigned 64-bit integer")
     x = parse_die(args.die_a)
     y = parse_die(args.die_b)
-    estimate = hierarchy.monte_carlo(x, y, args.trials, args.seed)
+    estimate = monte_carlo(x, y, args.trials, args.seed)
     exact = duel(x, y).win
     if args.format == "json":
         doc = {

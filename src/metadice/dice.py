@@ -1,11 +1,13 @@
 """The exact duel engine: dice as face multisets, duel probabilities,
-round-robin play.
+their Monte Carlo cross-check, round-robin play.
 
 A face is a fixed-length digit sequence compared positionally (most
 significant digit first), so families of any nesting depth never need
 big-integer arithmetic. All probabilities are exact ``fractions.Fraction``
-values; nothing in this module touches floating point. :func:`duel`
-imports ``fractions`` when it runs, not when the module loads.
+values; only :func:`monte_carlo`, the stochastic cross-check of
+:func:`duel`, returns a float, its seeded estimate. :func:`duel` imports
+``fractions`` and :func:`monte_carlo` ``random`` when they run, not when
+the module loads.
 
 Only ``prob``, ``roundrobin`` and ``simulate`` compile this module. A
 family's duels, k/9 each, are counted over its 3x3 face grids by
@@ -17,18 +19,13 @@ here as their oracle.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from metadice.loshu import Face, LengthMismatchError, Value, is_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-#: Digits are ASCII only: ``str.isdigit()``, ``\d`` and ``int()`` also take
-#: other scripts' digits (Arabic-Indic two reads as 2), so every parser
-#: matches ``[0-9]`` or also tests ``str.isascii()``.
-_FACE_TOKEN = re.compile(r"([0-9]+)(?:x([0-9]+))?\Z")
-
 
 class TeamOverlapError(ValueError):
     """Round-robin teams share a value, so the outcome would be ambiguous."""
@@ -145,6 +142,11 @@ def parse_die(text: str) -> Die:
     accepted. Digit length is set by the longest face; a shorter face is an
     error, never zero-padded. Digit 0 is refused: the Lo Shu digits are 1..9.
     """
+    # digits are ASCII only: ``str.isdigit()``, ``\d`` and ``int()`` also
+    # take other scripts' digits (Arabic-Indic two reads as 2), so every
+    # parser matches ``[0-9]`` or also tests ``str.isascii()``; compiled
+    # here, as only the commands that duel given dice read it
+    face_token = re.compile(r"([0-9]+)(?:x([0-9]+))?\Z")
     faces: list[tuple[Face, int]] = []
     positions: list[int] = []
     offset = 0
@@ -152,7 +154,7 @@ def parse_die(text: str) -> Die:
         token = raw.strip()
         here = offset + (len(raw) - len(raw.lstrip()))
         offset += len(raw) + 1
-        m = _FACE_TOKEN.match(token)
+        m = face_token.match(token)
         if m is None:
             raise DieParseError(f"bad face token {token!r}", here)
         digits = tuple(int(c) for c in m.group(1))
@@ -219,6 +221,34 @@ def duel(x: Die, y: Die) -> DuelResult:
         Fraction(tie, total),
         Fraction(total - win - tie, total),
     )
+
+
+def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
+    """Estimated frequency of x beating y over seeded independent rolls.
+
+    Deterministic for a fixed seed; ties count as non-wins. This is the
+    stochastic cross-check of the exact :func:`duel` engine.
+    """
+    # imported here, so that only ``simulate`` loads them
+    import random
+    from bisect import bisect_right
+
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if x.digit_length != y.digit_length:
+        raise LengthMismatchError("dice with different face lengths cannot duel")
+    # a roll draws an index into the faces as expand() would list them,
+    # which bisecting the running multiplicity totals maps to its face
+    fx, fy = ([face for face, _ in die.faces] for die in (x, y))
+    cx, cy = (list(accumulate(m for _, m in die.faces)) for die in (x, y))
+    nx, ny = cx[-1], cy[-1]
+    rng = random.Random(seed)
+    wins = 0
+    for _ in range(trials):
+        roll = fx[bisect_right(cx, rng.randrange(nx))]
+        if roll > fy[bisect_right(cy, rng.randrange(ny))]:
+            wins += 1
+    return wins / trials
 
 
 def round_robin(

@@ -25,9 +25,9 @@ levels, by the node-table certificate or by checking, level by level, the
 pairs the tables cannot vouch for; the :mod:`metadice.certificate`
 docstring describes the two paths. A validated stack needs none of this:
 :func:`metadice.loshu.verify_stack` proves it from its depth, so a command
-on a stack never compiles this module. ``monte_carlo`` is the stochastic
-cross-check of the exact duel engine, :mod:`metadice.dice`, which this
-module does not import.
+on a stack never compiles this module. It does not import the exact duel
+engine, :mod:`metadice.dice`, which holds ``monte_carlo``, its stochastic
+cross-check.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -44,7 +43,7 @@ from metadice.loshu import is_digit_string, is_int, parse_stack, walk_dice
 from metadice.sweep import VerificationReport
 
 if TYPE_CHECKING:
-    from metadice.dice import Die, DuelResult
+    from metadice.dice import DuelResult
 
 Word = tuple[int, ...]
 
@@ -271,33 +270,6 @@ def verify_family(family: DiceFamily) -> VerificationReport:
     return VerificationReport(
         family.depth, family.multiplicity, tuple(records), elapsed, reason, scanned
     )
-
-
-def monte_carlo(x: Die, y: Die, trials: int, seed: int = 0) -> float:
-    """Estimated frequency of x beating y over seeded independent rolls.
-
-    Deterministic for a fixed seed; ties count as non-wins. This is the
-    stochastic cross-check of the exact :func:`metadice.dice.duel` engine.
-    """
-    # imported here, so that only ``simulate`` loads it
-    import random
-
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if x.digit_length != y.digit_length:
-        raise LengthMismatchError("dice with different face lengths cannot duel")
-    # a roll draws an index into the faces as expand() would list them,
-    # which bisecting the running multiplicity totals maps to its face
-    fx, fy = ([face for face, _ in die.faces] for die in (x, y))
-    cx, cy = (list(itertools.accumulate(m for _, m in die.faces)) for die in (x, y))
-    nx, ny = cx[-1], cy[-1]
-    rng = random.Random(seed)
-    wins = 0
-    for _ in range(trials):
-        roll = fx[bisect_right(cx, rng.randrange(nx))]
-        if roll > fy[bisect_right(cy, rng.randrange(ny))]:
-            wins += 1
-    return wins / trials
 
 
 def family_to_json(family: DiceFamily) -> dict:

@@ -4,7 +4,8 @@ the walk of a stack's family and its proof from the depth.
 A digit assignment is a 3x3 table of distinct digits: three subsets (which
 arm of the dominance cycle a die sits on at one nesting level) times three
 ranks (which of the die's three faces receives the digit). Two properties
-make the recursive construction work:
+make the recursive construction work, and :func:`table_fault` states both,
+and which holds at which level:
 
 * leading: around the subset cycle 0 -> 1 -> 2 -> 0, each subset's digits
   beat the next subset's in exactly 5 of the 9 cross pairs. The level-1
@@ -16,7 +17,10 @@ make the recursive construction work:
   3/9 + 2/9 = 5/9 for dice that first differ at that level.
 
 An assignment stack fixes one table per nesting level, optionally rotated by
-an earlier trit of the die's address, and is validated on construction.
+an earlier trit of the die's address, and checks each level's table with
+:func:`table_fault` on construction; :mod:`metadice.certificate` checks each
+distinct node table of a family with the same function, so a stack's
+refusal and a family's certificate give one verdict in one text.
 
 The word prefixes of a stack's family form a tree whose node at level j
 holds one level-j table. :func:`walk_dice` walks that tree a level at a
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from metadice.sweep import VerificationReport
 
@@ -104,35 +108,12 @@ Triple = tuple[int, int, int]
 #: The 3x3 magic square, rows top to bottom.
 SQUARE: tuple[Triple, Triple, Triple] = ((4, 9, 2), (3, 5, 7), (8, 1, 6))
 
-_LEVEL_LINE = re.compile(
-    r"(?P<table>[0-9,;\s]+?)(?:\s+rot=w(?P<rot>[0-9]+))?\s*\Z"
-)
+#: Why a table whose nine digits are not all distinct is refused.
+_REPEATED_DIGITS = "the 9 digits of an assignment must be pairwise distinct"
 
 
 class StackValidationError(ValueError):
     """An assignment or stack violates a construction invariant."""
-
-
-class ValidationResult(NamedTuple):
-    """Outcome of a validity predicate; falsy results carry the counterexample."""
-
-    ok: bool
-    predicate: str
-    pair: tuple[int, int] | None = None
-    count: int | None = None
-    required: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def detail(self) -> str:
-        if self.ok:
-            return f"{self.predicate} property holds"
-        s, t = self.pair
-        return (
-            f"{self.predicate} property fails for subset pair {s}->{t}:"
-            f" {self.count} winning comparisons, need exactly {self.required}"
-        )
 
 
 class DigitAssignment(Value):
@@ -155,9 +136,7 @@ class DigitAssignment(Value):
         if not all(is_int(d) and 0 <= d <= 9 for d in digits):
             raise StackValidationError("assignment digits must be ints in 0..9")
         if len(set(digits)) != 9:
-            raise StackValidationError(
-                "the 9 digits of an assignment must be pairwise distinct"
-            )
+            raise StackValidationError(_REPEATED_DIGITS)
         self._set(subsets=subsets)
 
     def __getitem__(self, subset: int) -> Triple:
@@ -178,24 +157,29 @@ RESIDUE_ROWS = DigitAssignment(((2, 8, 5), (9, 6, 3), (4, 1, 7)))
 SWAPPED_ROWS = DigitAssignment(((2, 9, 4), (1, 8, 6), (3, 7, 5)))
 
 
-def validate_leading(a: DigitAssignment) -> ValidationResult:
-    """Check 5-of-9 all-pairs dominance around the subset cycle."""
+def table_fault(subsets: Sequence[Sequence], level: int) -> str | None:
+    """Why the 3x3 table ``subsets`` cannot be a stack's level-``level``
+    table, or None when it can: nine distinct digits, leading at level 1
+    and rank-wise deeper.
+
+    Digits are compared as given, ints or one-character digit strings
+    alike, since for single ASCII digits string order is numeric order.
+    """
+    if len({d for sub in subsets for d in sub}) != 9:
+        return _REPEATED_DIGITS
+    # leading compares all nine cross pairs, rank-wise the three same-rank ones
+    predicate, need, pairs = (
+        ("leading", 5, itertools.product) if level == 1 else ("rank-wise", 2, zip)
+    )
     for s in range(3):
         t = (s + 1) % 3
-        count = sum(x > y for x in a[s] for y in a[t])
-        if count != 5:
-            return ValidationResult(False, "leading", (s, t), count, 5)
-    return ValidationResult(True, "leading")
-
-
-def validate_rankwise(a: DigitAssignment) -> ValidationResult:
-    """Check 2-of-3 same-rank dominance around the subset cycle."""
-    for s in range(3):
-        t = (s + 1) % 3
-        count = sum(a[s][i] > a[t][i] for i in range(3))
-        if count != 2:
-            return ValidationResult(False, "rank-wise", (s, t), count, 2)
-    return ValidationResult(True, "rank-wise")
+        count = sum(x > y for x, y in pairs(subsets[s], subsets[t]))
+        if count != need:
+            return (
+                f"{predicate} property fails for subset pair {s}->{t}:"
+                f" {count} winning comparisons, need exactly {need}"
+            )
+    return None
 
 
 def rotate(a: DigitAssignment, r: int) -> DigitAssignment:
@@ -260,13 +244,9 @@ class AssignmentStack(Value):
                         f"level {level}: rotation selector w{rule.rotate_by}"
                         " must name an earlier word position"
                     )
-            check = (
-                validate_leading(rule.base)
-                if level == 1
-                else validate_rankwise(rule.base)
-            )
-            if not check:
-                raise StackValidationError(f"level {level}: {check.detail()}")
+            fault = table_fault(rule.base.subsets, level)
+            if fault is not None:
+                raise StackValidationError(f"level {level}: {fault}")
         self._set(levels=levels)
 
     @property
@@ -359,12 +339,16 @@ def parse_stack(text: str) -> AssignmentStack:
     selects its rotation. Validation failures name the violated predicate,
     the offending subset pair and the offending count.
     """
+    # compiled here, as only a stack file's text needs it
+    level_line = re.compile(
+        r"(?P<table>[0-9,;\s]+?)(?:\s+rot=w(?P<rot>[0-9]+))?\s*\Z"
+    )
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _LEVEL_LINE.match(line)
+        m = level_line.match(line)
         if m is None:
             raise StackValidationError(f"line {lineno}: cannot parse {line!r}")
         try:

@@ -1,8 +1,8 @@
 """Shared test fixtures: hypothesis strategies, assignment pools, CLI runner.
 
 The assignment pools are built with the naive counting oracles below (not
-the library's validators) so that family-level property tests draw from
-independently certified construction data.
+the library's ``table_fault``) so that family-level property tests draw
+from independently certified construction data.
 """
 
 from __future__ import annotations

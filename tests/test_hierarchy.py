@@ -24,7 +24,7 @@ from conftest import (
     valid_stacks,
 )
 from metadice import hierarchy
-from metadice.dice import Die, DuelResult, duel
+from metadice.dice import Die, DuelResult, duel, monte_carlo
 from metadice.hierarchy import (
     DiceFamily,
     FamilyFormatError,
@@ -35,12 +35,12 @@ from metadice.hierarchy import (
     family_from_rows,
     family_to_json,
     generate,
-    monte_carlo,
     predicted_winner,
     verify_family,
     word_of,
 )
 from metadice.loshu import (
+    RESIDUE_ROWS,
     SORTED_ROWS,
     AssignmentStack,
     LengthMismatchError,
@@ -979,6 +979,57 @@ class TestCertificate:
         words = {family.words[i] for i in altered}
         for failure in report.failures:
             assert {failure.word_a, failure.word_b} & words
+
+
+#: (the tables of a depth-1 or depth-2 stack, where its refusal names the
+#: last of them, and the one text a stack and a certificate refuse it with)
+REFUSED_TABLES = [
+    (
+        (RESIDUE_ROWS.subsets,),
+        "level 1",
+        "leading property fails for subset pair 0->1:"
+        " 3 winning comparisons, need exactly 5",
+    ),
+    (
+        (SORTED_ROWS.subsets, ((1, 2, 3), (4, 5, 6), (7, 8, 9))),
+        "level 2",
+        "rank-wise property fails for subset pair 0->1:"
+        " 0 winning comparisons, need exactly 2",
+    ),
+    (
+        (SORTED_ROWS.subsets, ((1, 2, 3), (4, 5, 6), (7, 8, 8))),
+        "line 2",
+        "the 9 digits of an assignment must be pairwise distinct",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "tables, where, fault",
+    REFUSED_TABLES,
+    ids=["leading", "rank-wise", "repeated-digit"],
+)
+def test_a_stack_and_the_certificate_refuse_a_table_alike(
+    run_cli, tmp_path, tables, where, fault
+):
+    """A stack file whose last table fails is refused with the text that
+    ends the ``certificate:`` line of the family whose every node at that
+    level holds that table."""
+    texts = [";".join(",".join(map(str, row)) for row in t) for t in tables]
+    stack = tmp_path / "stack.txt"
+    stack.write_text("".join(f"{text}\n" for text in texts))
+    assert run_cli(["verify", "--stack", str(stack)]) == (
+        2, "", f"error: {where}: {fault}\n"
+    )
+    depth = len(tables)
+    faces = tree_rank_faces(depth, lambda level, prefix: tables[level - 1])
+    listing = "".join(f"D{n} {' '.join(die)}\n" for n, die in enumerate(faces, 1))
+    code, out, err = run_cli(["verify", "--stdin"], listing)
+    assert err == "" and code in (0, 1)
+    assert out.splitlines()[-2] == (
+        f"certificate: level {depth}, prefix ({'0' * (depth - 1)}),"
+        f" table {texts[-1]}: {fault}"
+    )
 
 
 #: Stacks beside the presets: the Lo Shu tables with digit 1 lowered to 0,

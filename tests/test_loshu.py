@@ -1,4 +1,4 @@
-"""Assignment tables, validity predicates, rotation, presets, stack files."""
+"""Assignment tables, the one table check, rotation, presets, stack files."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,8 +18,7 @@ from metadice.loshu import (
     parse_stack,
     preset_stack,
     rotate,
-    validate_leading,
-    validate_rankwise,
+    table_fault,
 )
 
 random_assignments = st.permutations(list(range(1, 10))).map(
@@ -46,42 +45,73 @@ def test_sorted_rows_subsets():
     assert {tuple(sorted(row)) for row in SQUARE} == set(SORTED_ROWS.subsets)
 
 
-class TestValidateLeading:
-    def test_sorted_rows_pass(self):
-        assert validate_leading(SORTED_ROWS)
-
-    def test_residue_rows_fail_with_detail(self):
-        result = validate_leading(RESIDUE_ROWS)
-        assert not result
-        assert result.pair == (0, 1)
-        assert result.count == 3 and result.required == 5
-        assert "leading" in result.detail()
-
-    def test_ordered_partition_fails(self):
-        result = validate_leading(DigitAssignment(((1, 2, 3), (4, 5, 6), (7, 8, 9))))
-        assert not result and result.count == 0
-
-    @given(random_assignments)
-    def test_matches_naive_oracle(self, a):
-        assert bool(validate_leading(a)) == (naive_leading_counts(a.subsets) == [5, 5, 5])
+#: An ordered partition of 1..9: neither leading nor rank-wise.
+ORDERED = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 
 
-class TestValidateRankwise:
-    def test_bundled_tables_pass(self):
-        assert validate_rankwise(SORTED_ROWS)
-        assert validate_rankwise(RESIDUE_ROWS)
-        assert validate_rankwise(SWAPPED_ROWS)
+def naive_fault_free(subsets, level):
+    """The conftest oracle's verdict on a table of distinct digits."""
+    if level == 1:
+        return naive_leading_counts(subsets) == [5, 5, 5]
+    return naive_rankwise_counts(subsets) == [2, 2, 2]
 
-    def test_failure_carries_counterexample(self):
-        result = validate_rankwise(DigitAssignment(((1, 2, 3), (4, 5, 6), (7, 8, 9))))
-        assert not result
-        assert result.pair == (0, 1) and result.count == 0 and result.required == 2
 
-    @given(random_assignments)
-    def test_matches_naive_oracle(self, a):
-        assert bool(validate_rankwise(a)) == (
-            naive_rankwise_counts(a.subsets) == [2, 2, 2]
+class TestTableFault:
+    def test_sorted_rows_lead(self):
+        assert table_fault(SORTED_ROWS.subsets, 1) is None
+
+    def test_residue_rows_do_not_lead(self):
+        assert table_fault(RESIDUE_ROWS.subsets, 1) == (
+            "leading property fails for subset pair 0->1:"
+            " 3 winning comparisons, need exactly 5"
         )
+
+    def test_ordered_partition_does_not_lead(self):
+        assert table_fault(ORDERED, 1) == (
+            "leading property fails for subset pair 0->1:"
+            " 0 winning comparisons, need exactly 5"
+        )
+
+    @given(random_assignments)
+    def test_leading_matches_naive_oracle(self, a):
+        assert (table_fault(a.subsets, 1) is None) == naive_fault_free(a.subsets, 1)
+
+    def test_bundled_tables_are_rankwise(self):
+        for level in (2, 3):
+            assert table_fault(SORTED_ROWS.subsets, level) is None
+            assert table_fault(RESIDUE_ROWS.subsets, level) is None
+            assert table_fault(SWAPPED_ROWS.subsets, level) is None
+
+    def test_ordered_partition_is_not_rankwise(self):
+        assert table_fault(ORDERED, 2) == (
+            "rank-wise property fails for subset pair 0->1:"
+            " 0 winning comparisons, need exactly 2"
+        )
+
+    @given(random_assignments, st.integers(2, 3))
+    def test_rankwise_matches_naive_oracle(self, a, level):
+        assert (table_fault(a.subsets, level) is None) == naive_fault_free(
+            a.subsets, level
+        )
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_repeated_digit_is_the_assignments_refusal(self, level):
+        """A table that repeats a digit gets the text
+        :class:`DigitAssignment` refuses it with, whatever its counts."""
+        table = ((1, 2, 3), (4, 5, 6), (7, 8, 8))
+        with pytest.raises(StackValidationError) as exc:
+            DigitAssignment(table)
+        assert table_fault(table, level) == str(exc.value) == (
+            "the 9 digits of an assignment must be pairwise distinct"
+        )
+
+    @given(st.lists(st.integers(0, 9), min_size=9, max_size=9), st.integers(1, 3))
+    def test_digit_strings_give_the_ints_verdict(self, digits, level):
+        """A node table of one-character digit strings, as a family's faces
+        give it, gets the verdict and text of the same table of ints."""
+        ints = (tuple(digits[0:3]), tuple(digits[3:6]), tuple(digits[6:9]))
+        strings = tuple(tuple(map(str, row)) for row in ints)
+        assert table_fault(strings, level) == table_fault(ints, level)
 
 
 class TestRotate:
@@ -98,14 +128,16 @@ class TestRotate:
         a = rotate(SWAPPED_ROWS, 1)
         assert rotate(rotate(a, 1), 1) == rotate(SWAPPED_ROWS, 0)
 
-    @given(random_assignments, st.integers(0, 2))
-    def test_preserves_rankwise(self, a, r):
-        assert bool(validate_rankwise(a)) == bool(validate_rankwise(rotate(a, r)))
+    @given(random_assignments, st.integers(0, 2), st.integers(2, 3))
+    def test_preserves_rankwise(self, a, r, level):
+        # rotating every subset alike keeps each pair's same-rank counts
+        rotated = rotate(a, r).subsets
+        assert table_fault(a.subsets, level) == table_fault(rotated, level)
 
     @given(random_assignments, st.integers(0, 2))
     def test_preserves_leading(self, a, r):
         # leading counts only look at digit sets, untouched by rotation
-        assert bool(validate_leading(a)) == bool(validate_leading(rotate(a, r)))
+        assert table_fault(a.subsets, 1) == table_fault(rotate(a, r).subsets, 1)
 
 
 class TestDigitAssignment:

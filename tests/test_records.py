@@ -1,8 +1,10 @@
 """The record classes: value semantics, and what a CLI process imports."""
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +23,6 @@ from metadice.loshu import (
     AssignmentStack,
     DigitAssignment,
     LevelRule,
-    ValidationResult,
     Value,
 )
 from metadice.sweep import LevelSummary, VerificationReport, pack
@@ -57,11 +58,6 @@ RECORDS = {
         lambda: DuelResult(Fraction(5, 9), Fraction(0), Fraction(4, 9)),
         lambda: DuelResult(Fraction(4, 9), Fraction(0), Fraction(5, 9)),
         "win",
-    ),
-    "ValidationResult": (
-        lambda: ValidationResult(True, "leading"),
-        lambda: ValidationResult(False, "leading", (0, 1), 4, 5),
-        "ok",
     ),
     "DigitAssignment": (
         lambda: DigitAssignment(((2, 4, 9), (1, 6, 8), (3, 5, 7))),
@@ -114,10 +110,6 @@ _FAILURE = (
 REPRS = {
     "Die": "Die(faces=(((2,), 2), ((4,), 2), ((9,), 2)))",
     "DuelResult": _WIN,
-    "ValidationResult": (
-        "ValidationResult(ok=True, predicate='leading', pair=None, count=None,"
-        " required=None)"
-    ),
     "DigitAssignment": _ASSIGNMENT,
     "LevelRule": (
         "LevelRule(base=DigitAssignment(subsets=((2, 9, 4), (1, 8, 6), (3, 7, 5))),"
@@ -277,6 +269,72 @@ def test_only_sweep_names_the_record_layout_in_source():
     assert naming == {"sweep.py"}
 
 
+def _runs_at_load(node):
+    """``node`` and the nodes beneath it that run when their module loads:
+    all but the body of a function or a lambda, which runs when it is
+    called. Decorators and default values run where it is defined."""
+    yield node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        children = [
+            *getattr(node, "decorator_list", ()),
+            *args.defaults,
+            *filter(None, args.kw_defaults),
+        ]
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        yield from _runs_at_load(child)
+
+
+def _load_time_compiles(source: str) -> list[int]:
+    """The lines of ``source`` whose ``re.compile`` runs as it loads."""
+    return [
+        node.lineno
+        for node in _runs_at_load(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"
+    ]
+
+
+def test_no_module_compiles_a_pattern_as_it_loads():
+    """A pattern is compiled in the function that matches it, so a command
+    that never parses a stack file, a die or a team compiles no pattern."""
+    sample = (
+        "import re\n"
+        "TOKEN = re.compile('a')\n"
+        "class Parser:\n"
+        "    LINE = re.compile('b')\n"
+        "    def parse(self, text, line=re.compile('c')):\n"
+        "        return re.compile('d').match(text)\n"
+        "match = lambda text: re.compile('e').match(text)\n"
+    )
+    assert _load_time_compiles(sample) == [2, 4, 5]
+    compiling = [
+        f"{path.name}:{line}"
+        for path in sorted((SRC / "metadice").glob("*.py"))
+        for line in _load_time_compiles(path.read_text())
+    ]
+    assert compiling == []
+
+
+def test_the_module_map_names_what_each_module_holds():
+    """Each bullet of the package docstring starts with a module's name,
+    and every other name it quotes is an attribute of that module; the
+    bullets cover every module but the package and ``__main__``."""
+    import metadice
+
+    mapped, missing = set(), []
+    for bullet in metadice.__doc__.split("\n- ")[1:]:
+        module, *names = re.findall(r"``(\w+)``", bullet)
+        assert bullet.startswith(f"``{module}``")
+        mapped.add(module)
+        held = importlib.import_module(f"metadice.{module}")
+        missing += [f"{module}.{name}" for name in names if not hasattr(held, name)]
+    assert missing == []
+    modules = {path.stem for path in (SRC / "metadice").glob("*.py")}
+    assert mapped == modules - {"__init__", "__main__"}
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_equality_and_hashing_follow_the_fields(name):
     make, make_other, _ = RECORDS[name]
@@ -301,11 +359,6 @@ def test_fields_are_read_only(name):
 
 
 def test_keyword_and_default_construction():
-    result = ValidationResult(True, "leading")
-    assert (result.pair, result.count, result.required) == (None, None, None)
-    assert result and result.detail() == "leading property holds"
-    assert not ValidationResult(False, "leading", (0, 1), 4, 5)
-
     rule = LevelRule(SORTED_ROWS, rotate_by=2)
     assert (rule.base, rule.rotate_by) == (SORTED_ROWS, 2)
     assert LevelRule(SORTED_ROWS).rotate_by is None
@@ -436,7 +489,7 @@ CHECKED = {"hierarchy.py", "certificate.py"}
         (["tables", "--depth", "2"], set()),
         (["prob", "2,4,9", "1,6,8"], {"dice.py"}),
         (["roundrobin", "4,9,2", "3,5,7"], {"dice.py"}),
-        (["simulate", "2,4,9", "1,6,8", "--trials", "9"], {"dice.py", "hierarchy.py"}),
+        (["simulate", "2,4,9", "1,6,8", "--trials", "9"], {"dice.py"}),
         (["graph", "--stack", "STACK", "--full-graph"], {"export.py"}),
         (["graph", "--family", "FAMILY", "--full-graph"], {"export.py"} | CHECKED),
         (["normalize", "--preset", "uniform", "--depth", "3"], {"export.py"}),
