@@ -5,15 +5,16 @@ their first differing trit. Each name is imported from its module, listed
 here from the bottom layer up; a module imports only lower layers as it
 loads, so a command compiles only the layers it runs:
 
-- ``sweep``: the failure records, their one writer and reader: ``pack``,
-  ``unpack``, ``failure_rows``, ``outcome_counts``, ``level_counts``, the
+- ``sweep``: ``siblings``, the cycle between sibling blocks, and the failure
+  records, their one writer and reader: ``pack``, ``unpack``,
+  ``failure_rows``, ``outcome_counts``, ``level_counts``, the
   ``sweep_pairs`` oracle, the ``VerificationReport`` with its
   ``LevelSummary`` rows, and ``joined``;
 - ``loshu``, the stack layer: ``SQUARE``, ``DigitAssignment``,
   ``table_fault``, ``LevelRule``, ``AssignmentStack``, ``parse_stack``,
   ``preset_stack``, ``walk_dice``, ``verify_stack``, ``family_header``,
   and the value core: ``Value``, ``is_int``, ``is_digit_string``,
-  ``NINTHS``, ``Face``, ``LengthMismatchError``;
+  ``check_counts``, ``NINTHS``, ``Face``, ``LengthMismatchError``;
 - ``dice``, the exact duel engine: ``Die``, ``parse_die``, ``duel``,
   ``DuelResult``, ``monte_carlo``, ``round_robin``;
 - ``hierarchy``, the family layer: ``DiceFamily``, ``generate``,

@@ -26,8 +26,10 @@ takes one of two paths:
   differing level, or under a node no table vouches for, are compared. A
   bad node's pairs are the forward scans, as in ``sweep_pairs``, of the
   dice in its first two child blocks; a stray die scans forward and back,
-  and :func:`metadice.sweep.scan` records each pair it finds failing
-  before the stray die as the record of that earlier, lower die.
+  over the sibling blocks that :func:`metadice.sweep.siblings` names with
+  their expected wins, and :func:`metadice.sweep.scan` records each pair
+  it finds failing before the stray die as the record of that earlier,
+  lower die.
 
 Both find the failures :func:`metadice.sweep.sweep_pairs` finds, which
 checks every pair, each tagged with its level, as one record each.
@@ -45,7 +47,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from metadice.loshu import table_fault
-from metadice.sweep import Faces, Failure, scan, scan_later
+from metadice.sweep import Faces, Failure, scan, scan_later, siblings
 
 
 def certify(
@@ -130,13 +132,11 @@ def certify(
         for i in chain(suspects, members):
             scanned += scan_later(faces, i, size, p + 1, failures)
         for i in suspects:
-            lo, trit = i - i % size, i // size % 3
-            # earlier siblings but the suspects, whose own scan covered the
-            # pair; i's block loses 4/9 to its predecessor and beats the block
-            # before that 5/9
-            for start, expected in ((1, 4), (2, 5))[:trit]:
-                block = lo - start * size, lo - (start - 1) * size
-                for first, stop in _gaps(*block, suspects):
+            # the sibling blocks before i, whose dice are cut at i: a later
+            # block's range is empty. The other suspects are skipped, as
+            # their own forward scans compared them with i
+            for lo, expected in siblings(i, size):
+                for first, stop in _gaps(lo, min(lo + size, i), suspects):
                     scan(faces, i, first, stop, expected, p + 1, failures)
                     scanned += stop - first
     failures.sort()

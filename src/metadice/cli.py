@@ -61,8 +61,9 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
-from metadice.loshu import NINTHS, AssignmentStack, family_header, is_digit_string
-from metadice.loshu import parse_stack, preset_stack, verify_stack, walk_dice
+from metadice.loshu import NINTHS, AssignmentStack, check_counts, family_header
+from metadice.loshu import is_digit_string, parse_stack, preset_stack, verify_stack
+from metadice.loshu import walk_dice
 from metadice.sweep import VerificationReport, failure_rows, joined, outcome_counts
 
 
@@ -282,8 +283,7 @@ def _load_source(args) -> tuple[AssignmentStack | hierarchy.DiceFamily, int]:
     # a stack is checked before any of its 3^depth dice is built
     _check_depth(source.depth, args.allow_large)
     if isinstance(source, AssignmentStack):
-        if multiplicity < 1:
-            raise ValueError("face multiplicity must be positive")
+        check_counts(source.depth, multiplicity)
         return source, multiplicity
     if args.multiplicity not in (None, source.multiplicity):
         raise ValueError(

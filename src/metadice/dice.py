@@ -131,9 +131,6 @@ class Die(Value):
             parts.append(s if mult == 1 else f"{s}x{mult}")
         return ",".join(parts)
 
-    def __str__(self) -> str:
-        return self.text()
-
 
 def parse_die(text: str) -> Die:
     """Parse the die text format: comma-separated faces, optional xN suffix.
@@ -191,9 +188,6 @@ class DuelResult(Value):
             if not 0 <= p <= 1:
                 raise ValueError(f"probability {p} outside [0, 1]")
         self._set(win=win, tie=tie, loss=loss)
-
-    def __str__(self) -> str:
-        return f"{self.win} {self.tie} {self.loss}"
 
 
 def duel(x: Die, y: Die) -> DuelResult:

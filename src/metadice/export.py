@@ -5,6 +5,8 @@ prefixes as nodes, each trio of siblings wired into its 3-cycle) and the
 full view (every pair of dice, one edge per pair). Sibling edges follow the
 cycle and carry the source's exact win probability, so on a failing family
 one can point from a loser; full-view edges point from winner to loser.
+Both views take the cycle from :func:`metadice.sweep.siblings`: a trio's
+next sibling, and the block each die's block beats at every level.
 Each view is one integer walk in (source, target) order. A validated
 stack's graph is drawn from its depth alone and reads no die: every pair
 of its family duels 5/9 the cycle's way. A loaded family's sibling trio is
@@ -41,7 +43,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.loshu import NINTHS, AssignmentStack, Face
-from metadice.sweep import failure_rows, joined, outcome_counts
+from metadice.sweep import failure_rows, joined, outcome_counts, siblings
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -117,7 +119,7 @@ def _sibling_rows(depth: int, level: int, family: DiceFamily | None) -> Iterator
     values."""
     faces = None if family is None else family.rank_faces[:: 3 ** (depth - level)]
     for s in range(3 ** level):
-        t = s - s % 3 + (s + 1) % 3
+        t = siblings(s, 1)[0][0]  # the sibling that s beats
         wins = 5 if faces is None else sum(x > y for x in faces[s] for y in faces[t])
         yield s, t, t + 1, NINTHS[wins]
 
@@ -157,7 +159,7 @@ def _full_rows(depth: int, family: DiceFamily | None) -> Iterator:
             if source == s:
                 runs.append((target, target + 1, NINTHS[ninths]))
         # (first die, size) of the block that s's block beats, at each level
-        beaten = sorted((s - s % (3 * k) + (s // k + 1) % 3 * k, k) for k in sizes)
+        beaten = sorted((siblings(s, k)[0][0], k) for k in sizes)
         for lo, size in beaten:
             end = lo + size
             for cut in cuts[bisect_left(cuts, lo) : bisect_left(cuts, end)]:

@@ -38,8 +38,9 @@ import time
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from metadice.loshu import AssignmentStack, LengthMismatchError, Value, family_header
-from metadice.loshu import is_digit_string, is_int, parse_stack, walk_dice
+from metadice.loshu import AssignmentStack, LengthMismatchError, Value, check_counts
+from metadice.loshu import family_header, is_digit_string, is_int, parse_stack
+from metadice.loshu import walk_dice
 from metadice.sweep import VerificationReport
 
 if TYPE_CHECKING:
@@ -114,7 +115,8 @@ class DiceFamily(Value):
     ``words`` is derived from the depth on first use and cached; a die is
     read as its rank faces, each at the family multiplicity. A family is
     a :class:`~metadice.loshu.Value` of its four fields. The constructor
-    checks every die; only :func:`generate` skips the checks.
+    checks every die and keeps the dice as tuples, copying dice given as
+    lists; only :func:`generate` skips the checks.
     """
 
     _fields = ("depth", "multiplicity", "rank_faces", "stack")
@@ -130,21 +132,20 @@ class DiceFamily(Value):
         rank_faces: tuple[tuple[str, str, str], ...],
         stack: AssignmentStack | None = None,
     ):
-        for name, value in (("depth", depth), ("multiplicity", multiplicity)):
-            if not is_int(value):
-                raise FamilyFormatError(f"{name} must be an integer, got {value!r}")
-        if depth < 1:
-            raise FamilyFormatError("depth must be at least 1")
-        if multiplicity < 1:
-            raise FamilyFormatError("face multiplicity must be positive")
+        check_counts(depth, multiplicity, FamilyFormatError)
         size = len(rank_faces)
         # a depth above the entry count cannot match, so 3^depth is not built
         if depth > size or 3 ** depth != size:
             raise FamilyFormatError(
                 f"a depth-{depth} family needs exactly 3^{depth} dice"
             )
-        if not _dice_sound(rank_faces, depth):
+        kinds = set(map(type, rank_faces))
+        if not (kinds <= {tuple, list} and _dice_sound(rank_faces, depth)):
             _check_each_die(rank_faces, depth)
+        if kinds != {tuple} or type(rank_faces) is not tuple:
+            # a caller's lists would leave the value unhashable and open to
+            # edits past these checks; the loaders pass tuples
+            rank_faces = tuple(map(tuple, rank_faces))
         self._set(
             depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
         )
@@ -169,10 +170,10 @@ class DiceFamily(Value):
 
 
 def _dice_sound(rank_faces: Sequence, depth: int) -> bool:
-    """True when every die is a tuple or list of three distinct strings of
-    ``depth`` ASCII digits, checked over all faces at once. False may also
-    mean a subclass that the per-die checks accept."""
-    if set(map(type, rank_faces)) - {tuple, list} or set(map(len, rank_faces)) != {3}:
+    """True when the dice, each a tuple or list, are three distinct strings
+    of ``depth`` ASCII digits each, checked over all faces at once. False
+    may also mean a subclass that the per-die checks accept."""
+    if set(map(len, rank_faces)) != {3}:
         return False
     columns = tuple(zip(*rank_faces))
     faces = list(itertools.chain.from_iterable(columns))
@@ -221,10 +222,10 @@ def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
 
     Every die is valid by construction, so this is the one builder that
     skips :class:`DiceFamily`'s per-die checks, which take as long as the
-    walk. The commands that write a stack's family read the walk itself.
+    walk; its depth and multiplicity checks still refuse what they refuse.
+    The commands that write a stack's family read the walk itself.
     """
-    if multiplicity < 1:
-        raise ValueError("face multiplicity must be positive")
+    check_counts(stack.depth, multiplicity, FamilyFormatError)
     rank_faces = tuple(walk_dice(stack))
     return DiceFamily._trusted(stack.depth, multiplicity, rank_faces, stack)
 

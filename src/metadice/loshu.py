@@ -20,7 +20,12 @@ An assignment stack fixes one table per nesting level, optionally rotated by
 an earlier trit of the die's address, and checks each level's table with
 :func:`table_fault` on construction; :mod:`metadice.certificate` checks each
 distinct node table of a family with the same function, so a stack's
-refusal and a family's certificate give one verdict in one text.
+refusal and a family's certificate give one verdict in one text. A stack
+names the level it refuses; :func:`parse_stack` adds the file line of that
+level and checks nothing again. :func:`parse_assignment` reads a table's
+digits and leaves its shape to :class:`DigitAssignment`. Of the presets,
+``paper-1`` and ``paper-2`` are the uniform stacks of depth 1 and 2, and
+``paper-3`` alone lists its levels.
 
 The word prefixes of a stack's family form a tree whose node at level j
 holds one level-j table. :func:`walk_dice` walks that tree a level at a
@@ -32,7 +37,7 @@ so a writer holds one block of a stack's family, never the whole of it.
 
 The module also hosts what every layer shares: :class:`Value`, the value
 protocol of the library's immutable classes, the input checks
-:func:`is_int` and :func:`is_digit_string`, ``Face``,
+:func:`is_int`, :func:`is_digit_string` and :func:`check_counts`, ``Face``,
 :class:`LengthMismatchError` and :data:`NINTHS`, the text of a family's
 duels. A command that works on a stack compiles this module
 and :mod:`metadice.sweep` alone.
@@ -66,6 +71,19 @@ def is_digit_string(text: object) -> bool:
 def is_int(value: object) -> bool:
     """True for an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_counts(depth: object, multiplicity: object, error=ValueError) -> None:
+    """Raise ``error`` unless ``depth`` and ``multiplicity`` are ints, not
+    bools, of at least 1: what every family, generated or loaded, and every
+    report of one must hold."""
+    for name, value in (("depth", depth), ("multiplicity", multiplicity)):
+        if not is_int(value):
+            raise error(f"{name} must be an integer, got {value!r}")
+    if depth < 1:
+        raise error("depth must be at least 1")
+    if multiplicity < 1:
+        raise error("face multiplicity must be positive")
 
 
 class Value:
@@ -113,7 +131,12 @@ _REPEATED_DIGITS = "the 9 digits of an assignment must be pairwise distinct"
 
 
 class StackValidationError(ValueError):
-    """An assignment or stack violates a construction invariant."""
+    """An assignment or stack violates a construction invariant; ``level``
+    is the stack level refused, when a stack refuses one."""
+
+    def __init__(self, message: str, level: int | None = None):
+        super().__init__(message)
+        self.level = level
 
 
 class DigitAssignment(Value):
@@ -234,19 +257,13 @@ class AssignmentStack(Value):
         if not levels:
             raise StackValidationError("a stack needs at least one level")
         for level, rule in enumerate(levels, start=1):
-            if rule.rotate_by is not None:
-                if level == 1:
-                    raise StackValidationError(
-                        "level 1 cannot be rotated: there is no earlier position"
-                    )
-                if not 1 <= rule.rotate_by < level:
-                    raise StackValidationError(
-                        f"level {level}: rotation selector w{rule.rotate_by}"
-                        " must name an earlier word position"
-                    )
+            q = rule.rotate_by
             fault = table_fault(rule.base.subsets, level)
+            # level 1 has no earlier position to rotate by
+            if q is not None and not (is_int(q) and 1 <= q < level):
+                fault = f"rotation selector w{q} must name an earlier word position"
             if fault is not None:
-                raise StackValidationError(f"level {level}: {fault}")
+                raise StackValidationError(f"level {level}: {fault}", level)
         self._set(levels=levels)
 
     @property
@@ -286,49 +303,41 @@ def preset_stack(name: str, depth: int | None = None) -> AssignmentStack:
 
     ``paper-1``, ``paper-2`` and ``paper-3`` are the bundled reference
     families of 3, 9 and 27 dice; ``uniform`` repeats the sorted
-    magic-square rows at every one of ``depth`` levels.
+    magic-square rows at every one of ``depth`` levels, and ``paper-1``
+    and ``paper-2`` are the uniform stacks of depth 1 and 2.
     """
-    if name == "uniform":
-        if depth is None:
-            raise ValueError("the uniform preset needs a depth")
-        if depth < 1:
-            raise ValueError(f"depth must be at least 1, got {depth}")
-        return AssignmentStack(tuple(LevelRule(SORTED_ROWS) for _ in range(depth)))
-    if name not in PRESET_DEPTHS:
+    if name in PRESET_DEPTHS:
+        if depth is not None and depth != PRESET_DEPTHS[name]:
+            raise ValueError(
+                f"preset {name!r} has depth {PRESET_DEPTHS[name]}, not {depth}"
+            )
+        depth = PRESET_DEPTHS[name]
+        if name == "paper-3":
+            rules = LevelRule(SORTED_ROWS), LevelRule(RESIDUE_ROWS)
+            return AssignmentStack((*rules, LevelRule(SWAPPED_ROWS, rotate_by=2)))
+    elif name != "uniform":
         raise ValueError(f"unknown preset {name!r}")
-    if depth is not None and depth != PRESET_DEPTHS[name]:
-        raise ValueError(
-            f"preset {name!r} has depth {PRESET_DEPTHS[name]}, not {depth}"
-        )
-    if name == "paper-1":
-        levels = (LevelRule(SORTED_ROWS),)
-    elif name == "paper-2":
-        levels = (LevelRule(SORTED_ROWS), LevelRule(SORTED_ROWS))
-    else:
-        levels = (
-            LevelRule(SORTED_ROWS),
-            LevelRule(RESIDUE_ROWS),
-            LevelRule(SWAPPED_ROWS, rotate_by=2),
-        )
-    return AssignmentStack(levels)
+    elif depth is None:
+        raise ValueError("the uniform preset needs a depth")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    return AssignmentStack(tuple(LevelRule(SORTED_ROWS) for _ in range(depth)))
 
 
 def parse_assignment(text: str) -> DigitAssignment:
-    """Parse ``2,4,9;1,6,8;3,5,7`` into a digit assignment of digits 0..9."""
-    subsets = []
-    for part in text.split(";"):
-        digits = [p.strip() for p in part.split(",")]
-        if len(digits) != 3 or not all(map(is_digit_string, digits)):
-            raise StackValidationError(
-                f"bad assignment syntax {text!r}: expected three"
-                " comma-separated digit triples joined by semicolons"
-            )
-        subsets.append(tuple(int(d) for d in digits))
-    if len(subsets) != 3:
+    """Parse ``2,4,9;1,6,8;3,5,7`` into a digit assignment of digits 0..9.
+
+    Each comma-separated token must be a string of ASCII digits;
+    :class:`DigitAssignment` refuses any shape but three subsets of three
+    digits, and any digit outside 0..9.
+    """
+    subsets = [[d.strip() for d in part.split(",")] for part in text.split(";")]
+    if not all(is_digit_string(d) for sub in subsets for d in sub):
         raise StackValidationError(
-            f"bad assignment syntax {text!r}: expected exactly three subsets"
+            f"bad assignment syntax {text!r}: expected three"
+            " comma-separated digit triples joined by semicolons"
         )
-    return DigitAssignment(tuple(subsets))
+    return DigitAssignment([[int(d) for d in sub] for sub in subsets])
 
 
 def parse_stack(text: str) -> AssignmentStack:
@@ -336,30 +345,37 @@ def parse_stack(text: str) -> AssignmentStack:
 
     Lines beginning with ``#`` are comments; blank lines are skipped. A
     level may carry a ``rot=w<j>`` suffix naming the word position that
-    selects its rotation. Validation failures name the violated predicate,
-    the offending subset pair and the offending count.
+    selects its rotation. A refused level line is named as ``line <n>:
+    level <k>: `` and its fault: its syntax, its table's shape or digits,
+    or what :class:`AssignmentStack` refuses, which names the violated
+    predicate, the offending subset pair and the offending count.
     """
     # compiled here, as only a stack file's text needs it
     level_line = re.compile(
         r"(?P<table>[0-9,;\s]+?)(?:\s+rot=w(?P<rot>[0-9]+))?\s*\Z"
     )
-    rules = []
+    rules, linenos = [], []  # linenos[k]: the line of level k + 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        linenos.append(lineno)
         m = level_line.match(line)
-        if m is None:
-            raise StackValidationError(f"line {lineno}: cannot parse {line!r}")
         try:
+            if m is None:
+                raise StackValidationError(f"cannot parse {line!r}")
             base = parse_assignment(m.group("table").strip())
-        except StackValidationError as exc:
-            raise StackValidationError(f"line {lineno}: {exc}") from None
-        rot = int(m.group("rot")) if m.group("rot") else None
+            rot = int(m.group("rot")) if m.group("rot") else None
+        except ValueError as exc:  # int() also refuses a number too long to read
+            where = f"line {lineno}: level {len(linenos)}"
+            raise StackValidationError(f"{where}: {exc}") from None
         rules.append(LevelRule(base, rot))
     if not rules:
         raise StackValidationError("stack text contains no levels")
-    return AssignmentStack(tuple(rules))
+    try:
+        return AssignmentStack(tuple(rules))
+    except StackValidationError as exc:  # it names the level it refuses
+        raise StackValidationError(f"line {linenos[exc.level - 1]}: {exc}") from None
 
 
 def format_stack(stack: AssignmentStack) -> str:
@@ -448,10 +464,11 @@ def verify_stack(stack: AssignmentStack, multiplicity: int = 2) -> VerificationR
     rotations keeps its same-rank counts, is rank-wise with nine distinct
     digits. :func:`walk_dice` puts every die on its blocks' digits, so the
     certificate proves each family of the stack, no pair is read and the
-    report's ``elapsed`` is 0.
+    report's ``elapsed`` is 0. A multiplicity that no family can hold is
+    refused by :func:`check_counts`, as
+    :class:`~metadice.hierarchy.DiceFamily` refuses it.
     """
-    if multiplicity < 1:
-        raise ValueError("face multiplicity must be positive")
+    check_counts(stack.depth, multiplicity)
     return VerificationReport(stack.depth, multiplicity, (), 0.0, None, 0)
 
 

@@ -5,9 +5,12 @@ at level p (0-based) a depth-k family splits into blocks of 3^(k-p-1)
 dice, and three sibling blocks make up one block of the level above. Two
 dice first differ at level p exactly when they sit in different sibling
 blocks there, and the cycle 0 beats 1 beats 2 beats 0 between those
-blocks' trits names the expected winner. So the sweep never reads a word:
-for die i and each level it visits the later sibling blocks, at most two
-contiguous index ranges, each with one expected win count.
+blocks' trits names the expected winner: at every level, a die's block
+beats the next sibling block around the cycle 5/9 and loses 4/9 to the
+one before it. :func:`siblings` states that rule once, for this module,
+:mod:`metadice.certificate` and :mod:`metadice.export`. So the sweep never
+reads a word: for die i and each level it visits the later sibling blocks,
+at most two contiguous index ranges, each with one expected win count.
 
 Each face, a digit string, is read once as an integer, which keeps the
 positional comparison order of equal-length faces. A pair passes when the die
@@ -308,13 +311,21 @@ def scan_later(
 ) -> int:
     """Check die i against its later sibling blocks of ``size`` dice at
     ``level`` and return the number of pairs compared."""
-    lo, trit = i - i % size, i // size % 3
-    # i's block beats its successor block 5/9 and loses 4/9 to the one
-    # after it, which only a trit-0 block has as a later sibling
-    for start, expected in ((1, 5), (2, 4))[: 2 - trit]:
-        first = lo + start * size
-        scan(faces, i, first, first + size, expected, level, failures)
-    return (2 - trit) * size
+    scanned = 0
+    for first, expected in siblings(i, size):
+        if first > i:
+            scan(faces, i, first, first + size, expected, level, failures)
+            scanned += size
+    return scanned
+
+
+def siblings(i: int, size: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The cycle between the sibling blocks of ``size`` dice around die i:
+    ((first, 5), (first, 4)), the first die of the block that i's block
+    beats, with the wins of 9 that i is owed over each of its dice, and the
+    first die of the block that beats i's block, with i's wins there."""
+    parent, trit = i - i % (3 * size), i // size % 3
+    return (parent + (trit + 1) % 3 * size, 5), (parent + (trit + 2) % 3 * size, 4)
 
 
 def joined(items: Iterable[str], sep: str) -> Iterator[str]:

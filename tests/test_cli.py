@@ -830,6 +830,13 @@ REFUSED_CALLS = {
         ["verify", "--stdin", "--format", "json"], "D1 \u0662 4 9\n", None
     ),
     "zero trials": (["simulate", "2,4,9", "1,6,8", "--trials", "0"], None, None),
+    "negative seed": (["simulate", "2,4,9", "1,6,8", "--seed", "-1"], None, None),
+    "seed past 64 bits": (
+        ["simulate", "2,4,9", "1,6,8", "--seed", str(2 ** 64)], None, None
+    ),
+    "dice of two face lengths": (["simulate", "22,44,99", "1,6,8"], None, None),
+    "two subsets": (["verify", "--stack", "{two_subsets}"], None, None),
+    "four subsets": (["verify", "--stack", "{four_subsets}"], None, None),
     "no source": (["normalize"], None, None),
     "two sources": (
         ["normalize", "--preset", "paper-1", "--stack", "{stack}"], None, None
@@ -856,6 +863,8 @@ def test_refused_call_writes_nothing(run_cli, tmp_path, case):
     argv, stdin, doc = case
     files = {
         "stack": "2,4,9;1,6,8;3,5,7\n",
+        "two_subsets": "2,4,9;1,6,8\n",
+        "four_subsets": "2,4,9;1,6,8;3,5,7;0,0,0\n",
         "family": json.dumps(PAPER1),
         "deep_stack": "2,4,9;1,6,8;3,5,7\n" * 9,
         "deep_family": DEEP_FAMILY,

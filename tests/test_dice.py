@@ -202,6 +202,14 @@ class TestDieInvariants:
         with pytest.raises(ValueError, match="must be a sequence of digits"):
             Die(((face, 1),))
 
+    def test_empty_face_rejected(self):
+        with pytest.raises(ValueError, match="^a face needs at least one digit$"):
+            Die((((), 1),))
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(ValueError, match="^face values must be nonnegative$"):
+            Die.from_values([-1])
+
     def test_expand_applies_multiplicity(self):
         assert DIE_A.expand() == ((2,),) * 2 + ((4,),) * 2 + ((9,),) * 2
 

@@ -51,7 +51,9 @@ from metadice.loshu import (
     verify_stack,
     walk_dice,
 )
-from metadice.sweep import LevelSummary, pack, scan, sweep_pairs, unpack
+from metadice.certificate import certify
+from metadice.sweep import LevelSummary, failure_rows, pack, scan, siblings
+from metadice.sweep import sweep_pairs, unpack
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)
@@ -123,11 +125,9 @@ def test_scan_before_a_die_records_the_lower_die():
         faces = [tuple(map(int, die)) for die in rank_faces]
         for i, level in product(range(27), (1, 2, 3)):
             size = 3 ** (3 - level)
-            lo, trit = i - i % size, i // size % 3
-            # i's block loses 4/9 to its predecessor and beats the block
-            # before that 5/9
-            for start, expected in ((1, 4), (2, 5))[:trit]:
-                first = lo - start * size
+            for first, expected in siblings(i, size):
+                if first > i:
+                    continue
                 records = []
                 scan(faces, i, first, first + size, expected, level, records)
                 pairs = {(j, i) for j in range(first, first + size)}
@@ -135,6 +135,30 @@ def test_scan_before_a_die_records_the_lower_die():
                 if records:
                     failing.add((level, expected))
     assert failing == {(level, e) for level in (1, 2, 3) for e in (4, 5)}
+
+
+def test_siblings_is_the_cycle_of_the_words_and_the_records():
+    """For every two dice i != j of a family at depths 1-4, :func:`siblings`
+    at the level where they first differ names j's block, owing i 5 wins
+    when the words favour i and 4 when they favour j; and the record of
+    each pair i < j names that winner in :func:`failure_rows`."""
+    for depth in range(1, 5):
+        n = 3 ** depth
+        words = [word_of(i + 1, depth) for i in range(n)]
+        records, winners = [], []
+        for i, j in product(range(n), repeat=2):
+            if i == j:
+                continue
+            level = first_level(min(i, j), max(i, j), depth)
+            size = 3 ** (depth - level)
+            owed = dict(siblings(i, size))
+            assert sorted(owed.values()) == [4, 5]
+            winner = i if owed[j - j % size] == 5 else j
+            assert words[winner] == predicted_winner(words[i], words[j]), (i, j)
+            if i < j:
+                records.append(pack(i, j, level, 4, 0, depth))
+                winners.append(winner)
+        assert [row[2] for row in failure_rows(records, depth)] == winners
 
 
 def sweep_only_report(family):
@@ -317,6 +341,8 @@ class TestNumbering:
             word_of(28, 3)
         with pytest.raises(ValueError):
             word_of(0, 3)
+        with pytest.raises(ValueError, match="^depth must be at least 1$"):
+            word_of(1, 0)
 
     @given(st.integers(1, 5), st.data())
     def test_round_trip(self, depth, data):
@@ -428,6 +454,19 @@ class TestGenerate:
     def test_bad_multiplicity(self):
         with pytest.raises(ValueError):
             generate(preset_stack("paper-1"), 0)
+
+    @pytest.mark.parametrize("multiplicity", [True, 2.5, 0])
+    def test_refuses_what_a_family_refuses(self, multiplicity):
+        """A multiplicity that :class:`DiceFamily` refuses is refused by
+        ``generate`` and ``verify_stack`` with its message, so no family
+        document or report holds one."""
+        stack = preset_stack("paper-1")
+        with pytest.raises(FamilyFormatError) as refused:
+            DiceFamily(1, multiplicity, generate(stack).rank_faces)
+        for build in (generate, verify_stack):
+            with pytest.raises(ValueError) as exc:
+                build(stack, multiplicity)
+            assert str(exc.value) == str(refused.value)
 
     @pytest.mark.parametrize(
         "stack",
@@ -619,6 +658,23 @@ class TestWalkDice:
 
 
 class TestFamilyInvariants:
+    def test_dice_are_kept_as_tuples(self):
+        """Dice given as lists are kept as tuples: the family hashes, equals
+        the family of the same dice as tuples, and a later edit to the
+        caller's lists changes none of its faces."""
+        dice = [["2", "4", "9"], ["1", "6", "8"], ["3", "5", "7"]]
+        family = DiceFamily(1, 2, dice)
+        as_tuples = DiceFamily(1, 2, tuple(map(tuple, dice)))
+        assert family == as_tuples and hash(family) == hash(as_tuples)
+        dice[0][0] = "3"
+        assert family.rank_faces == (("2", "4", "9"), ("1", "6", "8"), ("3", "5", "7"))
+
+    def test_tuples_are_kept_as_given(self):
+        """Dice that are all tuples, as the loaders pass them, are stored
+        as they are, with no pass over them to copy."""
+        rank_faces = generate(preset_stack("paper-2")).rank_faces
+        assert DiceFamily(2, 2, rank_faces).rank_faces is rank_faces
+
     def test_wrong_size_rejected(self):
         with pytest.raises(FamilyFormatError, match=r"exactly 3\^2 dice"):
             DiceFamily(2, 2, (("11", "22", "33"),))
@@ -690,7 +746,9 @@ class TestFamilyInvariants:
             return len(faces) == 3 and digits and len(set(faces)) == 3
 
         if all(map(sound, rank_faces)):
-            assert DiceFamily(2, 2, rank_faces).rank_faces == rank_faces
+            # kept as tuples, whatever sequences the dice came as
+            family = DiceFamily(2, 2, rank_faces)
+            assert family.rank_faces == tuple(map(tuple, rank_faces))
         else:
             first = next(n for n, faces in enumerate(rank_faces, 1) if not sound(faces))
             with pytest.raises(FamilyFormatError, match=rf"^die D{first} "):
@@ -832,6 +890,14 @@ class TestVerify:
 
 
 class TestCertificate:
+    def test_refuses_a_family_of_the_wrong_size(self):
+        """``certify`` and ``sweep_pairs`` refuse dice that are not 3^depth."""
+        two = (("2", "4", "9"), ("1", "6", "8"))
+        with pytest.raises(ValueError, match=r"^a depth-1 certificate needs exactly"):
+            certify(two, 1)
+        with pytest.raises(ValueError, match=r"^a depth-1 sweep needs exactly 3\^1"):
+            sweep_pairs(two, 1)
+
     def test_sound_and_verdict_is_the_sweeps(self):
         """A certified family passes the sweep, and verify_family reports
         exactly what the sweep alone would, on every path."""
@@ -981,43 +1047,54 @@ class TestCertificate:
             assert {failure.word_a, failure.word_b} & words
 
 
-#: (the tables of a depth-1 or depth-2 stack, where its refusal names the
-#: last of them, and the one text a stack and a certificate refuse it with)
+#: (the lines a stack file starts with, the tables of its depth-1 or
+#: depth-2 stack, the file line and the level its refusal names, those of
+#: the last table, and the one text a stack and a certificate refuse it with)
 REFUSED_TABLES = [
     (
+        "",
         (RESIDUE_ROWS.subsets,),
-        "level 1",
+        "line 1: level 1",
         "leading property fails for subset pair 0->1:"
         " 3 winning comparisons, need exactly 5",
     ),
     (
+        "",
         (SORTED_ROWS.subsets, ((1, 2, 3), (4, 5, 6), (7, 8, 9))),
-        "level 2",
+        "line 2: level 2",
         "rank-wise property fails for subset pair 0->1:"
         " 0 winning comparisons, need exactly 2",
     ),
     (
+        "",
         (SORTED_ROWS.subsets, ((1, 2, 3), (4, 5, 6), (7, 8, 8))),
-        "line 2",
+        "line 2: level 2",
         "the 9 digits of an assignment must be pairwise distinct",
+    ),
+    (
+        "# a comment line comes first\n",
+        (SORTED_ROWS.subsets, ((1, 2, 3), (4, 5, 6), (7, 8, 9))),
+        "line 3: level 2",
+        "rank-wise property fails for subset pair 0->1:"
+        " 0 winning comparisons, need exactly 2",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "tables, where, fault",
+    "head, tables, where, fault",
     REFUSED_TABLES,
-    ids=["leading", "rank-wise", "repeated-digit"],
+    ids=["leading", "rank-wise", "repeated-digit", "after-a-comment"],
 )
 def test_a_stack_and_the_certificate_refuse_a_table_alike(
-    run_cli, tmp_path, tables, where, fault
+    run_cli, tmp_path, head, tables, where, fault
 ):
-    """A stack file whose last table fails is refused with the text that
-    ends the ``certificate:`` line of the family whose every node at that
-    level holds that table."""
+    """A stack file whose last table fails is refused, at that table's file
+    line and level, with the text that ends the ``certificate:`` line of the
+    family whose every node at that level holds that table."""
     texts = [";".join(",".join(map(str, row)) for row in t) for t in tables]
     stack = tmp_path / "stack.txt"
-    stack.write_text("".join(f"{text}\n" for text in texts))
+    stack.write_text(head + "".join(f"{text}\n" for text in texts))
     assert run_cli(["verify", "--stack", str(stack)]) == (
         2, "", f"error: {where}: {fault}\n"
     )

@@ -200,6 +200,10 @@ class TestPresets:
             with pytest.raises(ValueError, match="unknown preset"):
                 preset_stack(name, 3)
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_paper_1_and_2_are_the_uniform_stacks(self, depth):
+        assert preset_stack(f"paper-{depth}") == preset_stack("uniform", depth)
+
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError):
             preset_stack("paper-2", 3)
@@ -223,14 +227,37 @@ class TestAssignmentStack:
         assert "rank-wise" in str(exc.value)
 
     def test_level_one_rotation_rejected(self):
-        with pytest.raises(StackValidationError):
+        """A stack built in code names the level it refuses, with no line."""
+        with pytest.raises(StackValidationError) as exc:
             AssignmentStack((LevelRule(SORTED_ROWS, rotate_by=1),))
+        assert str(exc.value) == (
+            "level 1: rotation selector w1 must name an earlier word position"
+        )
+        assert exc.value.level == 1
 
     def test_rotation_must_point_backwards(self):
         with pytest.raises(StackValidationError):
             AssignmentStack(
                 (LevelRule(SORTED_ROWS), LevelRule(SWAPPED_ROWS, rotate_by=2))
             )
+
+    @pytest.mark.parametrize("selector", [True, "1", 1.0], ids=repr)
+    def test_a_selector_that_is_not_an_int_rejected(self, selector):
+        """A bool, string or float selector is refused, not compared or
+        written back as ``rot=wTrue``."""
+        with pytest.raises(StackValidationError) as exc:
+            AssignmentStack((LevelRule(SORTED_ROWS), LevelRule(SWAPPED_ROWS, selector)))
+        assert str(exc.value) == (
+            f"level 2: rotation selector w{selector} must name an earlier word position"
+        )
+
+    def test_no_levels_rejected(self):
+        with pytest.raises(StackValidationError, match="^a stack needs at least"):
+            AssignmentStack(())
+
+    def test_level_outside_the_stack(self):
+        with pytest.raises(ValueError, match=r"^level 0 outside 1\.\.1$"):
+            preset_stack("paper-1").assignment_at(0, ())
 
     def test_prefix_too_short(self):
         stack = preset_stack("paper-3")
@@ -257,6 +284,66 @@ class TestStackFiles:
         with pytest.raises(StackValidationError) as exc:
             parse_stack("2,4,9;1,6,8;3,5,7\n2,4;1,6,8;3,5,7\n")
         assert "line 2" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            ("2,4,9;1,6,8;3,5,x", "cannot parse '2,4,9;1,6,8;3,5,x'"),
+            (
+                "2,4,9;1,6,8;3,,7",
+                "bad assignment syntax '2,4,9;1,6,8;3,,7': expected three"
+                " comma-separated digit triples joined by semicolons",
+            ),
+            ("2,4,9;1,6,8", "an assignment needs 3 subsets of 3 digits"),
+            ("2,4;1,6,8;3,5,7", "an assignment needs 3 subsets of 3 digits"),
+            ("2,4,9;1,6,8;3,5,7;0,0,0", "an assignment needs 3 subsets of 3 digits"),
+            ("2,4,9;1,6,8;3,5,17", "assignment digits must be ints in 0..9"),
+            (
+                "2,8,5;9,6,3;4,1,4",
+                "the 9 digits of an assignment must be pairwise distinct",
+            ),
+            (
+                "1,2,3;4,5,6;7,8,9",
+                "rank-wise property fails for subset pair 0->1:"
+                " 0 winning comparisons, need exactly 2",
+            ),
+            (
+                "2,9,4;1,8,6;3,7,5 rot=w2",
+                "rotation selector w2 must name an earlier word position",
+            ),
+        ],
+        ids=[
+            "syntax", "empty token", "two subsets", "short subset",
+            "four subsets", "digit 17", "repeated digit", "rank-wise",
+            "rotation",
+        ],
+    )
+    def test_a_refused_level_names_its_line_and_level(self, line, fault):
+        """Every refusal of a level line names its file line, then its
+        level, which differ past comment and blank lines."""
+        text = f"# a comment\n\n2,4,9;1,6,8;3,5,7\n{line}\n"
+        with pytest.raises(StackValidationError) as exc:
+            parse_stack(text)
+        assert str(exc.value) == f"line 4: level 2: {fault}"
+
+    @pytest.mark.parametrize(
+        "line",
+        ["2,4,9;1,6,8;3,5," + "7" * 5000, "2,9,4;1,8,6;3,7,5 rot=w" + "1" * 5000],
+        ids=["digit", "rotation"],
+    )
+    def test_a_number_too_long_to_read_names_its_line_and_level(self, line):
+        """A number past CPython's limit on an int's decimal digits is
+        refused at its line and level too."""
+        with pytest.raises(StackValidationError) as exc:
+            parse_stack(f"# a comment\n\n2,4,9;1,6,8;3,5,7\n{line}\n")
+        assert str(exc.value).startswith("line 4: level 2: ")
+
+    def test_a_rotated_first_level_names_its_line(self):
+        with pytest.raises(StackValidationError) as exc:
+            parse_stack("\n2,4,9;1,6,8;3,5,7 rot=w1\n")
+        assert str(exc.value) == (
+            "line 2: level 1: rotation selector w1 must name an earlier word position"
+        )
 
     def test_invalid_level_names_predicate_pair_count(self):
         with pytest.raises(StackValidationError) as exc:
