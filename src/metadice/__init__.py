@@ -7,8 +7,8 @@ loads, so a command compiles only the layers it runs:
 
 - ``sweep``: ``siblings``, the cycle between sibling blocks, and the failure
   records, their one writer and reader: ``pack``, ``unpack``,
-  ``failure_rows``, ``outcome_counts``, ``level_counts``, the
-  ``sweep_pairs`` oracle, the ``VerificationReport`` with its
+  ``failure_rows``, ``record_pairs``, ``outcome_counts``, ``level_counts``,
+  the ``sweep_pairs`` oracle, the ``VerificationReport`` with its
   ``LevelSummary`` rows, and ``joined``;
 - ``loshu``, the stack layer: ``SQUARE``, ``DigitAssignment``,
   ``table_fault``, ``LevelRule``, ``AssignmentStack``, ``parse_stack``,

@@ -43,7 +43,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from metadice.loshu import NINTHS, AssignmentStack, Face
-from metadice.sweep import failure_rows, joined, outcome_counts, siblings
+from metadice.sweep import failure_rows, joined, outcome_counts, record_pairs, siblings
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -134,6 +134,9 @@ def _full_rows(depth: int, family: DiceFamily | None) -> Iterator:
     family's failing pairs, the records of :func:`verify_family` in (i, j)
     order, are cut out of those blocks: a failing pair points from the die
     with more wins, in index order on equal wins, as a run of its own.
+    Each record is filed under both its dice by its pair alone, read with
+    :func:`record_pairs`, and decoded in full once per die by
+    :func:`failure_rows`.
     """
     records = ()
     if family is not None:
@@ -146,7 +149,7 @@ def _full_rows(depth: int, family: DiceFamily | None) -> Iterator:
     # each die's failing pairs in order of its partner in them: the records
     # come in (i, j) order, so a die's pairs as j come before those as i
     fails = [[] for _ in range(n)]
-    for record, (i, j, _, _) in zip(records, failure_rows(records, depth)):
+    for record, (i, j) in zip(records, record_pairs(records, depth)):
         fails[i].append(record)
         fails[j].append(record)
     for s in range(n):

@@ -8,8 +8,10 @@ prefix agree rank-by-rank on all prefix levels. Two distinct dice therefore
 duel exactly like their first differing trits: the cycle 0 beats 1 beats 2
 beats 0 decides the winner, always at probability 5/9.
 
-``generate`` keeps the dice of :func:`metadice.loshu.walk_dice` as a
-family, and ``face_value`` follows a single word's path.
+``generate`` builds a family of the dice of
+:func:`metadice.loshu.walk_dice` through the one constructor, which checks
+every family however it was made, and ``face_value`` follows a single
+word's path.
 
 A family is stored as its depth, face multiplicity, rank faces in word
 order and, when it has one, its stack. A face is its digit string, one Lo
@@ -115,8 +117,8 @@ class DiceFamily(Value):
     ``words`` is derived from the depth on first use and cached; a die is
     read as its rank faces, each at the family multiplicity. A family is
     a :class:`~metadice.loshu.Value` of its four fields. The constructor
-    checks every die and keeps the dice as tuples, copying dice given as
-    lists; only :func:`generate` skips the checks.
+    is the one way to build one, :func:`generate` included: it checks
+    every die and keeps the dice as tuples, copying dice given as lists.
     """
 
     _fields = ("depth", "multiplicity", "rank_faces", "stack")
@@ -150,16 +152,6 @@ class DiceFamily(Value):
             depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
         )
 
-    @classmethod
-    def _trusted(cls, depth, multiplicity, rank_faces, stack) -> DiceFamily:
-        """The family of these fields without the constructor's checks, for
-        :func:`generate` only."""
-        family = object.__new__(cls)
-        family._set(
-            depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
-        )
-        return family
-
     @cached_property
     def words(self) -> tuple[Word, ...]:
         return tuple(itertools.product((0, 1, 2), repeat=self.depth))
@@ -171,20 +163,22 @@ class DiceFamily(Value):
 
 def _dice_sound(rank_faces: Sequence, depth: int) -> bool:
     """True when the dice, each a tuple or list, are three distinct strings
-    of ``depth`` ASCII digits each, checked over all faces at once. False
-    may also mean a subclass that the per-die checks accept."""
+    of ``depth`` ASCII digits each, checked at C speed one rank at a time:
+    beside a list of pointers per rank, only one rank's joined text is
+    built at once, never a copy of every face. False may also mean a
+    subclass that the per-die checks accept."""
     if set(map(len, rank_faces)) != {3}:
         return False
-    columns = tuple(zip(*rank_faces))
-    faces = list(itertools.chain.from_iterable(columns))
-    if set(map(type, faces)) != {str} or set(map(len, faces)) != {depth}:
-        return False
-    text = "".join(faces)
-    first, second, third = columns
+    ranks = [list(map(operator.itemgetter(r), rank_faces)) for r in range(3)]
+    for faces in ranks:
+        if set(map(type, faces)) != {str} or set(map(len, faces)) != {depth}:
+            return False
+        text = "".join(faces)
+        if not (text.isascii() and text.isdigit()):
+            return False
+    first, second, third = ranks
     return (
-        text.isascii()
-        and text.isdigit()
-        and all(map(operator.ne, first, second))
+        all(map(operator.ne, first, second))
         and all(map(operator.ne, second, third))
         and all(map(operator.ne, first, third))
     )
@@ -218,16 +212,15 @@ def face_word_label(word: Word) -> str:
 def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     """The whole depth-``stack.depth`` family of an assignment stack: the
     dice of :func:`~metadice.loshu.walk_dice`, at face multiplicity
-    ``multiplicity``.
+    ``multiplicity``, built by :class:`DiceFamily`, which checks them and
+    refuses what it refuses.
 
-    Every die is valid by construction, so this is the one builder that
-    skips :class:`DiceFamily`'s per-die checks, which take as long as the
-    walk; its depth and multiplicity checks still refuse what they refuse.
-    The commands that write a stack's family read the walk itself.
+    Every die is valid by construction, yet no family skips the checks:
+    they take about as long as the walk, and at their peak they hold a
+    sixth of the family beside it. The commands that write a stack's
+    family read the walk itself, so only a library caller pays for them.
     """
-    check_counts(stack.depth, multiplicity, FamilyFormatError)
-    rank_faces = tuple(walk_dice(stack))
-    return DiceFamily._trusted(stack.depth, multiplicity, rank_faces, stack)
+    return DiceFamily(stack.depth, multiplicity, tuple(walk_dice(stack)), stack)
 
 
 class PairFailure(NamedTuple):

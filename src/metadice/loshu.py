@@ -304,8 +304,11 @@ def preset_stack(name: str, depth: int | None = None) -> AssignmentStack:
     ``paper-1``, ``paper-2`` and ``paper-3`` are the bundled reference
     families of 3, 9 and 27 dice; ``uniform`` repeats the sorted
     magic-square rows at every one of ``depth`` levels, and ``paper-1``
-    and ``paper-2`` are the uniform stacks of depth 1 and 2.
+    and ``paper-2`` are the uniform stacks of depth 1 and 2. A depth that
+    is given must be an int, not a bool, as :func:`check_counts` asks.
     """
+    if depth is not None and not is_int(depth):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if name in PRESET_DEPTHS:
         if depth is not None and depth != PRESET_DEPTHS[name]:
             raise ValueError(

@@ -35,8 +35,9 @@ Every record is its lower die's: :func:`scan` records a die j before i
 as the pair (j, i) with j's wins, which are i's 9 - wins - ties losses.
 This module is the records' one writer and one reader, and no other
 names the layout: :func:`pack` and :func:`unpack` convert one record,
-and :func:`failure_rows`, :func:`outcome_counts` and :func:`level_counts`
-read a report's records in hot loops, with the shifts and masks.
+and :func:`failure_rows`, :func:`record_pairs`, :func:`outcome_counts`
+and :func:`level_counts` read a report's records in hot loops, with the
+shifts and masks.
 
 ``sweep_pairs`` checks every pair; it is the tests' oracle.
 :mod:`metadice.certificate` proves a family from the same block layout
@@ -122,6 +123,14 @@ def failure_rows(
         j = key - start
         size = sizes[record & level]
         yield i, j, i if j < (i // size + 2) * size else j, record & outcome
+
+
+def record_pairs(records: Iterable[Failure], depth: int) -> Iterator[tuple[int, int]]:
+    """The dice (i, j) of each record of a depth-``depth`` family, read at C
+    speed with one shift and one divmod per record, for a pass that needs
+    only the pairs."""
+    n = 3 ** depth
+    return map(divmod, map(operator.rshift, records, repeat(PAIR_SHIFT)), repeat(n))
 
 
 def outcome_counts(records: Iterable[Failure]) -> dict[int, tuple[int, int, int]]:

@@ -96,6 +96,10 @@ BAD_DOCUMENTS = {
     "stack line a number": paper1_with(stack=[249]),
     "stack echo differs": paper1_with(stack=["1,6,8;3,5,7;2,4,9"]),
     "non-ASCII face digit": paper1_with(first=first_entry(faces=["\u0662", "4", "9"])),
+    # with no stack echo to compare, only the dice checks refuse it
+    "non-ASCII face digit, no stack": without_stack(
+        paper1_with(first=first_entry(faces=["\u0662", "4", "9"]))
+    ),
     "entries out of order": entries_swapped(),
     "boolean trit": paper1_with(first=first_entry(word=[False])),
     "float trit": paper1_with(first=first_entry(word=[0.0])),
@@ -1138,7 +1142,6 @@ def test_a_stacks_graph_reads_no_die(run_cli, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "walk_dice", unreachable)
     monkeypatch.setattr(hierarchy, "verify_family", unreachable)
     monkeypatch.setattr(DiceFamily, "__init__", unreachable)
-    monkeypatch.setattr(DiceFamily, "_trusted", unreachable)
     for argv, graph in calls:
         assert run_cli(argv) == (0, to_dot(graph), "")
         code, out, err = run_cli([*argv, "--format", "json"])

@@ -53,7 +53,7 @@ from metadice.loshu import (
 )
 from metadice.certificate import certify
 from metadice.sweep import LevelSummary, failure_rows, pack, scan, siblings
-from metadice.sweep import sweep_pairs, unpack
+from metadice.sweep import record_pairs, sweep_pairs, unpack
 
 FIVE_NINTHS = Fraction(5, 9)
 FOUR_NINTHS = Fraction(4, 9)
@@ -95,7 +95,8 @@ def assert_levels_are_first_differing_trits(records, depth):
 def test_record_layout_round_trips_and_sorts_as_pairs():
     """Every pair i < j at depths 1-3, at every level, with every (wins,
     ties) of a 3x3 grid, packs into a record that unpacks to its fields,
-    and sorted records come in (i, j) order."""
+    whose pair :func:`record_pairs` reads alike, and sorted records come in
+    (i, j) order."""
     rng = random.Random(26)
     for depth in (1, 2, 3):
         fields = [
@@ -107,6 +108,7 @@ def test_record_layout_round_trips_and_sorts_as_pairs():
         ]
         records = [pack(*f, depth) for f in fields]
         assert [unpack(record, depth) for record in records] == fields
+        assert list(record_pairs(records, depth)) == [f[:2] for f in fields]
         rng.shuffle(records)
         pairs = [unpack(record, depth)[:2] for record in sorted(records)]
         assert pairs == sorted(pairs)
@@ -474,8 +476,9 @@ class TestGenerate:
         + [preset_stack("uniform", d) for d in (1, 4, 6)],
     )
     def test_trusted_family_passes_the_checked_constructor(self, stack):
-        """``generate`` skips the constructor's per-die checks; the family
-        it builds passes them and equals the checked one."""
+        """``generate``'s family, whose dice are valid by construction, is
+        built through the checked constructor too; it equals the family
+        built from the same fields."""
         for multiplicity in (1, 2, 3):
             family = generate(stack, multiplicity)
             checked = DiceFamily(stack.depth, multiplicity, family.rank_faces, stack)
@@ -505,6 +508,21 @@ class TestGenerate:
             tracemalloc.stop()
         assert family.size == 3 ** 8
         assert peak - held <= held / 5, (held, peak)
+
+    def test_checks_hold_little_beside_the_dice(self):
+        """The constructor checks the dice one rank at a time, so on a
+        depth-8 walk's dice it peaks under 320 KB above what it holds;
+        checking every face at once took some 580 KB."""
+        stack = preset_stack("uniform", 8)
+        rank_faces = tuple(walk_dice(stack))
+        tracemalloc.start()
+        try:
+            family = DiceFamily(8, 2, rank_faces, stack)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert family.rank_faces is rank_faces
+        assert peak - held < 320 * 1024, (held, peak)
 
     @given(valid_stacks(max_depth=5))
     @settings(max_examples=60)

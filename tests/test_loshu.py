@@ -212,6 +212,24 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset_stack("paper-9")
 
+    @pytest.mark.parametrize(
+        "name, depth",
+        [
+            ("uniform", True),
+            ("paper-1", 1.0),
+            ("paper-2", 2.0),
+            ("uniform", 2.0),
+            ("uniform", "3"),
+        ],
+    )
+    def test_a_depth_that_is_not_an_int_rejected(self, name, depth):
+        """A bool, float or string depth is refused before it is compared,
+        worded as a family's depth is refused, even where it equals the
+        preset's own depth."""
+        with pytest.raises(ValueError) as exc:
+            preset_stack(name, depth)
+        assert str(exc.value) == f"depth must be an integer, got {depth!r}"
+
 
 class TestAssignmentStack:
     def test_level_one_must_lead(self):

@@ -14,6 +14,7 @@ import pytest
 
 import metadice.cli  # noqa: F401  (registers the layer modules it binds)
 from conftest import run_probed
+from mutants import MUTANTS
 from metadice.dice import Die, DuelResult
 from metadice.export import DominanceGraph, Edge
 from metadice.hierarchy import DiceFamily, PairFailure
@@ -267,6 +268,21 @@ def test_only_sweep_names_the_record_layout_in_source():
             if named:
                 naming.add(path.name)
     assert naming == {"sweep.py"}
+
+
+def test_each_mutant_text_occurs_once_in_its_module():
+    """Each mutant of ``tests/mutants.py`` names a text that occurs exactly
+    once in ``src/metadice``, in the module it names, so a change that
+    moves or copies the text must update the table."""
+    sources = {path.name: path.read_text() for path in (SRC / "metadice").glob("*.py")}
+    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        found = {
+            name: text.count(mutant.text)
+            for name, text in sources.items()
+            if mutant.text in text
+        }
+        assert found == {mutant.file: 1}, mutant.name
 
 
 def _runs_at_load(node):
