@@ -12,16 +12,19 @@ loads, so a command compiles only the layers it runs:
   ``LevelSummary`` rows, and ``joined``;
 - ``loshu``, the stack layer: ``SQUARE``, ``DigitAssignment``,
   ``table_fault``, ``LevelRule``, ``AssignmentStack``, ``parse_stack``,
-  ``preset_stack``, ``walk_dice``, ``verify_stack``, ``family_header``,
-  and the value core: ``Value``, ``is_int``, ``is_digit_string``,
-  ``check_counts``, ``NINTHS``, ``Face``, ``LengthMismatchError``;
+  ``PRESET_DEPTHS``, ``preset_stack``, ``walk_dice``, ``verify_stack``,
+  ``family_header``, and the value core: ``Value``, ``is_int``,
+  ``is_digit_string``, ``check_counts``, ``Face``, ``LengthMismatchError``
+  and how output spells a duel, a prefix and a die: ``NINTHS``, ``trits``
+  and ``die_label``;
 - ``dice``, the exact duel engine: ``Die``, ``parse_die``, ``duel``,
   ``DuelResult``, ``monte_carlo``, ``round_robin``;
 - ``hierarchy``, the family layer: ``DiceFamily``, ``generate``,
   ``verify_family``, ``PairFailure``, the family documents;
 - ``certificate``: ``certify``, the node-table proof and localized scan;
 - ``export``: the dominance graph's ``graph_rows``, drawn from a stack's
-  depth alone or from a family's dice, and the normalized points;
+  depth alone or from a family's dice, its ``node_names``, and the
+  normalized points;
 - ``cli``: ``main`` and one streamed writer per command and format.
 """
 

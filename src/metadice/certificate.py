@@ -46,7 +46,7 @@ from collections import Counter
 from itertools import chain
 from typing import Iterator, Sequence
 
-from metadice.loshu import table_fault
+from metadice.loshu import die_label, table_fault, trits
 from metadice.sweep import Faces, Failure, scan, scan_later, siblings
 
 
@@ -120,7 +120,7 @@ def certify(
                 bad.add(node)
                 if reason is None:
                     reason = (
-                        f"level {p + 1}, prefix ({_trits(node, p)}), table"
+                        f"level {p + 1}, prefix ({trits(node, p)}), table"
                         f" {';'.join(map(','.join, table))}:"
                         f" {verdicts[table]}"
                     )
@@ -175,9 +175,9 @@ def _disagreement(
     col, ref = digits[rank], refs[rank][block]
     carrier = col.index(ref, block * size, (block + 1) * size)
     return (
-        f"level {p + 1}, prefix ({_trits(i // (3 * size), p)}):"
-        f" D{i + 1} ({_trits(i, depth)}) has digit {col[i]} at rank {rank}"
-        f" where D{carrier + 1} ({_trits(carrier, depth)}) has {ref}"
+        f"level {p + 1}, prefix ({trits(i // (3 * size), p)}):"
+        f" {die_label(i, depth)} has digit {col[i]} at rank {rank}"
+        f" where {die_label(carrier, depth)} has {ref}"
     )
 
 
@@ -191,8 +191,3 @@ def _gaps(lo: int, hi: int, skip: list[int]) -> Iterator[tuple[int, int]]:
         lo = skip[k] + 1
     if lo < hi:
         yield lo, hi
-
-
-def _trits(n: int, length: int) -> str:
-    """``n`` as ``length`` base-3 digits: a die's word or a node's prefix."""
-    return "".join(str(n // 3 ** (length - 1 - j) % 3) for j in range(length))

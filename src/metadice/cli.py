@@ -10,7 +10,8 @@ Each command has one writer per format. Every JSON text is
 ``json.dumps(doc, indent=2)`` of its record document plus a line break:
 families, reports, points and graphs are written from their rows with one
 f-string per die, point, failure or node, a graph's 5/9 edges a run at a
-time as one join, and the small documents by ``json.dumps`` itself. A
+time as one join, and the small documents of ``prob``, ``roundrobin`` and
+``simulate`` by ``json.dumps`` itself, through :func:`_emit_doc`. A
 writer is a generator of text pieces: one per die of a family, its listing
 line, its document entry or its three CSV rows; one per point of its JSON
 points; one per failure of a report; one per node of a graph and one per
@@ -61,9 +62,9 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
-from metadice.loshu import NINTHS, AssignmentStack, check_counts, family_header
-from metadice.loshu import is_digit_string, parse_stack, preset_stack, verify_stack
-from metadice.loshu import walk_dice
+from metadice.loshu import NINTHS, PRESET_DEPTHS, AssignmentStack, check_counts
+from metadice.loshu import die_label, family_header, is_digit_string, parse_stack
+from metadice.loshu import preset_stack, verify_stack, walk_dice
 from metadice.sweep import VerificationReport, failure_rows, joined, outcome_counts
 
 
@@ -104,8 +105,6 @@ DEPTH_CEILING = 8
 
 #: Cycle position to display color, fixed as 0=red, 1=blue, 2=green.
 SUBSET_COLORS = ("red", "blue", "green")
-
-PRESET_CHOICES = ("paper-1", "paper-2", "paper-3", "uniform")
 
 
 def main(argv=None) -> int:
@@ -213,7 +212,7 @@ def _add_output(p: argparse.ArgumentParser, func, *formats: str) -> None:
 
 def _add_family_source(p: argparse.ArgumentParser, *, stdin: bool = False) -> None:
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=PRESET_CHOICES)
+    source.add_argument("--preset", choices=PRESET_DEPTHS)
     source.add_argument("--stack", metavar="FILE", help="assignment stack file")
     source.add_argument("--family", metavar="FILE", help="family JSON document")
     if stdin:
@@ -365,6 +364,12 @@ def _emit(args, pieces: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _emit_doc(args, doc: dict, text: str) -> None:
+    """Write a small document: ``doc`` as indented JSON under
+    ``--format json``, else ``text``."""
+    _emit(args, (json.dumps(doc, indent=2) + "\n" if args.format == "json" else text,))
+
+
 def tables_text(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]:
     """The listing of a depth-1, 2 or 3 reference family's dice, one line
     per piece, with its subsets' colors."""
@@ -428,8 +433,8 @@ def report_text(report: VerificationReport) -> Iterator[str]:
     the certificate's complaint and the verdict with its time and method.
 
     Each failure line is ``"  " + failure.describe()``, written from the
-    report's records: each die's ``D<n> (<trits>)`` label and each
-    (wins, ties) outcome's text are written once.
+    report's records: each die's :func:`~metadice.loshu.die_label` and
+    each (wins, ties) outcome's text are written once.
     """
     yield (
         f"depth {report.depth}, {report.dice_count} dice,"
@@ -440,10 +445,7 @@ def report_text(report: VerificationReport) -> Iterator[str]:
             f"level {level.level}: {level.pairs} pairs, {level.failures} failures\n"
         )
     if report.records:
-        labels = [
-            f"D{n} ({''.join(word)})"
-            for n, word in enumerate(product("012", repeat=report.depth), 1)
-        ]
+        labels = [die_label(i, report.depth) for i in range(report.dice_count)]
         observed = {
             key: f"observed win {NINTHS[win]} tie {NINTHS[tie]}"
             f" loss {NINTHS[loss]}\n"
@@ -578,16 +580,9 @@ def cmd_prob(args) -> int:
 
     result = duel(parse_die(args.die_a), parse_die(args.die_b))
     decimals = f"{float(result.win):.6f} {float(result.tie):.6f} {float(result.loss):.6f}"
-    if args.format == "json":
-        doc = {
-            "win": str(result.win),
-            "tie": str(result.tie),
-            "loss": str(result.loss),
-            "decimal": decimals,
-        }
-        _emit(args, (json.dumps(doc, indent=2) + "\n",))
-    else:
-        _emit(args, (f"{result.win} {result.tie} {result.loss}\n{decimals}\n",))
+    doc = {"win": str(result.win), "tie": str(result.tie), "loss": str(result.loss)}
+    doc["decimal"] = decimals
+    _emit_doc(args, doc, f"{result.win} {result.tie} {result.loss}\n{decimals}\n")
     return 0
 
 
@@ -606,10 +601,7 @@ def cmd_roundrobin(args) -> int:
     from metadice.dice import round_robin
 
     wins_a, wins_b = round_robin(_parse_team(args.team_a), _parse_team(args.team_b))
-    if args.format == "json":
-        _emit(args, (json.dumps({"a": wins_a, "b": wins_b}, indent=2) + "\n",))
-    else:
-        _emit(args, (f"A:{wins_a} B:{wins_b}\n",))
+    _emit_doc(args, {"a": wins_a, "b": wins_b}, f"A:{wins_a} B:{wins_b}\n")
     return 0
 
 
@@ -637,20 +629,7 @@ def cmd_simulate(args) -> int:
     y = parse_die(args.die_b)
     estimate = monte_carlo(x, y, args.trials, args.seed)
     exact = duel(x, y).win
-    if args.format == "json":
-        doc = {
-            "estimate": estimate,
-            "exact": str(exact),
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        _emit(args, (json.dumps(doc, indent=2) + "\n",))
-    else:
-        _emit(
-            args,
-            (
-                f"estimate {estimate:.6f}\nexact {exact} = {float(exact):.6f}\n"
-                f"trials {args.trials} seed {args.seed}\n",
-            ),
-        )
+    doc = dict(estimate=estimate, exact=str(exact), trials=args.trials, seed=args.seed)
+    text = f"estimate {estimate:.6f}\nexact {exact} = {float(exact):.6f}\n"
+    _emit_doc(args, doc, f"{text}trials {args.trials} seed {args.seed}\n")
     return 0

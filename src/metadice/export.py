@@ -13,9 +13,9 @@ of its family duels 5/9 the cycle's way. A loaded family's sibling trio is
 labeled from its three representative dice's 3x3 face grids, and its full
 view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
 the path ``verify`` runs, and every other pair duels 5/9 the cycle's way.
-Only that path and the record API's die names import
-:mod:`metadice.hierarchy`, when they run, so a stack's graph and points
-compile no family code.
+Only that path imports :mod:`metadice.hierarchy`, when it runs, so a
+stack's graph and points compile no family code. Both graph forms name
+their nodes with :func:`node_names`.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
@@ -70,13 +70,12 @@ class DominanceGraph(NamedTuple):
     edges: tuple[Edge, ...]
 
 
-def node_name(prefix: Prefix, depth: int) -> str:
-    """D-numbers at full depth, trit strings for shallower prefixes."""
-    if len(prefix) == depth:
-        from metadice.hierarchy import die_number
-
-        return f"D{die_number(prefix)}"
-    return "".join(str(t) for t in prefix)
+def node_names(depth: int, level: int) -> list[str]:
+    """The names of a depth-``depth`` graph's nodes at ``level``, in node
+    order: D-numbers at full depth, trit strings for shallower prefixes."""
+    if level == depth:
+        return [f"D{n}" for n in range(1, 3 ** depth + 1)]
+    return ["".join(prefix) for prefix in product("012", repeat=level)]
 
 
 def build_graph(
@@ -204,10 +203,7 @@ def graph_rows(
     level = depth if full else 1 if level is None else level
     if not 1 <= level <= depth:
         raise ValueError(f"level {level} outside 1..{depth}")
-    if level == depth:
-        names = [f"D{n}" for n in range(1, 3 ** depth + 1)]
-    else:
-        names = ["".join(prefix) for prefix in product("012", repeat=level)]
+    names = node_names(depth, level)
     family = None if isinstance(source, AssignmentStack) else source
     if full:
         rows = _full_rows(depth, family)
@@ -217,13 +213,12 @@ def graph_rows(
 
 
 def _graph_rows(graph: DominanceGraph) -> GraphRows:
-    nodes = sorted(graph.nodes)
-    position = {prefix: k for k, prefix in enumerate(nodes)}
+    position = {prefix: k for k, prefix in enumerate(sorted(graph.nodes))}
     rows = sorted(
         (position[source], position[target], position[target] + 1, str(probability))
         for source, target, probability in graph.edges
     )
-    names = [node_name(prefix, graph.depth) for prefix in nodes]
+    names = node_names(graph.depth, graph.level)
     return GraphRows(graph.depth, graph.level, graph.full, names, rows)
 
 

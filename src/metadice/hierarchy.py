@@ -41,8 +41,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from metadice.loshu import AssignmentStack, LengthMismatchError, Value, check_counts
-from metadice.loshu import family_header, is_digit_string, is_int, parse_stack
-from metadice.loshu import walk_dice
+from metadice.loshu import die_label, family_header, is_digit_string, is_int
+from metadice.loshu import parse_stack, walk_dice
 from metadice.sweep import VerificationReport
 
 if TYPE_CHECKING:
@@ -117,8 +117,10 @@ class DiceFamily(Value):
     ``words`` is derived from the depth on first use and cached; a die is
     read as its rank faces, each at the family multiplicity. A family is
     a :class:`~metadice.loshu.Value` of its four fields. The constructor
-    is the one way to build one, :func:`generate` included: it checks
-    every die and keeps the dice as tuples, copying dice given as lists.
+    is the one way to build one, :func:`generate` included: it takes the
+    dice as any iterable, read only once the depth and multiplicity pass,
+    checks every die and keeps the dice as tuples, copying dice given as
+    lists.
     """
 
     _fields = ("depth", "multiplicity", "rank_faces", "stack")
@@ -131,10 +133,11 @@ class DiceFamily(Value):
         self,
         depth: int,
         multiplicity: int,
-        rank_faces: tuple[tuple[str, str, str], ...],
+        rank_faces: Iterable[Sequence[str]],
         stack: AssignmentStack | None = None,
     ):
         check_counts(depth, multiplicity, FamilyFormatError)
+        rank_faces = tuple(rank_faces)
         size = len(rank_faces)
         # a depth above the entry count cannot match, so 3^depth is not built
         if depth > size or 3 ** depth != size:
@@ -144,9 +147,9 @@ class DiceFamily(Value):
         kinds = set(map(type, rank_faces))
         if not (kinds <= {tuple, list} and _dice_sound(rank_faces, depth)):
             _check_each_die(rank_faces, depth)
-        if kinds != {tuple} or type(rank_faces) is not tuple:
+        if kinds != {tuple}:
             # a caller's lists would leave the value unhashable and open to
-            # edits past these checks; the loaders pass tuples
+            # edits past these checks; the loaders and the walk give tuples
             rank_faces = tuple(map(tuple, rank_faces))
         self._set(
             depth=depth, multiplicity=multiplicity, rank_faces=rank_faces, stack=stack
@@ -187,40 +190,33 @@ def _dice_sound(rank_faces: Sequence, depth: int) -> bool:
 def _check_each_die(rank_faces: Sequence, depth: int) -> None:
     """Raise :class:`FamilyFormatError` naming the first die that is not
     three distinct faces of ``depth`` ASCII digits."""
-    for n, faces in enumerate(rank_faces, start=1):
+    for i, faces in enumerate(rank_faces):
         # shape and face types before set(), which hashes the faces
         shaped = isinstance(faces, (tuple, list)) and len(faces) == 3
         strings = shaped and all(map(is_digit_string, faces))
         if not shaped or (strings and len(set(faces)) != 3):
-            raise FamilyFormatError(
-                f"die {face_word_label(word_of(n, depth))} needs 3 distinct faces"
-            )
+            raise FamilyFormatError(f"die {die_label(i, depth)} needs 3 distinct faces")
         if not strings or not (
             len(faces[0]) == len(faces[1]) == len(faces[2]) == depth
         ):
             raise FamilyFormatError(
-                f"die {face_word_label(word_of(n, depth))} has a face"
+                f"die {die_label(i, depth)} has a face"
                 f" that is not {depth} digits from 0..9"
             )
-
-
-def face_word_label(word: Word) -> str:
-    """Human label for a word: its D-number plus the trits."""
-    return f"D{die_number(word)} ({''.join(str(t) for t in word)})"
 
 
 def generate(stack: AssignmentStack, multiplicity: int = 2) -> DiceFamily:
     """The whole depth-``stack.depth`` family of an assignment stack: the
     dice of :func:`~metadice.loshu.walk_dice`, at face multiplicity
     ``multiplicity``, built by :class:`DiceFamily`, which checks them and
-    refuses what it refuses.
+    refuses what it refuses, a bad multiplicity before it reads the walk.
 
     Every die is valid by construction, yet no family skips the checks:
     they take about as long as the walk, and at their peak they hold a
     sixth of the family beside it. The commands that write a stack's
     family read the walk itself, so only a library caller pays for them.
     """
-    return DiceFamily(stack.depth, multiplicity, tuple(walk_dice(stack)), stack)
+    return DiceFamily(stack.depth, multiplicity, walk_dice(stack), stack)
 
 
 class PairFailure(NamedTuple):
@@ -232,9 +228,10 @@ class PairFailure(NamedTuple):
     observed: DuelResult
 
     def describe(self) -> str:
+        # the three words: word_a, word_b and expected_winner
+        a, b, winner = (die_label(die_number(w) - 1, len(w)) for w in self[:3])
         return (
-            f"{face_word_label(self.word_a)} vs {face_word_label(self.word_b)}:"
-            f" expected {face_word_label(self.expected_winner)} to win 5/9,"
+            f"{a} vs {b}: expected {winner} to win 5/9,"
             f" observed win {self.observed.win} tie {self.observed.tie}"
             f" loss {self.observed.loss}"
         )
@@ -340,7 +337,7 @@ def family_from_json(doc: dict) -> DiceFamily:
         for n, (listed, built) in enumerate(zip(family.rank_faces, walk_dice(stack))):
             if listed != built:
                 raise FamilyFormatError(
-                    f"die {face_word_label(word_of(n + 1, depth))} has faces"
+                    f"die {die_label(n, depth)} has faces"
                     f" {' '.join(listed)} but the stack echo"
                     f" generates {' '.join(built)}"
                 )

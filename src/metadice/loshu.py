@@ -38,9 +38,10 @@ so a writer holds one block of a stack's family, never the whole of it.
 The module also hosts what every layer shares: :class:`Value`, the value
 protocol of the library's immutable classes, the input checks
 :func:`is_int`, :func:`is_digit_string` and :func:`check_counts`, ``Face``,
-:class:`LengthMismatchError` and :data:`NINTHS`, the text of a family's
-duels. A command that works on a stack compiles this module
-and :mod:`metadice.sweep` alone.
+:class:`LengthMismatchError`, and the spelling of output: :data:`NINTHS`,
+the text of a family's duels, and :func:`trits` and :func:`die_label`, the
+text of a prefix and of a die. A command that works on a stack compiles
+this module and :mod:`metadice.sweep` alone.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ Face = tuple[int, ...]
 #: ``NINTHS[k]`` is ``str(Fraction(k, 9))``, k in 0..9: the text of every
 #: probability of a duel between two dice of three faces at one multiplicity.
 NINTHS = ("0", "1/9", "2/9", "1/3", "4/9", "5/9", "2/3", "7/9", "8/9", "1")
+
+
+def trits(n: int, length: int) -> str:
+    """``n`` as ``length`` base-3 digits: a die's word or a node's prefix."""
+    return "".join(str(n // 3 ** (length - 1 - j) % 3) for j in range(length))
+
+
+def die_label(i: int, depth: int) -> str:
+    """How output names die ``i`` of a depth-``depth`` family: its D-number
+    and its word, ``D<i + 1> (<trits>)``."""
+    return f"D{i + 1} ({trits(i, depth)})"
 
 
 class LengthMismatchError(ValueError):
@@ -295,7 +307,9 @@ class AssignmentStack(Value):
         return [rule.text() for rule in self.levels]
 
 
-PRESET_DEPTHS = {"paper-1": 1, "paper-2": 2, "paper-3": 3}
+#: Each preset's name and depth, in the order the CLI lists them; the
+#: uniform preset takes the depth it is given.
+PRESET_DEPTHS = {"paper-1": 1, "paper-2": 2, "paper-3": 3, "uniform": None}
 
 
 def preset_stack(name: str, depth: int | None = None) -> AssignmentStack:
@@ -309,17 +323,16 @@ def preset_stack(name: str, depth: int | None = None) -> AssignmentStack:
     """
     if depth is not None and not is_int(depth):
         raise ValueError(f"depth must be an integer, got {depth!r}")
-    if name in PRESET_DEPTHS:
-        if depth is not None and depth != PRESET_DEPTHS[name]:
-            raise ValueError(
-                f"preset {name!r} has depth {PRESET_DEPTHS[name]}, not {depth}"
-            )
-        depth = PRESET_DEPTHS[name]
+    if name not in PRESET_DEPTHS:
+        raise ValueError(f"unknown preset {name!r}")
+    fixed = PRESET_DEPTHS[name]
+    if fixed is not None:
+        if depth is not None and depth != fixed:
+            raise ValueError(f"preset {name!r} has depth {fixed}, not {depth}")
+        depth = fixed
         if name == "paper-3":
             rules = LevelRule(SORTED_ROWS), LevelRule(RESIDUE_ROWS)
             return AssignmentStack((*rules, LevelRule(SWAPPED_ROWS, rotate_by=2)))
-    elif name != "uniform":
-        raise ValueError(f"unknown preset {name!r}")
     elif depth is None:
         raise ValueError("the uniform preset needs a depth")
     if depth < 1:

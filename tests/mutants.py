@@ -135,6 +135,36 @@ MUTANTS = (
             f"{EXPORT}::test_full_graph_matches_the_sweep_on_every_path",
         ),
     ),
+    Mutant(
+        "die-label-numbered-from-zero",
+        "loshu.py",
+        'f"D{i + 1} ({trits(i, depth)})"',
+        'f"D{i} ({trits(i, depth)})"',
+        (
+            f"{HIERARCHY}::TestFamilyInvariants::test_duplicate_faces_rejected",
+            f"{HIERARCHY}::TestVerify::test_tampering_detected",
+        ),
+    ),
+    Mutant(
+        "trits-in-reverse",
+        "loshu.py",
+        "for j in range(length))",
+        "for j in reversed(range(length)))",
+        (
+            f"{HIERARCHY}::TestCertificate::test_disagreeing_die_named",
+            f"{HIERARCHY}::TestVerify::test_tampering_detected",
+        ),
+    ),
+    Mutant(
+        "generate-builds-the-walk-first",
+        "hierarchy.py",
+        "DiceFamily(stack.depth, multiplicity, walk_dice(stack), stack)",
+        "DiceFamily(stack.depth, multiplicity, tuple(walk_dice(stack)), stack)",
+        (
+            f"{HIERARCHY}::TestGenerate"
+            "::test_refuses_a_multiplicity_before_it_reads_the_walk",
+        ),
+    ),
 )
 
 

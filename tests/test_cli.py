@@ -83,6 +83,11 @@ def entries_swapped():
 
 
 BAD_DOCUMENTS = {
+    "a list": [],
+    "null": None,
+    "a number": 3,
+    "a string": "x",
+    "depth alone": {"depth": 1},
     "null multiplicity": {"depth": 1, "multiplicity": None, "dice": []},
     "non-ASCII depth": paper1_with(depth="\u0661"),
     "boolean depth": paper1_with(depth=True),
@@ -119,6 +124,13 @@ def test_bad_family_document_exits_2(run_cli, tmp_path, command, doc):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_document_that_is_not_an_object_is_named(run_cli, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(BAD_DOCUMENTS["a list"]))
+    code, out, err = run_cli(["verify", "--family", str(path)])
+    assert (code, out, err) == (2, "", "error: family document must be a JSON object\n")
 
 
 def test_digit_string_integers_load_and_verify(run_cli, tmp_path):

@@ -32,7 +32,7 @@ from metadice.export import (
     graph_json_text,
     graph_rows,
     graph_to_json,
-    node_name,
+    node_names,
     normalized_values,
     points_json_text,
     points_to_csv,
@@ -90,7 +90,7 @@ def read_dot(text):
 class TestBuildGraph:
     def test_base_cycle(self):
         graph = build_graph(PAPER1, 1)
-        assert [node_name(n, 1) for n in graph.nodes] == ["D1", "D2", "D3"]
+        assert node_names(1, 1) == ["D1", "D2", "D3"]
         assert [(e.source, e.target) for e in graph.edges] == [
             ((0,), (1,)),
             ((1,), (2,)),
@@ -456,14 +456,10 @@ class TestDot:
     def test_round_trip_matches_graph(self):
         graph = build_graph(PAPER2, 2)
         nodes, edges = read_dot(to_dot(graph))
-        assert nodes == {node_name(n, graph.depth) for n in graph.nodes}
+        name = dict(zip(graph.nodes, node_names(graph.depth, graph.level)))
+        assert nodes == set(name.values())
         assert edges == {
-            (
-                node_name(e.source, graph.depth),
-                node_name(e.target, graph.depth),
-                str(e.probability),
-            )
-            for e in graph.edges
+            (name[e.source], name[e.target], str(e.probability)) for e in graph.edges
         }
 
     def test_byte_deterministic(self):

@@ -470,6 +470,23 @@ class TestGenerate:
                 build(stack, multiplicity)
             assert str(exc.value) == str(refused.value)
 
+    @pytest.mark.parametrize("multiplicity", [0, True, 1.5])
+    def test_refuses_a_multiplicity_before_it_reads_the_walk(self, multiplicity):
+        """``DiceFamily`` reads its dice only once the multiplicity passes,
+        so ``generate`` refuses a bad one before the walk yields a die, at
+        any depth."""
+
+        def unread_walk(stack):
+            raise AssertionError("the walk was read")
+            yield
+
+        with pytest.raises(FamilyFormatError) as refused:
+            DiceFamily(1, multiplicity, PAPER3.rank_faces[:3])
+        with mock.patch.object(hierarchy, "walk_dice", unread_walk):
+            with pytest.raises(FamilyFormatError) as exc:
+                generate(preset_stack("uniform", 10), multiplicity)
+        assert str(exc.value) == str(refused.value)
+
     @pytest.mark.parametrize(
         "stack",
         [preset_stack(f"paper-{d}") for d in (1, 2, 3)]
@@ -686,6 +703,13 @@ class TestFamilyInvariants:
         assert family == as_tuples and hash(family) == hash(as_tuples)
         dice[0][0] = "3"
         assert family.rank_faces == (("2", "4", "9"), ("1", "6", "8"), ("3", "5", "7"))
+
+    def test_dice_may_come_as_any_iterable(self):
+        """An iterator or generator of dice, as ``generate`` passes its
+        walk, builds the family its tuple builds."""
+        dice = PAPER3.rank_faces
+        for given in (iter(dice), (list(faces) for faces in dice)):
+            assert DiceFamily(3, 2, given, PAPER3.stack) == PAPER3
 
     def test_tuples_are_kept_as_given(self):
         """Dice that are all tuples, as the loaders pass them, are stored

@@ -45,6 +45,17 @@ def test_sorted_rows_subsets():
     assert {tuple(sorted(row)) for row in SQUARE} == set(SORTED_ROWS.subsets)
 
 
+def test_the_deeper_preset_tables_come_from_the_square():
+    """The middle and innermost tables of ``paper-3`` are read off the Lo
+    Shu square too, as the sorted rows are above: the residue rows are its
+    digits grouped by residue mod 3, and the swapped rows are the sorted
+    rows with ranks 1 and 2 exchanged."""
+    digits = [d for row in SQUARE for d in row]
+    residues = {frozenset(d for d in digits if d % 3 == r) for r in range(3)}
+    assert set(map(frozenset, RESIDUE_ROWS.subsets)) == residues
+    assert SWAPPED_ROWS.subsets == tuple((a, c, b) for a, b, c in SORTED_ROWS.subsets)
+
+
 #: An ordered partition of 1..9: neither leading nor rank-wise.
 ORDERED = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 

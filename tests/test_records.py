@@ -1,4 +1,5 @@
-"""The record classes: value semantics, and what a CLI process imports."""
+"""The record classes: value semantics, what a CLI process imports, and
+the code-line counter."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import metadice.cli  # noqa: F401  (registers the layer modules it binds)
+import code_lines
 from conftest import run_probed
 from mutants import MUTANTS
 from metadice.dice import Die, DuelResult
@@ -268,6 +270,42 @@ def test_only_sweep_names_the_record_layout_in_source():
             if named:
                 naming.add(path.name)
     assert naming == {"sweep.py"}
+
+
+#: Seven code lines: the class and def lines, the string statement after
+#: the method's docstring, and the four lines of the call; the three
+#: docstrings, the comment and the blank lines hold none.
+SNIPPET = '''"""A module docstring."""
+
+# a comment line
+
+
+class Record:
+    """A class docstring."""
+
+    def method(self):
+        """A function docstring
+        over two lines."""
+        "a string statement that is not a docstring"
+        return print(
+            "a multi-line call",
+            self,
+        )
+'''
+
+
+def test_code_lines_counts_the_lines_that_hold_code():
+    assert code_lines.code_lines(SNIPPET) == 7
+    assert code_lines.code_lines("") == 0
+
+
+def test_code_lines_prints_a_row_per_module_and_a_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert code_lines.main(tmp_path) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["a.py", "7"], ["b.py", "2"], ["total", "9"]]
 
 
 def test_each_mutant_text_occurs_once_in_its_module():
