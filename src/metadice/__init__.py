@@ -15,8 +15,8 @@ loads, so a command compiles only the layers it runs:
   ``PRESET_DEPTHS``, ``preset_stack``, ``walk_dice``, ``verify_stack``,
   ``family_header``, and the value core: ``Value``, ``is_int``,
   ``is_digit_string``, ``check_counts``, ``Face``, ``LengthMismatchError``
-  and how output spells a duel, a prefix and a die: ``NINTHS``, ``trits``
-  and ``die_label``;
+  and how output spells a duel, a prefix, the words in die order and a
+  die: ``NINTHS``, ``trits``, ``words`` and ``die_label``;
 - ``dice``, the exact duel engine: ``Die``, ``parse_die``, ``duel``,
   ``DuelResult``, ``monte_carlo``, ``round_robin``;
 - ``hierarchy``, the family layer: ``DiceFamily``, ``generate``,

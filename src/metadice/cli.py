@@ -11,12 +11,14 @@ Each command has one writer per format. Every JSON text is
 families, reports, points and graphs are written from their rows with one
 f-string per die, point, failure or node, a graph's 5/9 edges a run at a
 time as one join, and the small documents of ``prob``, ``roundrobin`` and
-``simulate`` by ``json.dumps`` itself, through :func:`_emit_doc`. A
-writer is a generator of text pieces: one per die of a family, its listing
-line, its document entry or its three CSV rows; one per point of its JSON
-points; one per failure of a report; one per node of a graph and one per
-run of up to 9 of its edges. :func:`_emit` joins and writes them
-``_BATCH`` at a time: a command never holds its whole output.
+``simulate`` by ``json.dumps`` itself, through :func:`_emit_doc`. The
+writers that spell words read them from :func:`~metadice.loshu.words`,
+the one statement of die order. A writer is a generator of text pieces:
+one per die of a family, its listing line, its document entry or its
+three CSV rows; one per point of its JSON points; one per failure of a
+report; one per node of a graph and one per run of up to 9 of its edges.
+:func:`_emit` joins and writes them ``_BATCH`` at a time: a command never
+holds its whole output.
 ``generate``, ``normalize`` and ``tables`` write a stack's dice as
 :func:`~metadice.loshu.walk_dice` yields them, so they hold one block
 of 729 dice, not the family. ``graph`` draws a stack's graph from its
@@ -59,13 +61,14 @@ import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import islice, product
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from metadice.loshu import NINTHS, PRESET_DEPTHS, AssignmentStack, check_counts
 from metadice.loshu import die_label, family_header, is_digit_string, parse_stack
-from metadice.loshu import preset_stack, verify_stack, walk_dice
+from metadice.loshu import preset_stack, verify_stack, walk_dice, words
 from metadice.sweep import VerificationReport, failure_rows, joined, outcome_counts
+from metadice.sweep import record_pairs
 
 
 def _lazy_import(name: str):
@@ -406,12 +409,12 @@ def family_json_text(
     yields in word order, one die per piece, each but the first led by its
     separator: one f-string per die over its word's trits, written once per
     family, and its faces, ASCII digits that JSON writes as they are."""
-    words = (",\n        ".join(w) for w in product("012", repeat=depth))
+    spelled = (",\n        ".join(w) for w in words(depth))
     # the header's text ends "\n}": the dice go in before its closing brace
     head = json.dumps(family_header(depth, multiplicity, stack), indent=2)[:-2]
     yield f'{head},\n  "dice": [\n    '
     sep = ""
-    for n, (word, (a, b, c)) in enumerate(zip(words, dice), 1):
+    for n, (word, (a, b, c)) in enumerate(zip(spelled, dice), 1):
         yield (
             f'{sep}{{\n      "word": [\n        {word}\n      ],\n'
             f'      "paper_number": {n},\n      "faces": [\n        "{a}",\n'
@@ -433,8 +436,9 @@ def report_text(report: VerificationReport) -> Iterator[str]:
     the certificate's complaint and the verdict with its time and method.
 
     Each failure line is ``"  " + failure.describe()``, written from the
-    report's records: each die's :func:`~metadice.loshu.die_label` and
-    each (wins, ties) outcome's text are written once.
+    report's records: the :func:`~metadice.loshu.die_label` of each die
+    that a failure names and each (wins, ties) outcome's text are written
+    once, so the labels cost what the failures name, not the family.
     """
     yield (
         f"depth {report.depth}, {report.dice_count} dice,"
@@ -445,7 +449,9 @@ def report_text(report: VerificationReport) -> Iterator[str]:
             f"level {level.level}: {level.pairs} pairs, {level.failures} failures\n"
         )
     if report.records:
-        labels = [die_label(i, report.depth) for i in range(report.dice_count)]
+        # the winner of a pair is one of its dice: label only the dice named
+        named = set(chain.from_iterable(record_pairs(report.records, report.depth)))
+        labels = {i: die_label(i, report.depth) for i in named}
         observed = {
             key: f"observed win {NINTHS[win]} tie {NINTHS[tie]}"
             f" loss {NINTHS[loss]}\n"
@@ -509,9 +515,9 @@ def report_json_text(report: VerificationReport) -> Iterator[str]:
     if not report.records:
         yield f'{head},\n  "failures": [],\n  "passed": {passed}\n}}\n'
         return
-    words = [
+    lists = [
         "[\n        " + ",\n        ".join(word) + "\n      ]"
-        for word in product("012", repeat=report.depth)
+        for word in words(report.depth)
     ]
     observed = {
         key: f'{{\n        "win": "{NINTHS[win]}",\n'
@@ -521,8 +527,8 @@ def report_json_text(report: VerificationReport) -> Iterator[str]:
     yield f'{head},\n  "failures": [\n    '
     yield from joined(
         (
-            f'{{\n      "word_a": {words[i]},\n      "word_b": {words[j]},\n'
-            f'      "expected_winner": {words[winner]},\n'
+            f'{{\n      "word_a": {lists[i]},\n      "word_b": {lists[j]},\n'
+            f'      "expected_winner": {lists[winner]},\n'
             f'      "observed": {observed[key]}\n    }}'
             for i, j, winner, key in failure_rows(report.records, report.depth)
         ),

@@ -15,7 +15,8 @@ view takes the failing pairs from :func:`metadice.hierarchy.verify_family`,
 the path ``verify`` runs, and every other pair duels 5/9 the cycle's way.
 Only that path imports :mod:`metadice.hierarchy`, when it runs, so a
 stack's graph and points compile no family code. Both graph forms name
-their nodes with :func:`node_names`.
+their nodes with :func:`node_names`. Every writer here, and the record
+API's nodes, read the words in die order from :func:`metadice.loshu.words`.
 
 Normalized points read each face as a decimal fraction in (0, 1), the
 scale-free presentation of a family's face values.
@@ -38,11 +39,10 @@ their renderers, returning whole strings and documents, is the tests' oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from metadice.loshu import NINTHS, AssignmentStack, Face
+from metadice.loshu import NINTHS, AssignmentStack, Face, words
 from metadice.sweep import failure_rows, joined, outcome_counts, record_pairs, siblings
 
 if TYPE_CHECKING:
@@ -75,7 +75,7 @@ def node_names(depth: int, level: int) -> list[str]:
     order: D-numbers at full depth, trit strings for shallower prefixes."""
     if level == depth:
         return [f"D{n}" for n in range(1, 3 ** depth + 1)]
-    return ["".join(prefix) for prefix in product("012", repeat=level)]
+    return ["".join(prefix) for prefix in words(level)]
 
 
 def build_graph(
@@ -100,7 +100,7 @@ def build_graph(
     from fractions import Fraction
 
     depth, level, full, _, rows = graph_rows(source, level, full=full)
-    nodes = tuple(product((0, 1, 2), repeat=level))
+    nodes = tuple(tuple(map(int, w)) for w in words(level))
     ninths = {text: Fraction(k, 9) for k, text in enumerate(NINTHS)}
     edges = tuple(
         Edge(nodes[s], nodes[t], ninths[label])
@@ -360,9 +360,9 @@ def family_csv(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]:
     from ``dice``, the depth-``depth`` family's rank faces in word order,
     one die's three rows per piece: no point is built."""
     scale = 10 ** depth
-    words = map("".join, product("012", repeat=depth))
+    spelled = map("".join, words(depth))
     yield _CSV_HEADER
-    for number, (word, (a, b, c)) in enumerate(zip(words, dice), 1):
+    for number, (word, (a, b, c)) in enumerate(zip(spelled, dice), 1):
         x, y, z = int(a), int(b), int(c)
         gx, gy, gz = gcd(x, scale), gcd(y, scale), gcd(z, scale)
         head = f"{word},{number},"
@@ -379,14 +379,14 @@ def points_json_text(depth: int, dice: Iterable[Sequence[str]]) -> Iterator[str]
     depth-``depth`` family's rank faces in word order, one point per piece:
     no point is built."""
     scale = 10 ** depth
-    words = map("".join, product("012", repeat=depth))
+    spelled = map("".join, words(depth))
     yield "[\n  "
     yield from joined(
         (
             f'{{\n    "word": "{word}",\n    "paper_number": {number},\n'
             f'    "rank": {rank},\n    "decimal": "0.{digits}",\n'
             f'    "numerator": {numerator},\n    "denominator": {denominator}\n  }}'
-            for number, (word, faces) in enumerate(zip(words, dice), 1)
+            for number, (word, faces) in enumerate(zip(spelled, dice), 1)
             for rank, digits in enumerate(faces)
             for numerator, denominator in (_lowest_terms(digits, scale),)
         ),

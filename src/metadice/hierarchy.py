@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from metadice.loshu import AssignmentStack, LengthMismatchError, Value, check_counts
 from metadice.loshu import die_label, family_header, is_digit_string, is_int
-from metadice.loshu import parse_stack, walk_dice
+from metadice.loshu import parse_stack, trits, walk_dice
 from metadice.sweep import VerificationReport
 
 if TYPE_CHECKING:
@@ -60,27 +60,23 @@ def die_number(word: Word) -> int:
 
     Words are numbered lexicographically: n = 1 + sum of w_j * 3^(k-j).
     """
-    n = 0
     for t in word:
         if not is_int(t) or t not in (0, 1, 2):
             raise ValueError(f"word trits must be 0, 1 or 2, got {t}")
-        n = 3 * n + t
-    return n + 1
+    return int("0" + "".join(map(str, word)), 3) + 1
 
 
 def word_of(n: int, depth: int) -> Word:
     """Inverse of :func:`die_number` for a depth-``depth`` family."""
+    for name, value in (("die number", n), ("depth", depth)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     size = 3 ** depth
     if not 1 <= n <= size:
         raise ValueError(f"die number {n} outside 1..{size}")
-    rest = n - 1
-    trits = []
-    for _ in range(depth):
-        rest, t = divmod(rest, 3)
-        trits.append(t)
-    return tuple(reversed(trits))
+    return tuple(map(int, trits(n - 1, depth)))
 
 
 def predicted_winner(w: Word, v: Word) -> Word | None:

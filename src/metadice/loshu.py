@@ -39,9 +39,11 @@ The module also hosts what every layer shares: :class:`Value`, the value
 protocol of the library's immutable classes, the input checks
 :func:`is_int`, :func:`is_digit_string` and :func:`check_counts`, ``Face``,
 :class:`LengthMismatchError`, and the spelling of output: :data:`NINTHS`,
-the text of a family's duels, and :func:`trits` and :func:`die_label`, the
-text of a prefix and of a die. A command that works on a stack compiles
-this module and :mod:`metadice.sweep` alone.
+the text of a family's duels; :func:`trits` and :func:`die_label`, the
+text of a prefix and of a die; and :func:`words`, every word of a length
+in die order, which the walk and every writer of words read, so that the
+order and the trits' alphabet are stated once. A command that works on a
+stack compiles this module and :mod:`metadice.sweep` alone.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ NINTHS = ("0", "1/9", "2/9", "1/3", "4/9", "5/9", "2/3", "7/9", "8/9", "1")
 def trits(n: int, length: int) -> str:
     """``n`` as ``length`` base-3 digits: a die's word or a node's prefix."""
     return "".join(str(n // 3 ** (length - 1 - j) % 3) for j in range(length))
+
+
+def words(length: int) -> Iterator[tuple[str, ...]]:
+    """Every ``length``-trit word in die order, as tuples of one-character
+    trits: the bulk form of :func:`trits`, whose ``n``-th word is
+    ``trits(n, length)``. A die's index is its word's rank in this order."""
+    return itertools.product("012", repeat=length)
 
 
 def die_label(i: int, depth: int) -> str:
@@ -435,12 +444,12 @@ def walk_dice(stack: AssignmentStack) -> Iterator[tuple[str, str, str]]:
     top = max(stack.depth - _BLOCK_LEVELS, 0)
     heads = _grow(stack, (), [[""], [""], [""]], range(1, top + 1))
     levels = range(top + 1, stack.depth + 1)
-    for prefix, *faces in zip(itertools.product((0, 1, 2), repeat=top), *heads):
+    for prefix, *faces in zip(words(top), *heads):
         yield from zip(*_grow(stack, prefix, [[face] for face in faces], levels))
 
 
 def _grow(
-    stack: AssignmentStack, prefix: tuple[int, ...], columns: list, levels: range
+    stack: AssignmentStack, prefix: tuple[str, ...], columns: list, levels: range
 ) -> list:
     """``columns``, the rank columns of faces of the nodes below ``prefix``
     at the level before ``levels``, grown through ``levels`` in place."""
@@ -453,7 +462,7 @@ def _grow(
         if q is None:
             tables = [rule.base.subsets] * nodes
         elif q <= len(prefix):
-            tables = [rule.tables[prefix[q - 1]].subsets] * nodes
+            tables = [rule.tables[int(prefix[q - 1])].subsets] * nodes
         else:
             # the free trit at position q changes every 3^(level - 1 - q)
             # nodes, and its cycle of three runs repeats over the trits above

@@ -90,8 +90,8 @@ MUTANTS = (
     Mutant(
         "walk-prefix-trit-misread",
         "loshu.py",
-        "rule.tables[prefix[q - 1]]",
-        "rule.tables[prefix[-q]]",
+        "rule.tables[int(prefix[q - 1])]",
+        "rule.tables[int(prefix[-q])]",
         (f"{HIERARCHY}::TestWalkDice::test_rotations_above_and_inside_the_block",),
     ),
     Mutant(
@@ -163,6 +163,54 @@ MUTANTS = (
         (
             f"{HIERARCHY}::TestGenerate"
             "::test_refuses_a_multiplicity_before_it_reads_the_walk",
+        ),
+    ),
+    Mutant(
+        "full-graph-run-one-target-long",
+        "export.py",
+        "tails[first:end]",
+        "tails[first:end + 1]",
+        (
+            f"{EXPORT}::test_full_graph_matches_the_sweep_on_every_path",
+            f"{EXPORT}::TestOnePassWriters::test_corpus",
+        ),
+    ),
+    Mutant(
+        "full-graph-runs-cut-at-eight",
+        "export.py",
+        "first + 9 if first + 9 < end else end",
+        "first + 8 if first + 9 < end else end",
+        (f"{EXPORT}::test_full_graph_runs_hold_at_most_nine_edges",),
+    ),
+    Mutant(
+        "full-graph-block-end-overrun",
+        "export.py",
+        "runs.append((lo, end, FIVE))",
+        "runs.append((lo, end + 1, FIVE))",
+        (f"{EXPORT}::TestBuildGraph::test_full_graph_edge_count",),
+    ),
+    Mutant(
+        "full-graph-runs-of-ten",
+        "export.py",
+        "range(lo, end, 9)",
+        "range(lo, end, 10)",
+        (f"{EXPORT}::test_full_graph_runs_hold_at_most_nine_edges",),
+    ),
+    Mutant(
+        "full-graph-failing-pair-labelled-five",
+        "export.py",
+        "runs.append((target, target + 1, NINTHS[ninths]))",
+        "runs.append((target, target + 1, FIVE))",
+        (f"{EXPORT}::test_graphs_match_duel_oracle_on_random_families",),
+    ),
+    Mutant(
+        "report-labels-only-the-lower-dice",
+        "cli.py",
+        "set(chain.from_iterable(record_pairs(report.records, report.depth)))",
+        "{i for i, _ in record_pairs(report.records, report.depth)}",
+        (
+            "tests/test_cli.py"
+            "::test_failing_text_report_labels_only_the_dice_it_names",
         ),
     ),
 )

@@ -1014,6 +1014,27 @@ def test_failing_report_holds_its_records_not_its_text(monkeypatch, writer):
     assert peak < sink.bytes / 4
 
 
+def test_failing_text_report_labels_only_the_dice_it_names(monkeypatch):
+    """A depth-6 family with one altered digit fails 2 pairs: its text
+    report labels the dice of those pairs, not all 729 dice."""
+    dice = list(walk_dice(preset_stack("uniform", 6)))
+    a, b, c = dice[100]
+    dice[100] = (a[:-1] + "9", b, c)
+    report = verify_family(DiceFamily(6, 2, dice))
+    want = "".join(report_text(report))
+    named = {die for f in report.failures for die in (f.word_a, f.word_b)}
+    assert 0 < len(named) < report.dice_count
+    labelled, die_label = [], cli.die_label
+
+    def counted(i, depth):
+        labelled.append(i)
+        return die_label(i, depth)
+
+    monkeypatch.setattr(cli, "die_label", counted)
+    assert "".join(report_text(report)) == want
+    assert len(labelled) <= len(named)
+
+
 def test_report_holds_each_failure_as_one_small_int():
     """The 59,049 failures of the failed level-1 depth-6 family are held
     in under 64 bytes each, the family built before tracing starts: a

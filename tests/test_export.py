@@ -49,7 +49,7 @@ from metadice.hierarchy import (
     predicted_winner,
     verify_family,
 )
-from metadice.loshu import parse_stack, preset_stack, walk_dice
+from metadice.loshu import parse_stack, preset_stack, walk_dice, words
 from metadice.sweep import sweep_pairs, unpack
 from test_hierarchy import (
     ZERO_DIGIT_STACK,
@@ -97,6 +97,11 @@ class TestBuildGraph:
             ((2,), (0,)),
         ]
         assert all(e.probability == FIVE_NINTHS for e in graph.edges)
+
+    def test_prefix_nodes_are_named_by_their_words(self):
+        for depth in range(2, 6):
+            for level in range(1, depth):
+                assert node_names(depth, level) == list(map("".join, words(level)))
 
     def test_deep_family_top_view(self):
         graph = build_graph(PAPER3, 1)

@@ -48,6 +48,7 @@ from metadice.loshu import (
     format_stack,
     parse_stack,
     preset_stack,
+    trits,
     verify_stack,
     walk_dice,
 )
@@ -345,11 +346,22 @@ class TestNumbering:
             word_of(0, 3)
         with pytest.raises(ValueError, match="^depth must be at least 1$"):
             word_of(1, 0)
+        for n, text in ((1.5, r"1\.5"), (2.0, r"2\.0"), (True, "True")):
+            message = f"^die number must be an integer, got {text}$"
+            with pytest.raises(ValueError, match=message):
+                word_of(n, 2)
+        with pytest.raises(ValueError, match=r"^depth must be an integer, got 2\.0$"):
+            word_of(1, 2.0)
 
     @given(st.integers(1, 5), st.data())
     def test_round_trip(self, depth, data):
         n = data.draw(st.integers(1, 3 ** depth))
         assert die_number(word_of(n, depth)) == n
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_word_of_is_the_int_form_of_trits(self, depth):
+        for n in range(3 ** depth):
+            assert word_of(n + 1, depth) == tuple(map(int, trits(n, depth)))
 
     def test_bool_trits_rejected(self):
         with pytest.raises(ValueError, match="trits must be 0, 1 or 2, got True"):

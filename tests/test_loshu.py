@@ -19,6 +19,8 @@ from metadice.loshu import (
     preset_stack,
     rotate,
     table_fault,
+    trits,
+    words,
 )
 
 random_assignments = st.permutations(list(range(1, 10))).map(
@@ -54,6 +56,13 @@ def test_the_deeper_preset_tables_come_from_the_square():
     residues = {frozenset(d for d in digits if d % 3 == r) for r in range(3)}
     assert set(map(frozenset, RESIDUE_ROWS.subsets)) == residues
     assert SWAPPED_ROWS.subsets == tuple((a, c, b) for a, b, c in SORTED_ROWS.subsets)
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_words_are_the_trits_of_each_index_in_order(length):
+    """``words`` is the bulk form of ``trits``: its n-th word is n's trits.
+    Length 0 gives one empty word, the walk's one prefix at depth 6 or less."""
+    assert list(words(length)) == [tuple(trits(n, length)) for n in range(3 ** length)]
 
 
 #: An ordered partition of 1..9: neither leading nor rank-wise.

@@ -27,6 +27,7 @@ from metadice.loshu import (
     DigitAssignment,
     LevelRule,
     Value,
+    words,
 )
 from metadice.sweep import LevelSummary, VerificationReport, pack
 
@@ -270,6 +271,23 @@ def test_only_sweep_names_the_record_layout_in_source():
             if named:
                 naming.add(path.name)
     assert naming == {"sweep.py"}
+
+
+def test_only_loshu_words_spells_the_order_of_the_words():
+    """Die order and the trits' alphabet are stated once: the literal
+    ``"012"`` occurs in ``src/metadice`` only in ``loshu.words``, and
+    neither ``cli`` nor ``export`` imports or reads a ``product``."""
+    spelled, products = [], []
+    for path in sorted((SRC / "metadice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == "012":
+                spelled.append(path.name)
+            elif isinstance(node, (ast.alias, ast.Attribute)):
+                name = node.name if isinstance(node, ast.alias) else node.attr
+                if name == "product" and path.name in ("cli.py", "export.py"):
+                    products.append(f"{path.name}:{node.lineno}")
+    assert spelled == ["loshu.py"] and "012" in words.__code__.co_consts
+    assert products == []
 
 
 #: Seven code lines: the class and def lines, the string statement after
